@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, metrics, models, pca, saliency, stats, training
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, UndefinedMetric
 
 _CONFIG_DEFAULTS = {
     "seed": 0,
@@ -34,8 +34,7 @@ _CONFIG_DEFAULTS = {
     "batch_size": 32,
     "learning_rate": 1e-3,
     "folds": 3,
-    "pca_components": 4,
-    "threads": 1,
+    "pca_components": 4,  # pca-report --k; train always fits models.NUM_MODES
 }
 
 _MODEL_LABELS = {"classical": "C", "dv": "DV", "cv": "CV"}
@@ -70,10 +69,6 @@ def _load_config_file(path: str | None) -> dict:
             raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
         values[key.strip().replace("-", "_")] = value.strip()
     return values
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _resolve_config(args) -> dict:
@@ -124,16 +119,6 @@ def _write_manifest(
     os.replace(tmp, target)
 
 
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
-def _prepare_out(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _load_verified_archive(args) -> tuple:
     archive = Path(args.archive)
     if not archive.exists():
@@ -144,20 +129,26 @@ def _load_verified_archive(args) -> tuple:
     return data.load_archive(archive, args.dataset)
 
 
+def _run(args, argv: list[str]) -> int:
+    """The steps every command shares, around its body ``args.func``.
+
+    A body takes (args, config, out, splits), where splits is None for a
+    command without ``--archive``, and returns (artifacts, summary).
+    """
+    config = _resolve_config(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    started = datetime.now(timezone.utc).isoformat()
+    takes_archive = hasattr(args, "archive")
+    splits = _load_verified_archive(args) if takes_archive else None
+    artifacts, summary = args.func(args, config, out, splits)
+    checksums = {args.dataset: data.sha256_of_file(args.archive)} if takes_archive else {}
+    _write_manifest(out, argv, config, checksums, artifacts, started, summary)
+    return 0
+
+
 def _split_by_name(splits: tuple, name: str):
     return {"train": splits[0], "val": splits[1], "test": splits[2]}[name]
-
-
-def _metric_row(label_truth, predicted, num_classes) -> dict:
-    cm = metrics.confusion_matrix(label_truth, predicted, num_classes)
-    acc, _, recall, f1 = metrics.micro_metrics(cm)
-    return {
-        "acc": acc,
-        "precision": metrics.macro_precision(cm),
-        "recall": recall,
-        "f1": f1,
-        "confusion_matrix": cm.counts.tolist(),
-    }
 
 
 def _write_curve_csv(path: Path, curve: metrics.Curve) -> None:
@@ -170,45 +161,36 @@ def _write_curve_csv(path: Path, curve: metrics.Curve) -> None:
             )
 
 
-def _evaluate_model(model, pca_model, dataset) -> dict:
+def _evaluate_model(model, pca_model, dataset) -> tuple[dict, dict[str, metrics.Curve]]:
+    """eval.json's row, and each curve keyed by its file-name stem."""
     features = pca.transform(pca_model, dataset.flat_images())
     logits, probs = models.predict_batch(model, features)
-    predicted = logits.argmax(axis=1)
-    row = _metric_row(dataset.labels, predicted, dataset.num_classes)
-    row["split"] = dataset.split
-    row["model_kind"] = model.kind
-    row["dataset"] = dataset.name
+    cm = metrics.confusion_matrix(dataset.labels, logits.argmax(axis=1), dataset.num_classes)
+    row = metrics.metric_set(cm) | {
+        "confusion_matrix": cm.counts.tolist(),
+        "split": dataset.split,
+        "model_kind": model.kind,
+        "dataset": dataset.name,
+    }
     if dataset.num_classes == 2:
         roc = metrics.roc_curve(probs[:, 1], dataset.labels)
         pr = metrics.pr_curve(probs[:, 1], dataset.labels)
-        row["auroc"] = roc.area
-        row["auprc"] = pr.area
-        row["pr_baseline"] = pr.baseline
-        row["curves"] = {"roc": roc, "pr": pr}
-    else:
-        areas = metrics.ovr_areas(probs, dataset.labels)
-        row["auroc"] = areas["auroc_mean"]
-        row["auprc"] = areas["auprc_mean"]
-        row["auroc_per_class"] = areas["auroc_per_class"]
-        row["auprc_per_class"] = areas["auprc_per_class"]
-        row["curves"] = {
-            f"roc_class{cls}": metrics.roc_curve(probs[:, cls], (dataset.labels == cls).astype(int))
-            for cls in range(dataset.num_classes)
-        } | {
-            f"pr_class{cls}": metrics.pr_curve(probs[:, cls], (dataset.labels == cls).astype(int))
-            for cls in range(dataset.num_classes)
-        }
-    row["probs"] = probs
-    return row
+        row |= {"auroc": roc.area, "auprc": pr.area, "pr_baseline": pr.baseline}
+        return row, {"roc": roc, "pr": pr}
+    areas = metrics.ovr_areas(probs, dataset.labels)
+    row["auroc"], row["auprc"] = areas["auroc_mean"], areas["auprc_mean"]
+    for name in ("auroc_per_class", "auprc_per_class"):
+        # a class missing from the split has no area: null, not a bare NaN
+        row[name] = [None if np.isnan(v) else v for v in areas[name]]
+    curves = {}
+    for cls, (roc, pr) in areas["curves"].items():
+        curves[f"roc_class{cls}"], curves[f"pr_class{cls}"] = roc, pr
+    return row, curves
 
 
 # --- train -------------------------------------------------------------------
 
-def cmd_train(args, argv: list[str]) -> int:
-    config = _resolve_config(args)
-    out = _prepare_out(args)
-    started = _now()
-    splits = _load_verified_archive(args)
+def cmd_train(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
     train_split = splits[0]
     log(
         f"training {args.model} on {args.dataset} "
@@ -220,7 +202,6 @@ def cmd_train(args, argv: list[str]) -> int:
         epochs=config["epochs"],
         folds=config["folds"],
         seed=config["seed"],
-        pca_components=config["pca_components"],
     )
     result = training.cross_validate(
         args.model,
@@ -228,7 +209,6 @@ def cmd_train(args, argv: list[str]) -> int:
         train_split.labels,
         train_split.num_classes,
         train_config,
-        max_workers=config["threads"],
     )
 
     artifacts = []
@@ -276,30 +256,19 @@ def cmd_train(args, argv: list[str]) -> int:
     metrics_path = out / "metrics.json"
     _write_json(metrics_path, metrics_payload)
     artifacts.append(metrics_path)
-
-    checksums = {args.dataset: data.sha256_of_file(args.archive)}
-    _write_manifest(
-        out, argv, config, checksums, artifacts, started, result.summary
-    )
     log(f"best fold {result.best_fold_index}; artifacts in {out}")
-    return 0
+    return artifacts, result.summary
 
 
 # --- eval --------------------------------------------------------------------
 
-def cmd_eval(args, argv: list[str]) -> int:
-    config = _resolve_config(args)
-    out = _prepare_out(args)
-    started = _now()
-    splits = _load_verified_archive(args)
+def cmd_eval(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
     dataset = _split_by_name(splits, args.split)
     model = models.load_checkpoint(args.checkpoint)
     pca_model = pca.load(args.pca)
     log(f"evaluating {model.kind} checkpoint on {args.dataset}/{args.split} (m={len(dataset)})")
 
-    row = _evaluate_model(model, pca_model, dataset)
-    curves = row.pop("curves")
-    row.pop("probs")
+    row, curves = _evaluate_model(model, pca_model, dataset)
     artifacts = []
     for name, curve in curves.items():
         curve_path = out / f"curve_{name}.csv"
@@ -310,8 +279,7 @@ def cmd_eval(args, argv: list[str]) -> int:
     artifacts.append(eval_path)
 
     if args.dump_state:
-        image = dataset.flat_images()[0]
-        features = pca.transform(pca_model, image)
+        features = pca.transform(pca_model, dataset.flat_images()[0])
         if model.kind == "cv":
             dump = {"kind": "cv"} | models.cv_final_state(model, features).to_json_dict()
         elif model.kind == "dv":
@@ -320,28 +288,19 @@ def cmd_eval(args, argv: list[str]) -> int:
                 "amplitudes": models.dv_final_state(model, features).to_json_list(),
             }
         else:
-            dump = {
-                "kind": "classical",
-                "logits": models.forward(model, features).logits.tolist(),
-            }
+            logits, _ = models.predict_batch(model, features[None, :])  # 1-row batch
+            dump = {"kind": "classical", "logits": logits[0].tolist()}
         dump_path = Path(args.dump_state)
         _write_json(dump_path, dump)
         log(f"state dump written to {dump_path}")
 
-    checksums = {args.dataset: data.sha256_of_file(args.archive)}
-    summary = {k: row[k] for k in ("acc", "precision", "recall", "f1", "auroc", "auprc")}
-    _write_manifest(out, argv, config, checksums, artifacts, started, summary)
     log(f"acc {row['acc']:.4f}, auroc {row['auroc']:.4f}, auprc {row['auprc']:.4f}")
-    return 0
+    return artifacts, {k: row[k] for k in ("acc", "precision", "recall", "f1", "auroc", "auprc")}
 
 
 # --- noise sweep ---------------------------------------------------------
 
-def cmd_noise_sweep(args, argv: list[str]) -> int:
-    config = _resolve_config(args)
-    out = _prepare_out(args)
-    started = _now()
-    splits = _load_verified_archive(args)
+def cmd_noise_sweep(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
     test = _split_by_name(splits, "test")
     entries = [
         ("cv", args.cv_checkpoint, args.cv_pca),
@@ -355,10 +314,11 @@ def cmd_noise_sweep(args, argv: list[str]) -> int:
             raise DataError(f"{checkpoint} holds a {model.kind!r} model, expected {kind!r}")
         loaded.append((kind, model, pca.load(pca_path)))
 
-    grid = data.noise_sweep_grid()
+    # One draw serves every sigma: the field depends on the seed only.
+    noise = data.unit_noise_field(test, config["seed"])
     rows = []
-    for sigma in grid:
-        noisy = data.inject_gaussian_noise(test, sigma, config["seed"], clip=args.clip)
+    for sigma in data.noise_sweep_grid():
+        noisy = data.inject_gaussian_noise(test, sigma, noise, clip=args.clip)
         for kind, model, pca_model in loaded:
             features = pca.transform(pca_model, noisy.flat_images())
             logits, _ = models.predict_batch(model, features)
@@ -375,22 +335,13 @@ def cmd_noise_sweep(args, argv: list[str]) -> int:
         writer.writerow(["sigma", "model_kind", "f1"])
         for sigma, kind, f1 in rows:
             writer.writerow([f"{sigma!r}", kind, f"{f1!r}"])
-
-    checksums = {args.dataset: data.sha256_of_file(args.archive)}
     baseline = {kind: f1 for sigma, kind, f1 in rows if sigma == 0.0}
-    _write_manifest(
-        out, argv, config, checksums, [sweep_path], started, {"f1_at_sigma0": baseline}
-    )
-    return 0
+    return [sweep_path], {"f1_at_sigma0": baseline}
 
 
 # --- saliency ------------------------------------------------------------
 
-def cmd_saliency(args, argv: list[str]) -> int:
-    config = _resolve_config(args)
-    out = _prepare_out(args)
-    started = _now()
-    splits = _load_verified_archive(args)
+def cmd_saliency(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
     dataset = _split_by_name(splits, args.split)
     model = models.load_checkpoint(args.checkpoint)
     pca_model = pca.load(args.pca)
@@ -399,11 +350,13 @@ def cmd_saliency(args, argv: list[str]) -> int:
         indices = [int(v) for v in args.indices.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"bad --indices: {exc}") from exc
-    artifacts = []
     for index in indices:
         if not 0 <= index < len(dataset):
             raise DataError(f"sample index {index} out of range for {len(dataset)} samples")
-        image = dataset.flat_images()[index]
+    images = dataset.flat_images()
+    artifacts = []
+    for index in indices:
+        image = images[index]
         result = saliency.input_gradient_map(model, pca_model, image)
         recon = pca.inverse_transform(pca_model, pca.transform(pca_model, image))
         prefix = out / f"sample{index:05d}"
@@ -429,10 +382,7 @@ def cmd_saliency(args, argv: list[str]) -> int:
             f"sample {index}: predicted {result.predicted_class} "
             f"(confidence {result.confidence:.3f}), true {sidecar['true_class']}"
         )
-
-    checksums = {args.dataset: data.sha256_of_file(args.archive)}
-    _write_manifest(out, argv, config, checksums, artifacts, started, {})
-    return 0
+    return artifacts, {}
 
 
 # --- stats ---------------------------------------------------------------
@@ -454,10 +404,7 @@ def _read_fold_metrics(path: str) -> dict[str, list[float]]:
     return columns
 
 
-def cmd_stats(args, argv: list[str]) -> int:
-    config = _resolve_config(args)
-    out = _prepare_out(args)
-    started = _now()
+def cmd_stats(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
     sources = {
         "classical": _read_fold_metrics(args.classical),
         "dv": _read_fold_metrics(args.dv),
@@ -496,17 +443,14 @@ def cmd_stats(args, argv: list[str]) -> int:
         log(f"{metric}: Friedman chi2 {entry['friedman_chi2']:.4f}, p {entry['friedman_p']:.4f}, H0 {verdict}")
     report_path = out / "stats.json"
     _write_json(report_path, report)
-    _write_manifest(out, argv, config, {}, [report_path], started, {})
-    return 0
+    return [report_path], {}
 
 
 # --- pca report ------------------------------------------------------------
 
-def cmd_pca_report(args, argv: list[str]) -> int:
-    config = _resolve_config(args)
-    out = _prepare_out(args)
-    started = _now()
-    splits = _load_verified_archive(args)
+def cmd_pca_report(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
+    if config["pca_components"] < 1:
+        raise ConfigError(f"--k must be >= 1, got {config['pca_components']}")
     train_split = splits[0]
     model = pca.fit(train_split.flat_images(), config["pca_components"])
     ratios = model.explained_variance_ratio
@@ -528,10 +472,8 @@ def cmd_pca_report(args, argv: list[str]) -> int:
         for i, ratio in enumerate(ratios):
             running += float(ratio)
             writer.writerow([i + 1, f"{float(ratio)!r}", f"{running!r}"])
-    checksums = {args.dataset: data.sha256_of_file(args.archive)}
-    _write_manifest(out, argv, config, checksums, [report_path, csv_path], started, report)
     log(f"{args.dataset}: cumulative variance at k={model.k} is {report['cumulative_variance']:.4f}")
-    return 0
+    return [report_path, csv_path], report
 
 
 # --- parser ----------------------------------------------------------------
@@ -557,8 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p_train.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
     p_train.add_argument("--folds", type=int, default=None)
-    p_train.add_argument("--pca-components", dest="pca_components", type=int, default=None)
-    p_train.add_argument("--threads", type=int, default=None)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = subs.add_parser("eval", help="evaluate a checkpoint on a split")
@@ -613,8 +553,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     argv_list = list(argv) if argv is not None else sys.argv[1:]
     try:
-        return args.func(args, argv_list)
-    except DataError as exc:
+        return _run(args, argv_list)
+    except (DataError, UndefinedMetric) as exc:
         log(f"data error: {exc}")
         return 2
     except ConfigError as exc:

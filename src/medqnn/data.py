@@ -146,14 +146,18 @@ def load_archive(path: str | Path, dataset_name: str) -> tuple[ImageDataset, Ima
 
 
 def inject_gaussian_noise(
-    dataset: ImageDataset, sigma: float, seed: int, clip: bool = False
+    dataset: ImageDataset, sigma: float, noise: np.ndarray, clip: bool = False
 ) -> ImageDataset:
-    """Per-pixel N(0, sigma^2) added to every image, labels untouched."""
+    """``sigma * noise`` added to every image, labels untouched.
+
+    ``noise`` is the standard-normal field from ``unit_noise_field``; a
+    sweep draws it once and scales it for every sigma.
+    """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0.0:
         return replace(dataset, images=dataset.images.copy())
-    noisy = dataset.images + sigma * unit_noise_field(dataset, seed)
+    noisy = dataset.images + sigma * noise
     if clip:
         noisy = np.clip(noisy, 0.0, 1.0)
     return replace(dataset, images=noisy)

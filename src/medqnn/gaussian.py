@@ -29,12 +29,6 @@ class GaussianState:
     mean: np.ndarray  # shape (2n,), order (x1..xn, p1..pn)
     cov: np.ndarray   # shape (2n, 2n), symmetric
 
-    def x_index(self, mode: int) -> int:
-        return mode
-
-    def p_index(self, mode: int) -> int:
-        return self.num_modes + mode
-
     def to_json_dict(self) -> dict:
         return {
             "mean": [float(v) for v in self.mean],

@@ -76,6 +76,12 @@ def macro_precision(cm: ConfusionMatrix) -> float:
     return float(per_class.mean())
 
 
+def metric_set(cm: ConfusionMatrix) -> dict[str, float]:
+    """The reported row: micro ACC, R, F1 and macro precision."""
+    acc, _, recall, f1 = micro_metrics(cm)
+    return {"acc": acc, "precision": macro_precision(cm), "recall": recall, "f1": f1}
+
+
 def _trapezoid(points: np.ndarray) -> float:
     x, y = points[:, 0], points[:, 1]
     return float(np.sum((x[1:] - x[:-1]) * 0.5 * (y[1:] + y[:-1])))
@@ -133,7 +139,8 @@ def ovr_areas(probabilities: np.ndarray, truth) -> dict:
     """One-vs-rest AUROC/AUPRC per class plus their unweighted means.
 
     Classes absent from the truth labels get NaN areas, are excluded from
-    the means, and trigger a warning.
+    the means, and trigger a warning. ``curves`` maps every other class to
+    its (roc, pr) curve pair.
     """
     probabilities = np.asarray(probabilities, dtype=float)
     truth = np.asarray(truth, dtype=int)
@@ -142,16 +149,19 @@ def ovr_areas(probabilities: np.ndarray, truth) -> dict:
         raise ValueError("ovr_areas is for >= 3 classes; use roc_curve/pr_curve directly")
     auroc = np.full(num_classes, np.nan)
     auprc = np.full(num_classes, np.nan)
+    curves = {}
     for cls in range(num_classes):
         binary = (truth == cls).astype(int)
         if binary.sum() == 0 or binary.sum() == len(binary):
             warnings.warn(f"class {cls} missing from truth; excluded from OvR means")
             continue
-        auroc[cls] = roc_curve(probabilities[:, cls], binary).area
-        auprc[cls] = pr_curve(probabilities[:, cls], binary).area
+        roc, pr = roc_curve(probabilities[:, cls], binary), pr_curve(probabilities[:, cls], binary)
+        auroc[cls], auprc[cls] = roc.area, pr.area
+        curves[cls] = roc, pr
     return {
         "auroc_mean": float(np.nanmean(auroc)),
         "auprc_mean": float(np.nanmean(auprc)),
         "auroc_per_class": auroc.tolist(),
         "auprc_per_class": auprc.tolist(),
+        "curves": curves,
     }

@@ -16,6 +16,9 @@ Feature extractors, layer by layer (two layers, 16 parameters each):
   outputs are the four <Z_i>.
 * Classical: two bias-free 4x4 dense maps with tanh after each.
 
+Every kind runs through one batched path, ``predict_batch``, which
+training, evaluation and saliency all use; ``cv_final_state`` and
+``dv_final_state`` expose one sample's full circuit state for dumps.
 Head gradients are analytic (softmax cross-entropy closed form), the DV
 circuit differentiates by the parameter-shift rule, the CV circuit by
 central finite differences (the shift rules for squeezing are not worth
@@ -31,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gaussian, statevector
-from .errors import DataError
+from .errors import DataError, NumericError
 from .rng import Rng
 
 NUM_MODES = 4
@@ -55,12 +58,6 @@ class HybridModel:
     head_bias: np.ndarray       # (num_classes,)
     feature_mean: np.ndarray    # (4,) z-score statistics of the training fold
     feature_std: np.ndarray     # (4,)
-
-
-@dataclass(frozen=True)
-class Prediction:
-    logits: np.ndarray
-    probabilities: np.ndarray
 
 
 def num_params(model: HybridModel) -> int:
@@ -112,12 +109,13 @@ def _check_features(features: np.ndarray) -> np.ndarray:
     return features
 
 
+def _require_kind(model: HybridModel, kind: str) -> None:
+    if model.kind != kind:
+        raise ValueError(f"expected a {kind!r} model, got {model.kind!r}")
+
+
 def _head(model: HybridModel, outputs: np.ndarray) -> np.ndarray:
     return outputs @ model.head_weights.T + model.head_bias
-
-
-def _prediction(logits: np.ndarray) -> Prediction:
-    return Prediction(logits=logits, probabilities=softmax(logits))
 
 
 # --- CV ----------------------------------------------------------------------
@@ -140,14 +138,17 @@ def _cv_transform(circuit_params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n2 = 2 * NUM_MODES
     s_total = np.eye(n2)
     d_total = np.zeros(n2)
-    for layer in range(NUM_LAYERS):
-        chunk = circuit_params[layer * PARAMS_PER_LAYER : (layer + 1) * PARAMS_PER_LAYER]
-        for s_gate, d_gate in _cv_layer_gates(chunk):
-            if s_gate is not None:
-                s_total = s_gate @ s_total
-                d_total = s_gate @ d_total
-            if d_gate is not None:
-                d_total = d_total + d_gate
+    try:
+        for layer in range(NUM_LAYERS):
+            chunk = circuit_params[layer * PARAMS_PER_LAYER : (layer + 1) * PARAMS_PER_LAYER]
+            for s_gate, d_gate in _cv_layer_gates(chunk):
+                if s_gate is not None:
+                    s_total = s_gate @ s_total
+                    d_total = s_gate @ d_total
+                if d_gate is not None:
+                    d_total = d_total + d_gate
+    except ValueError as exc:  # the squeeze overflow guard, the gates' only check
+        raise NumericError(str(exc)) from exc
     return s_total, d_total
 
 
@@ -159,30 +160,17 @@ def _cv_outputs_batch(circuit_params: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def cv_final_state(model: HybridModel, features: np.ndarray) -> gaussian.GaussianState:
-    """Gate-by-gate evolution including covariances (forward path and dumps)."""
+    """Final Gaussian state for one sample, in closed form from ``_cv_transform``.
+
+    The vacuum covariance is the identity and displacements leave the
+    covariance alone, so the circuit's state is mean = S [sqrt(2) z; 0] + d
+    and cov = S S^T.
+    """
+    _require_kind(model, "cv")
     z = standardize(model, _check_features(features))
-    state = gaussian.vacuum_state(NUM_MODES)
-    for mode in range(NUM_MODES):
-        state = gaussian.apply_displacement(state, mode, z[mode], 0.0)
-    for layer in range(NUM_LAYERS):
-        p = model.circuit_params[layer * PARAMS_PER_LAYER : (layer + 1) * PARAMS_PER_LAYER]
-        for mode in range(NUM_MODES):
-            state = gaussian.apply_displacement(state, mode, p[mode], 0.0)
-        for mode in range(NUM_MODES):
-            state = gaussian.apply_rotation(state, mode, p[4 + mode])
-        for mode in range(NUM_MODES):
-            state = gaussian.apply_squeeze(state, mode, p[8 + mode])
-        state = gaussian.apply_beamsplitter(state, 0, 1, p[12], p[13])
-        state = gaussian.apply_beamsplitter(state, 2, 3, p[14], p[15])
-    return state
-
-
-def forward_cv(model: HybridModel, features: np.ndarray) -> Prediction:
-    if model.kind != "cv":
-        raise ValueError(f"forward_cv on a {model.kind!r} model")
-    state = cv_final_state(model, features)
-    outputs = np.array([gaussian.expect_x(state, mode) for mode in range(NUM_MODES)])
-    return _prediction(_head(model, outputs))
+    s_total, d_total = _cv_transform(model.circuit_params)
+    encoded = np.concatenate([np.sqrt(2.0) * z, np.zeros(NUM_MODES)])
+    return gaussian.GaussianState(NUM_MODES, s_total @ encoded + d_total, s_total @ s_total.T)
 
 
 # --- DV ----------------------------------------------------------------------
@@ -213,19 +201,10 @@ def _dv_outputs_batch(circuit_params: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def dv_final_state(model: HybridModel, features: np.ndarray) -> statevector.QubitState:
+    _require_kind(model, "dv")
     z = standardize(model, _check_features(features))
     amps = statevector.run_circuit(_DV_CIRCUIT, model.circuit_params, _dv_encoding(z))
     return statevector.QubitState(NUM_MODES, amps)
-
-
-def forward_dv(model: HybridModel, features: np.ndarray) -> Prediction:
-    if model.kind != "dv":
-        raise ValueError(f"forward_dv on a {model.kind!r} model")
-    state = dv_final_state(model, features)
-    outputs = np.array(
-        [statevector.expect_z(state, q) for q in range(NUM_MODES)]
-    )
-    return _prediction(_head(model, outputs))
 
 
 # --- classical ----------------------------------------------------------------
@@ -242,13 +221,6 @@ def _classical_outputs_batch(circuit_params: np.ndarray, z: np.ndarray) -> np.nd
     return _classical_hidden(circuit_params, z)[1]
 
 
-def forward_classical(model: HybridModel, features: np.ndarray) -> Prediction:
-    if model.kind != "classical":
-        raise ValueError(f"forward_classical on a {model.kind!r} model")
-    z = standardize(model, _check_features(features))
-    return _prediction(_head(model, _classical_outputs_batch(model.circuit_params, z)))
-
-
 # --- shared entry points --------------------------------------------------
 
 _OUTPUTS_BY_KIND = {
@@ -257,46 +229,18 @@ _OUTPUTS_BY_KIND = {
     "classical": _classical_outputs_batch,
 }
 
-_FORWARD_BY_KIND = {
-    "cv": forward_cv,
-    "dv": forward_dv,
-    "classical": forward_classical,
-}
-
-
-def forward(model: HybridModel, features: np.ndarray) -> Prediction:
-    return _FORWARD_BY_KIND[model.kind](model, features)
-
-
-def circuit_outputs(model: HybridModel, features: np.ndarray) -> np.ndarray:
-    """Feature-extractor outputs for a (..., 4) feature array (fast path)."""
-    z = standardize(model, _check_features(features))
-    return _OUTPUTS_BY_KIND[model.kind](model.circuit_params, z)
-
 
 def predict_batch(model: HybridModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(logits, probabilities) for a (m, 4) feature matrix."""
-    logits = _head(model, circuit_outputs(model, features))
+    z = standardize(model, _check_features(features))
+    logits = _head(model, _OUTPUTS_BY_KIND[model.kind](model.circuit_params, z))
     return logits, softmax(logits)
-
-
-def loss_cross_entropy(prediction: Prediction, label: int) -> float:
-    if not 0 <= label < len(prediction.logits):
-        raise ValueError(f"label {label} out of range")
-    logits = prediction.logits
-    logz = np.log(np.sum(np.exp(logits - logits.max()))) + logits.max()
-    return float(logz - logits[label])
 
 
 def batch_loss_from_logits(logits: np.ndarray, labels: np.ndarray) -> float:
     shifted = logits - logits.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
     return float(np.mean(logz - logits[np.arange(len(labels)), labels]))
-
-
-def batch_loss(model: HybridModel, features: np.ndarray, labels: np.ndarray) -> float:
-    logits, _ = predict_batch(model, features)
-    return batch_loss_from_logits(logits, np.asarray(labels, dtype=int))
 
 
 def loss_and_grad(
@@ -335,15 +279,6 @@ def loss_and_grad(
 
     grad = np.concatenate([grad_circuit, grad_weights.reshape(-1), grad_bias])
     return loss, grad, logits
-
-
-def grad_all(model: HybridModel, batch: list[tuple[np.ndarray, int]]) -> np.ndarray:
-    """Mean loss gradient over [(features, label), ...] pairs."""
-    if not batch:
-        raise ValueError("empty batch")
-    features = np.array([pair[0] for pair in batch], dtype=float)
-    labels = np.array([pair[1] for pair in batch], dtype=int)
-    return loss_and_grad(model, features, labels)[1]
 
 
 def _classical_circuit_grad(
@@ -401,14 +336,11 @@ def logit_input_jacobian(model: HybridModel, features: np.ndarray) -> np.ndarray
         d_out_d_features = jac_outputs / model.feature_std[None, :]
         return model.head_weights @ d_out_d_features
     if model.kind == "dv":
-        inputs = _dv_encoding(z)
+        d_exp = statevector.param_shift_grad_all(
+            _DV_CIRCUIT, model.circuit_params, _dv_encoding(z), wrt="input_slot"
+        )  # (4 features, 4 outputs)
         active = (np.abs(z) < 1.0).astype(float)
-        cols = []
-        for slot in range(NUM_MODES):
-            d_exp = statevector.input_shift_grad(_DV_CIRCUIT, model.circuit_params, inputs, slot)
-            cols.append(d_exp * active[slot] / model.feature_std[slot])
-        jac_outputs = np.stack(cols, axis=-1)  # (4 outputs, 4 features)
-        return model.head_weights @ jac_outputs
+        return model.head_weights @ (d_exp.T * active / model.feature_std)
     # cv: central differences on the raw features
     jac = np.empty((model.num_classes, NUM_MODES))
     for i in range(NUM_MODES):
@@ -440,21 +372,40 @@ def save_checkpoint(model: HybridModel, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> HybridModel:
+    """Read a checkpoint, checking every key, shape and value before use."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    if payload.get("version") != CHECKPOINT_VERSION or payload.get("kind") not in KINDS:
+    if (
+        not isinstance(payload, dict)
+        or payload.get("version") != CHECKPOINT_VERSION
+        or payload.get("kind") not in KINDS
+    ):
         raise DataError(f"{path} is not a version-{CHECKPOINT_VERSION} model checkpoint")
-    return HybridModel(
-        kind=payload["kind"],
-        num_classes=int(payload["num_classes"]),
-        circuit_params=np.array(payload["circuit_params"], dtype=float),
-        head_weights=np.array(payload["head_weights"], dtype=float),
-        head_bias=np.array(payload["head_bias"], dtype=float),
-        feature_mean=np.array(payload["feature_stats"]["mean"], dtype=float),
-        feature_std=np.array(payload["feature_stats"]["std"], dtype=float),
-    )
+    try:
+        num_classes = payload["num_classes"]
+        if not isinstance(num_classes, int) or num_classes < 2:
+            raise ValueError(f"num_classes {num_classes!r} is not an integer >= 2")
+        arrays = {
+            "circuit_params": (payload["circuit_params"], (NUM_CIRCUIT_PARAMS,)),
+            "head_weights": (payload["head_weights"], (num_classes, NUM_MODES)),
+            "head_bias": (payload["head_bias"], (num_classes,)),
+            "feature_mean": (payload["feature_stats"]["mean"], (NUM_MODES,)),
+            "feature_std": (payload["feature_stats"]["std"], (NUM_MODES,)),
+        }
+        values = {}
+        for name, (raw, shape) in arrays.items():
+            values[name] = np.array(raw, dtype=float)
+            if values[name].shape != shape:
+                raise ValueError(f"{name} has shape {values[name].shape}, expected {shape}")
+            if not np.all(np.isfinite(values[name])):
+                raise ValueError(f"{name} holds non-finite values")
+        if np.any(values["feature_std"] <= 0):
+            raise ValueError("feature_std must be positive")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed checkpoint: {exc!r}") from exc
+    return HybridModel(kind=payload["kind"], num_classes=num_classes, **values)
 
 
 def with_params(model: HybridModel, flat: np.ndarray) -> HybridModel:

@@ -6,6 +6,9 @@ into (d logit / d features) @ components, PCA being affine. The absolute
 gradient is used by default so influential dark regions also light up; a
 signed variant is available for callers that want direction.
 
+The predicted class and its confidence come from ``models.predict_batch``
+on a 1-row batch, the path evaluation uses.
+
 A consequence worth knowing: the CV circuit acts affinely on the encoded
 features, so its map does not depend on which image is attributed.
 """
@@ -42,8 +45,8 @@ def input_gradient_map(
     if image.shape[0] != pca_model.input_dim:
         raise ValueError(f"expected {pca_model.input_dim} pixels, got {image.shape[0]}")
     features = pca.transform(pca_model, image)
-    prediction = models.forward(model, features)
-    predicted = int(np.argmax(prediction.logits))
+    _, probabilities = models.predict_batch(model, features[None, :])  # 1-row batch
+    predicted = int(np.argmax(probabilities[0]))
     if target_class is None:
         target_class = predicted
     if not 0 <= target_class < model.num_classes:
@@ -58,7 +61,7 @@ def input_gradient_map(
     return SaliencyMap(
         heat=heat,
         predicted_class=predicted,
-        confidence=float(prediction.probabilities[predicted]),
+        confidence=float(probabilities[0, predicted]),
         target_class=int(target_class),
         signed=signed,
     )

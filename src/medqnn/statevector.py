@@ -10,7 +10,7 @@ The gate helpers accept arrays of shape (..., 2^n) so a batch of states
 (one row per input sample) moves through a circuit in single numpy calls.
 ``Circuit`` is a flat gate list whose rotation angles are bound either to
 a trainable parameter slot or to an input-vector slot; that split is what
-lets ``param_shift_grad`` shift exactly one source.
+lets ``param_shift_grad_all`` shift exactly one source.
 """
 
 from __future__ import annotations
@@ -211,40 +211,44 @@ def _apply_rotation_batched(
     return arr.reshape(*lead, 2**num_qubits)
 
 
-def circuit_expectations(circuit: Circuit, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """<Z_q> per qubit, shape (..., num_qubits)."""
-    amps = run_circuit(circuit, params, inputs)
-    cols = [expect_z_array(amps, q, circuit.num_qubits) for q in range(circuit.num_qubits)]
-    return np.stack(cols, axis=-1)
-
-
-def _shifted_expectations(
-    circuit: Circuit, params: np.ndarray, inputs: np.ndarray, positions: list[int], shift: float
+def circuit_expectations(
+    circuit: Circuit,
+    params: np.ndarray,
+    inputs: np.ndarray,
+    angle_override: dict[int, float | np.ndarray] | None = None,
 ) -> np.ndarray:
-    override = {pos: shift for pos in positions}
-    amps = run_circuit(circuit, params, inputs, angle_override=override)
+    """<Z_q> per qubit, shape (..., num_qubits); see ``run_circuit``."""
+    amps = run_circuit(circuit, params, inputs, angle_override)
     cols = [expect_z_array(amps, q, circuit.num_qubits) for q in range(circuit.num_qubits)]
     return np.stack(cols, axis=-1)
 
 
-def param_shift_grad_all(circuit: Circuit, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """d<Z_q>/d params[j] for every parameter, shape (num_params, ..., n).
+def param_shift_grad_all(
+    circuit: Circuit, params: np.ndarray, inputs: np.ndarray, wrt: str = "param"
+) -> np.ndarray:
+    """d<Z_q>/d source[j] for every source j, exact for RY/RZ.
 
-    All 2 * (number of parameterized rotations) shifted circuits run as a
-    single stacked forward pass over one extra lead axis, which is what
-    keeps training batches fast.
+    ``wrt`` names the ``Op`` field to differentiate: "param" gives
+    d/d params[j] with shape (num_params, ..., n), "input_slot" gives
+    d/d inputs[..., j] with shape (k, ..., n). Each rotation bound to
+    source j contributes scale * [f(angle + pi/2) - f(angle - pi/2)] / 2.
+    All 2 * (number of such rotations) shifted circuits run as a single
+    stacked evaluation over one extra lead axis, which is what keeps
+    training batches fast.
     """
+    if wrt not in ("param", "input_slot"):
+        raise ValueError(f"wrt must be 'param' or 'input_slot', got {wrt!r}")
     occurrences = [
-        (pos, op.param, op.scale)
+        (pos, getattr(op, wrt), op.scale)
         for pos, op in enumerate(circuit.ops)
-        if op.param is not None and op.gate in ("ry", "rz")
+        if getattr(op, wrt) is not None and op.gate in ("ry", "rz")
     ]
+    if not occurrences:
+        raise ValueError(f"no ry/rz gate is bound to a {wrt}; the shift rule needs one")
     inputs = np.asarray(inputs, dtype=float)
     lead = inputs.shape[:-1]
-    num_params = circuit.num_params()
-    grads = np.zeros((num_params,) + lead + (circuit.num_qubits,))
-    if not occurrences:
-        return grads
+    count = circuit.num_params() if wrt == "param" else inputs.shape[-1]
+    grads = np.zeros((count,) + lead + (circuit.num_qubits,))
     variants = 2 * len(occurrences)
     stacked = np.broadcast_to(inputs, (variants,) + inputs.shape)
     override: dict[int, np.ndarray] = {}
@@ -254,57 +258,7 @@ def param_shift_grad_all(circuit: Circuit, params: np.ndarray, inputs: np.ndarra
         shifts[2 * occ] = np.pi / 2.0
         shifts[2 * occ + 1] = -np.pi / 2.0
         override[pos] = shifts
-    amps = run_circuit(circuit, params, stacked, angle_override=override)
-    expectations = np.stack(
-        [expect_z_array(amps, q, circuit.num_qubits) for q in range(circuit.num_qubits)],
-        axis=-1,
-    )  # (variants, *lead, n)
-    for occ, (pos, param_index, scale) in enumerate(occurrences):
-        grads[param_index] += scale * 0.5 * (expectations[2 * occ] - expectations[2 * occ + 1])
+    expectations = circuit_expectations(circuit, params, stacked, override)  # (variants, *lead, n)
+    for occ, (_, index, scale) in enumerate(occurrences):
+        grads[index] += scale * 0.5 * (expectations[2 * occ] - expectations[2 * occ + 1])
     return grads
-
-
-def param_shift_grad(
-    circuit: Circuit, params: np.ndarray, inputs: np.ndarray, param_index: int
-) -> np.ndarray:
-    """d<Z_q>/d(params[param_index]) for every qubit, exact for RY/RZ.
-
-    Each gate bound to the parameter contributes
-    scale * [f(angle + pi/2) - f(angle - pi/2)] / 2.
-    """
-    positions = [
-        pos
-        for pos, op in enumerate(circuit.ops)
-        if op.param == param_index and op.gate in ("ry", "rz")
-    ]
-    if not positions:
-        bad = [op.gate for op in circuit.ops if op.param == param_index]
-        what = f"gate {bad[0]!r}" if bad else "no gate"
-        raise ValueError(f"parameter {param_index} is attached to {what}; shift rule needs ry/rz")
-    grad = None
-    for pos in positions:
-        plus = _shifted_expectations(circuit, params, inputs, [pos], np.pi / 2.0)
-        minus = _shifted_expectations(circuit, params, inputs, [pos], -np.pi / 2.0)
-        term = circuit.ops[pos].scale * 0.5 * (plus - minus)
-        grad = term if grad is None else grad + term
-    return grad
-
-
-def input_shift_grad(
-    circuit: Circuit, params: np.ndarray, inputs: np.ndarray, input_slot: int
-) -> np.ndarray:
-    """d<Z_q>/d(inputs[..., input_slot]) via the same shift rule."""
-    positions = [
-        pos
-        for pos, op in enumerate(circuit.ops)
-        if op.input_slot == input_slot and op.gate in ("ry", "rz")
-    ]
-    if not positions:
-        raise ValueError(f"input slot {input_slot} feeds no rotation gate")
-    grad = None
-    for pos in positions:
-        plus = _shifted_expectations(circuit, params, inputs, [pos], np.pi / 2.0)
-        minus = _shifted_expectations(circuit, params, inputs, [pos], -np.pi / 2.0)
-        term = circuit.ops[pos].scale * 0.5 * (plus - minus)
-        grad = term if grad is None else grad + term
-    return grad

@@ -15,8 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics, models, pca
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .rng import Rng, substream_seed
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -26,19 +30,17 @@ class TrainConfig:
     epochs: int = 50
     folds: int = 3
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    pca_components: int = 4
 
     def __post_init__(self):
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ConfigError("batch_size must be >= 1")
         if self.folds < 2:
-            raise ValueError("folds must be >= 2")
+            raise ConfigError("folds must be >= 2")
+        if self.epochs < 0:
+            raise ConfigError("epochs must be >= 0")
         # 0 is allowed (a frozen run is a useful control), negative is not.
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
 
 
 @dataclass
@@ -123,23 +125,12 @@ def adam_step(
         raise ValueError("parameter/gradient/moment shapes disagree")
     if t < 1:
         raise ValueError("step count starts at 1")
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     state.m = b1 * state.m + (1.0 - b1) * grads
     state.v = b2 * state.v + (1.0 - b2) * grads**2
     m_hat = state.m / (1.0 - b1**t)
     v_hat = state.v / (1.0 - b2**t)
-    return params - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
-
-
-def _metric_set(truth: np.ndarray, predicted: np.ndarray, num_classes: int) -> dict[str, float]:
-    cm = metrics.confusion_matrix(truth, predicted, num_classes)
-    acc, _, recall, f1 = metrics.micro_metrics(cm)
-    return {
-        "acc": acc,
-        "precision": metrics.macro_precision(cm),
-        "recall": recall,
-        "f1": f1,
-    }
+    return params - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def train_model(
@@ -191,32 +182,15 @@ def train_model(
             epoch_losses.append(loss * len(batch_idx))
             epoch_predictions[start : start + len(batch_idx)] = logits.argmax(axis=1)
 
-        train_stats = _metric_set(train_labels[order], epoch_predictions, num_classes)
-        curves.append(
-            EpochRecord(
-                epoch=epoch,
-                split="train",
-                loss=float(np.sum(epoch_losses) / len(order)),
-                acc=train_stats["acc"],
-                precision=train_stats["precision"],
-                recall=train_stats["recall"],
-                f1=train_stats["f1"],
-            )
-        )
+        train_cm = metrics.confusion_matrix(train_labels[order], epoch_predictions, num_classes)
+        train_stats = metrics.metric_set(train_cm)
+        train_loss = float(np.sum(epoch_losses) / len(order))
+        curves.append(EpochRecord(epoch=epoch, split="train", loss=train_loss, **train_stats))
         val_logits, _ = models.predict_batch(model, val_features)
         val_loss = models.batch_loss_from_logits(val_logits, val_labels)
-        val_stats = _metric_set(val_labels, val_logits.argmax(axis=1), num_classes)
-        curves.append(
-            EpochRecord(
-                epoch=epoch,
-                split="val",
-                loss=float(val_loss),
-                acc=val_stats["acc"],
-                precision=val_stats["precision"],
-                recall=val_stats["recall"],
-                f1=val_stats["f1"],
-            )
-        )
+        val_cm = metrics.confusion_matrix(val_labels, val_logits.argmax(axis=1), num_classes)
+        val_stats = metrics.metric_set(val_cm)
+        curves.append(EpochRecord(epoch=epoch, split="val", loss=float(val_loss), **val_stats))
     return model, curves
 
 
@@ -230,7 +204,7 @@ def _train_one_fold(
     num_classes: int,
     config: TrainConfig,
 ) -> FoldResult:
-    pca_model = pca.fit(images[train_idx], config.pca_components)
+    pca_model = pca.fit(images[train_idx], models.NUM_MODES)
     train_features = pca.transform(pca_model, images[train_idx])
     val_features = pca.transform(pca_model, images[val_idx])
     rng = Rng(substream_seed(config.seed, fold_index))
@@ -246,13 +220,15 @@ def _train_one_fold(
     )
     train_logits, _ = models.predict_batch(model, train_features)
     val_logits, _ = models.predict_batch(model, val_features)
+    train_cm = metrics.confusion_matrix(labels[train_idx], train_logits.argmax(axis=1), num_classes)
+    val_cm = metrics.confusion_matrix(labels[val_idx], val_logits.argmax(axis=1), num_classes)
     return FoldResult(
         fold_index=fold_index,
         curves=curves,
         model=model,
         pca_model=pca_model,
-        train_metrics=_metric_set(labels[train_idx], train_logits.argmax(axis=1), num_classes),
-        val_metrics=_metric_set(labels[val_idx], val_logits.argmax(axis=1), num_classes),
+        train_metrics=metrics.metric_set(train_cm),
+        val_metrics=metrics.metric_set(val_cm),
         train_indices=train_idx,
         val_indices=val_idx,
     )
@@ -264,7 +240,6 @@ def cross_validate(
     labels: np.ndarray,
     num_classes: int,
     config: TrainConfig,
-    max_workers: int = 1,
 ) -> CrossValResult:
     """Stratified k-fold training on flattened images (m x 784).
 
@@ -276,20 +251,10 @@ def cross_validate(
     images = np.asarray(images, dtype=float)
     labels = np.asarray(labels, dtype=int)
     splits = stratified_kfold(labels, config.folds, config.seed)
-
-    def run(fold_index: int) -> FoldResult:
-        train_idx, val_idx = splits[fold_index]
-        return _train_one_fold(
-            kind, images, labels, fold_index, train_idx, val_idx, num_classes, config
-        )
-
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            folds = list(pool.map(run, range(config.folds)))
-    else:
-        folds = [run(i) for i in range(config.folds)]
+    folds = [
+        _train_one_fold(kind, images, labels, fold_index, train_idx, val_idx, num_classes, config)
+        for fold_index, (train_idx, val_idx) in enumerate(splits)
+    ]
 
     summary = {}
     for split_name in ("train", "val"):

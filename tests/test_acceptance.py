@@ -366,8 +366,9 @@ def test_noise_degradation_on_pneumonia(tmp_path):
     for kind in models.KINDS:
         best = reproduce("pneumoniamnist", kind, REPRO_SEED)["best"]
         f1_by_sigma = {}
+        noise = data.unit_noise_field(test_split, 99)
         for sigma in grid:
-            noisy = data.inject_gaussian_noise(test_split, sigma, seed=99)
+            noisy = data.inject_gaussian_noise(test_split, sigma, noise)
             feats = pca.transform(best.pca_model, noisy.flat_images())
             logits, _ = models.predict_batch(best.model, feats)
             cm = metrics.confusion_matrix(noisy.labels, logits.argmax(axis=1), 2)

@@ -8,7 +8,7 @@ import pytest
 from medqnn import cli, models, pca
 from medqnn.rng import Rng
 
-from conftest import write_archive
+from conftest import make_class_images, write_archive
 
 
 def run_cli(*argv):
@@ -43,6 +43,48 @@ def trained(tmp_path_factory, archive):
         assert code == 0
         runs[kind] = out
     return runs
+
+
+def run_every_command(root, archive):
+    """Each subcommand once under ``root``; every file but the manifests, by path."""
+    source = ("--archive", archive, "--dataset", "toyset")
+    for kind in models.KINDS:
+        train = root / f"train_{kind}"
+        assert run_cli(
+            "train", *source, "--model", kind, "--out", str(train), "--seed", "11", "--epochs", "2",
+        ) == 0
+        model = (
+            "--checkpoint", str(train / "model_fold0.json"), "--pca", str(train / "pca_fold0.json")
+        )
+        out = root / f"eval_{kind}"
+        assert run_cli(
+            "eval", *source, *model, "--out", str(out), "--dump-state", str(out / "state.json")
+        ) == 0
+        assert run_cli(
+            "saliency", *source, *model, "--indices", "0,3", "--signed",
+            "--out", str(root / f"saliency_{kind}"),
+        ) == 0
+    sweep = []
+    for kind in models.KINDS:
+        train = root / f"train_{kind}"
+        sweep += [f"--{kind}-checkpoint", str(train / "model_fold0.json")]
+        sweep += [f"--{kind}-pca", str(train / "pca_fold0.json")]
+    assert run_cli(
+        "noise-sweep", *source, *sweep, "--seed", "21", "--out", str(root / "sweep")
+    ) == 0
+    assert run_cli(
+        "noise-sweep", *source, *sweep, "--seed", "21", "--clip", "--out", str(root / "sweep_clip")
+    ) == 0
+    folds = []
+    for kind in models.KINDS:
+        folds += [f"--{kind}", str(root / f"train_{kind}" / "fold_metrics.csv")]
+    assert run_cli("stats", *folds, "--out", str(root / "stats")) == 0
+    assert run_cli("pca-report", *source, "--k", "4", "--out", str(root / "pca_report")) == 0
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and path.name != "manifest.json"
+    }
 
 
 def best_fold_paths(run_dir):
@@ -91,19 +133,17 @@ class TestTrain:
         assert code == 2
 
     def test_rerun_is_byte_identical(self, tmp_path, archive):
-        outs = []
-        for name in ("a", "b"):
-            out = tmp_path / name
-            code = run_cli(
-                "train", "--archive", archive, "--dataset", "toyset",
-                "--model", "classical", "--out", str(out),
-                "--seed", "11", "--epochs", "2",
-            )
-            assert code == 0
-            outs.append(out)
-        first = (outs[0] / "metrics.json").read_bytes()
-        second = (outs[1] / "metrics.json").read_bytes()
-        assert first == second
+        first = run_every_command(tmp_path / "a", archive)
+        second = run_every_command(tmp_path / "b", archive)
+        assert list(first) == list(second)
+        for name in first:
+            assert first[name] == second[name], name
+        expected = [f"train_{kind}/metrics.json" for kind in models.KINDS]
+        expected += [f"eval_{kind}/state.json" for kind in models.KINDS]
+        expected += [f"saliency_{kind}/sample00003_saliency_signed.pgm" for kind in models.KINDS]
+        expected += ["sweep/noise_sweep.csv", "sweep_clip/noise_sweep.csv", "stats/stats.json"]
+        expected += ["pca_report/pca_report.csv"]
+        assert set(expected) <= set(first)
 
     def test_bad_flag_exits_3(self, tmp_path, archive):
         code = run_cli(
@@ -207,8 +247,41 @@ class TestEval:
             assert (out / f"curve_pr_class{cls}.csv").exists()
         assert 0.0 <= payload["auroc"] <= 1.0
 
+    def test_eval_with_a_class_missing_from_the_split(self, tmp_path):
+        rng = np.random.default_rng(5)
+        arrays = {}
+        for split, m, classes in (("train", 110, 11), ("val", 33, 11), ("test", 50, 10)):
+            images, labels = make_class_images(m, classes, rng, balanced=True)
+            arrays[f"{split}_images"], arrays[f"{split}_labels"] = images, labels.reshape(-1, 1)
+        archive = tmp_path / "missing_class.npz"
+        np.savez(archive, **arrays)
+        pca_model = pca.fit(np.random.default_rng(6).uniform(0, 1, (40, 784)), 4)
+        model_path, pca_path = tmp_path / "model.json", tmp_path / "pca.json"
+        models.save_checkpoint(models.init_model("dv", 11, Rng(3)), model_path)
+        pca.save(pca_model, pca_path)
+        out = tmp_path / "eval_missing"
+        code = run_cli(
+            "eval", "--archive", str(archive), "--dataset", "toyset11",
+            "--checkpoint", str(model_path), "--pca", str(pca_path), "--out", str(out),
+        )
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"bare {constant} in eval.json")
+
+        payload = json.loads((out / "eval.json").read_text(), parse_constant=reject)
+        assert payload["auroc_per_class"][10] is None
+        assert payload["auprc_per_class"][10] is None
+        present = payload["auroc_per_class"][:10]
+        assert payload["auroc"] == pytest.approx(np.mean(present), abs=1e-12)
+        assert not (out / "curve_roc_class10.csv").exists()
+        assert not (out / "curve_pr_class10.csv").exists()
+        for cls in range(10):
+            assert (out / f"curve_roc_class{cls}.csv").exists()
+            assert (out / f"curve_pr_class{cls}.csv").exists()
+
     def test_dump_state(self, tmp_path, archive, trained):
-        for kind in ("cv", "dv"):
+        for kind in models.KINDS:
             model_path, pca_path = best_fold_paths(trained[kind])
             out = tmp_path / f"dump_{kind}"
             dump = tmp_path / f"state_{kind}.json"
@@ -222,6 +295,8 @@ class TestEval:
             if kind == "cv":
                 assert len(payload["mean"]) == 8
                 assert len(payload["cov"]) == 64
+            elif kind == "classical":
+                assert len(payload["logits"]) == 2
             else:
                 assert len(payload["amplitudes"]) == 16
                 assert all(len(pair) == 2 for pair in payload["amplitudes"])
@@ -353,3 +428,72 @@ class TestPcaReport:
         with open(out / "pca_report.csv", newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 4
+
+
+def bad_input_files(tmp_path, archive, trained):
+    """Every file the bad-input table names, keyed by its placeholder."""
+    checkpoint, pca_path = best_fold_paths(trained["classical"])
+    files = {"archive": archive, "checkpoint": str(checkpoint), "pca": str(pca_path)}
+    damages = {
+        "no_stats": lambda d: d.pop("feature_stats"),
+        "short_circuit": lambda d: d["circuit_params"].pop(),
+        "nan_weight": lambda d: d["head_weights"][1].__setitem__(2, float("nan")),
+    }
+    for name, damage in damages.items():
+        payload = json.loads(checkpoint.read_text())
+        damage(payload)
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    for name, text in (("threads_cfg", "threads = 2\n"), ("nan_cfg", "learning_rate = nan\n")):
+        files[name] = str(tmp_path / f"{name}.cfg")
+        (tmp_path / f"{name}.cfg").write_text(text)
+    files["corrupt"] = str(tmp_path / "corrupt.npz")
+    (tmp_path / "corrupt.npz").write_bytes(b"PK\x03\x04 this is not a zip archive")
+    files["nope"] = str(tmp_path / "nope.csv")
+    rng = np.random.default_rng(8)
+    arrays = {}
+    for split, m, classes in (("train", 40, 2), ("val", 10, 2), ("test", 10, 1)):
+        images, labels = make_class_images(m, classes, rng, balanced=True)
+        arrays[f"{split}_images"], arrays[f"{split}_labels"] = images, labels.reshape(-1, 1)
+    files["one_class"] = str(tmp_path / "one_class.npz")
+    np.savez(files["one_class"], **arrays)
+    return files
+
+
+TRAIN = "train --dataset toyset --archive {archive}"
+SALIENCY = "saliency --dataset toyset --archive {archive} --checkpoint {checkpoint} --pca {pca}"
+EVAL = "eval --dataset toyset --archive {archive} --pca {pca}"
+BAD_INPUTS = [  # (case, documented exit code, argv template)
+    ("batch size 0", 3, f"{TRAIN} --model classical --batch-size 0"),
+    ("one fold", 3, f"{TRAIN} --model classical --folds 1"),
+    ("negative epochs", 3, f"{TRAIN} --model classical --epochs -1"),
+    ("nan learning rate", 3, f"{TRAIN} --model dv --learning-rate nan"),
+    ("removed --threads", 3, f"{TRAIN} --model dv --threads 0"),
+    ("removed --pca-components", 3, f"{TRAIN} --model dv --pca-components 8"),
+    ("threads in config file", 3, f"{TRAIN} --model dv --config {{threads_cfg}}"),
+    ("nan learning rate in config file", 3, f"{TRAIN} --model dv --config {{nan_cfg}}"),
+    ("corrupt archive", 2, "train --dataset toyset --archive {corrupt} --model dv"),
+    ("classical overflow", 4, f"{TRAIN} --model classical --learning-rate 1e308 --epochs 1"),
+    ("squeeze overflow", 4, f"{TRAIN} --model cv --learning-rate 1e308 --epochs 1"),
+    ("checkpoint without feature_stats", 2, f"{EVAL} --checkpoint {{no_stats}}"),
+    ("checkpoint with 31 circuit params", 2, f"{EVAL} --checkpoint {{short_circuit}}"),
+    ("checkpoint with a nan weight", 2, f"{EVAL} --checkpoint {{nan_weight}}"),
+    ("non-numeric --indices", 3, f"{SALIENCY} --indices 0,x"),
+    ("out-of-range --indices", 2, f"{SALIENCY} --indices 0,9999"),
+    ("binary test split with one class", 2,
+     "eval --dataset toyset --archive {one_class} --checkpoint {checkpoint} --pca {pca}"),
+    ("pca-report --k 0", 3, "pca-report --dataset toyset --archive {archive} --k 0"),
+    ("missing fold metrics", 2, "stats --classical {nope} --dv {nope} --cv {nope}"),
+]
+
+
+@pytest.mark.parametrize(
+    "expected, template", [case[1:] for case in BAD_INPUTS], ids=[case[0] for case in BAD_INPUTS]
+)
+def test_bad_input_exits_with_documented_code(
+    tmp_path, capsys, archive, trained, expected, template
+):
+    files = bad_input_files(tmp_path, archive, trained)
+    argv = [token.format(**files) for token in template.split()]
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == expected
+    assert "Traceback" not in capsys.readouterr().err

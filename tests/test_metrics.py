@@ -210,6 +210,8 @@ class TestOvr:
             result = metrics.ovr_areas(probs, truth)
         assert np.isnan(result["auroc_per_class"][2])
         assert np.isfinite(result["auroc_mean"])
+        assert sorted(result["curves"]) == [0, 1]
+        assert result["curves"][1][0].area == result["auroc_per_class"][1]
 
     def test_binary_rejected(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
-from medqnn import models
+from medqnn import gaussian, models, statevector
+from medqnn.errors import DataError
 from medqnn.rng import Rng
+
+
+def batch_loss(model, features, labels):
+    logits, _ = models.predict_batch(model, features)
+    return models.batch_loss_from_logits(logits, np.asarray(labels, dtype=int))
 
 
 def fd_loss_gradient(model, features, labels, eps=1e-5):
@@ -14,14 +22,39 @@ def fd_loss_gradient(model, features, labels, eps=1e-5):
         up[i] += eps
         down[i] -= eps
         grad[i] = (
-            models.batch_loss(models.with_params(model, up), features, labels)
-            - models.batch_loss(models.with_params(model, down), features, labels)
+            batch_loss(models.with_params(model, up), features, labels)
+            - batch_loss(models.with_params(model, down), features, labels)
         ) / (2 * eps)
     return grad
 
 
 def make_model(kind, rng_seed=0, num_classes=2):
     return models.init_model(kind, num_classes, Rng(rng_seed))
+
+
+def single_logits(model, features):
+    """Logits of one sample through the batched path, as a 1-row batch."""
+    logits, _ = models.predict_batch(model, np.asarray(features, dtype=float)[None, :])
+    return logits[0]
+
+
+def gate_by_gate_cv_state(model, features):
+    """Oracle: the CV circuit applied one gate at a time to the vacuum."""
+    z = models.standardize(model, features)
+    state = gaussian.vacuum_state(4)
+    for mode in range(4):
+        state = gaussian.apply_displacement(state, mode, z[mode], 0.0)
+    for layer in range(2):
+        p = model.circuit_params[16 * layer : 16 * (layer + 1)]
+        for mode in range(4):
+            state = gaussian.apply_displacement(state, mode, p[mode], 0.0)
+        for mode in range(4):
+            state = gaussian.apply_rotation(state, mode, p[4 + mode])
+        for mode in range(4):
+            state = gaussian.apply_squeeze(state, mode, p[8 + mode])
+        state = gaussian.apply_beamsplitter(state, 0, 1, p[12], p[13])
+        state = gaussian.apply_beamsplitter(state, 2, 3, p[14], p[15])
+    return state
 
 
 def identity_head(model):
@@ -58,8 +91,8 @@ class TestForwardCv:
     def test_zero_params_pass_encoding_through(self):
         model = identity_head(make_model("cv", num_classes=4))
         features = np.array([0.3, -0.7, 1.1, 0.0])
-        prediction = models.forward_cv(model, features)
-        np.testing.assert_allclose(prediction.logits, np.sqrt(2.0) * features, atol=1e-12)
+        expected = np.sqrt(2.0) * features
+        np.testing.assert_allclose(single_logits(model, features), expected, atol=1e-12)
 
     def test_zero_features_give_bias(self):
         model = make_model("cv")
@@ -72,8 +105,7 @@ class TestForwardCv:
             feature_mean=np.zeros(4),
             feature_std=np.ones(4),
         )
-        prediction = models.forward_cv(model, np.zeros(4))
-        np.testing.assert_allclose(prediction.logits, [0.4, -0.2], atol=1e-14)
+        np.testing.assert_allclose(single_logits(model, np.zeros(4)), [0.4, -0.2], atol=1e-14)
 
     def test_logits_affine_in_features(self):
         model = make_model("cv", rng_seed=3)
@@ -82,11 +114,11 @@ class TestForwardCv:
             f1 = np.array([rng.uniform(-1, 1) for _ in range(4)])
             f2 = np.array([rng.uniform(-1, 1) for _ in range(4)])
             lhs = (
-                models.forward_cv(model, f1).logits
-                + models.forward_cv(model, f2).logits
-                - models.forward_cv(model, np.zeros(4)).logits
+                single_logits(model, f1)
+                + single_logits(model, f2)
+                - single_logits(model, np.zeros(4))
             )
-            rhs = models.forward_cv(model, f1 + f2).logits
+            rhs = single_logits(model, f1 + f2)
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_batch_path_matches_state_evolution(self):
@@ -94,18 +126,25 @@ class TestForwardCv:
         features = np.array([[0.2, -0.5, 0.9, 0.1], [1.2, 0.0, -0.3, 0.4]])
         logits, _ = models.predict_batch(model, features)
         for row in range(2):
-            single = models.forward_cv(model, features[row])
-            np.testing.assert_allclose(logits[row], single.logits, atol=1e-12)
+            oracle = gate_by_gate_cv_state(model, features[row])
+            expected = model.head_weights @ oracle.mean[:4] + model.head_bias
+            np.testing.assert_allclose(logits[row], expected, atol=1e-12)
+            closed_form = models.cv_final_state(model, features[row])
+            np.testing.assert_allclose(closed_form.mean, oracle.mean, atol=1e-12)
+            np.testing.assert_allclose(closed_form.cov, oracle.cov, atol=1e-12)
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(ValueError):
-            models.forward_cv(make_model("dv"), np.zeros(4))
+            models.cv_final_state(make_model("dv"), np.zeros(4))
+        with pytest.raises(ValueError):
+            models.dv_final_state(make_model("cv"), np.zeros(4))
 
     def test_non_finite_features_rejected(self):
-        from medqnn.errors import DataError
-
+        bad = np.array([1.0, np.nan, 0.0, 0.0])
         with pytest.raises(DataError):
-            models.forward_cv(make_model("cv"), np.array([1.0, np.nan, 0.0, 0.0]))
+            models.predict_batch(make_model("cv"), bad[None, :])
+        with pytest.raises(DataError):
+            models.cv_final_state(make_model("cv"), bad)
 
 
 class TestForwardDv:
@@ -120,20 +159,19 @@ class TestForwardDv:
             feature_mean=np.zeros(4),
             feature_std=np.ones(4),
         )
-        prediction = models.forward_dv(frozen, np.zeros(4))
         expected = frozen.head_weights @ np.ones(4) + frozen.head_bias
-        np.testing.assert_allclose(prediction.logits, expected, atol=1e-12)
+        np.testing.assert_allclose(single_logits(frozen, np.zeros(4)), expected, atol=1e-12)
 
     def test_single_feature_encoding_angle(self):
         model = identity_head(make_model("dv", num_classes=4))
         for value in (0.25, -0.6, 0.95):
-            prediction = models.forward_dv(model, np.array([value, 0, 0, 0]))
-            assert prediction.logits[0] == pytest.approx(np.cos(np.pi * value), abs=1e-12)
+            logits = single_logits(model, np.array([value, 0, 0, 0]))
+            assert logits[0] == pytest.approx(np.cos(np.pi * value), abs=1e-12)
 
     def test_encoding_clamps(self):
         model = identity_head(make_model("dv", num_classes=4))
-        inside = models.forward_dv(model, np.array([1.0, 0, 0, 0])).logits[0]
-        outside = models.forward_dv(model, np.array([2.5, 0, 0, 0])).logits[0]
+        inside = single_logits(model, np.array([1.0, 0, 0, 0]))[0]
+        outside = single_logits(model, np.array([2.5, 0, 0, 0]))[0]
         assert outside == pytest.approx(inside, abs=1e-12)
 
     def test_batch_matches_single(self):
@@ -141,8 +179,10 @@ class TestForwardDv:
         features = np.array([[0.2, -0.5, 0.9, 0.1], [0.6, 0.3, -0.2, -0.8]])
         logits, _ = models.predict_batch(model, features)
         for row in range(2):
-            single = models.forward_dv(model, features[row])
-            np.testing.assert_allclose(logits[row], single.logits, atol=1e-12)
+            state = models.dv_final_state(model, features[row])
+            outputs = [statevector.expect_z(state, q) for q in range(4)]
+            expected = model.head_weights @ outputs + model.head_bias
+            np.testing.assert_allclose(logits[row], expected, atol=1e-12)
 
 
 class TestForwardClassical:
@@ -157,8 +197,8 @@ class TestForwardClassical:
             feature_mean=np.zeros(4),
             feature_std=np.ones(4),
         )
-        prediction = models.forward_classical(frozen, np.array([3.0, 1.0, -2.0, 0.5]))
-        np.testing.assert_allclose(prediction.logits, [1.5, -0.5], atol=1e-14)
+        logits = single_logits(frozen, np.array([3.0, 1.0, -2.0, 0.5]))
+        np.testing.assert_allclose(logits, [1.5, -0.5], atol=1e-14)
 
     def test_identity_blocks_compose_tanh(self):
         identity_params = np.concatenate([np.eye(4).ravel(), np.eye(4).ravel()])
@@ -172,9 +212,8 @@ class TestForwardClassical:
             feature_std=np.ones(4),
         )
         features = np.array([0.1, -0.08, 0.05, 0.02])
-        prediction = models.forward_classical(model, features)
         expected = np.tanh(np.tanh(features))[:2]
-        np.testing.assert_allclose(prediction.logits, expected, atol=1e-12)
+        np.testing.assert_allclose(single_logits(model, features), expected, atol=1e-12)
 
     def test_parameter_count_is_42(self):
         assert models.num_params(make_model("classical")) == 32 + 4 * 2 + 2 == 42
@@ -182,28 +221,23 @@ class TestForwardClassical:
 
 class TestLoss:
     def test_uniform_binary(self):
-        prediction = models.Prediction(
-            logits=np.array([0.0, 0.0]), probabilities=np.array([0.5, 0.5])
-        )
-        assert models.loss_cross_entropy(prediction, 0) == pytest.approx(np.log(2.0))
+        loss = models.batch_loss_from_logits(np.array([[0.0, 0.0]]), np.array([0]))
+        assert loss == pytest.approx(np.log(2.0))
 
     def test_confident_correct_tends_to_zero(self):
-        prediction = models.Prediction(
-            logits=np.array([30.0, 0.0]), probabilities=None
-        )
-        assert models.loss_cross_entropy(prediction, 0) < 1e-12
+        assert models.batch_loss_from_logits(np.array([[30.0, 0.0]]), np.array([0])) < 1e-12
 
     def test_batch_mean(self):
         model = make_model("classical")
         frozen = models.with_params(model, np.zeros(42))
         features = np.zeros((2, 4))
         labels = np.array([0, 1])
-        assert models.batch_loss(frozen, features, labels) == pytest.approx(np.log(2.0))
+        assert batch_loss(frozen, features, labels) == pytest.approx(np.log(2.0))
+        assert models.loss_and_grad(frozen, features, labels)[0] == pytest.approx(np.log(2.0))
 
     def test_label_out_of_range(self):
-        prediction = models.Prediction(logits=np.zeros(2), probabilities=np.full(2, 0.5))
         with pytest.raises(ValueError):
-            models.loss_cross_entropy(prediction, 2)
+            models.loss_and_grad(make_model("classical"), np.zeros((1, 4)), np.array([2]))
 
 
 class TestGradients:
@@ -218,8 +252,8 @@ class TestGradients:
             feature_mean=np.zeros(4),
             feature_std=np.ones(4),
         )
-        batch = [(np.array([0.5, 0, 0, 0]), 0), (np.array([-0.5, 0, 0, 0]), 1)]
-        grad = models.grad_all(zeroed, batch)
+        features = np.array([[0.5, 0, 0, 0], [-0.5, 0, 0, 0]])
+        _, grad, _ = models.loss_and_grad(zeroed, features, np.array([0, 1]))
         probs = models.softmax(zeroed.head_bias)
         expected_bias = probs - np.array([0.5, 0.5])  # mean of (probs - onehot)
         np.testing.assert_allclose(grad[-2:], expected_bias, atol=1e-12)
@@ -254,8 +288,8 @@ class TestGradients:
             feature_mean=model.feature_mean,
             feature_std=model.feature_std,
         )
-        batch = [(np.array([0.4, -0.2, 0.7, 0.1]), 1)]
-        grad = models.grad_all(decoupled, batch)
+        features = np.array([[0.4, -0.2, 0.7, 0.1]])
+        _, grad, _ = models.loss_and_grad(decoupled, features, np.array([1]))
         squeeze_mode2_layer0 = 8 + 2
         squeeze_mode3_layer1 = 16 + 8 + 3
         assert grad[squeeze_mode2_layer0] == 0.0
@@ -263,7 +297,7 @@ class TestGradients:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            models.grad_all(make_model("cv"), [])
+            models.loss_and_grad(make_model("cv"), np.zeros((0, 4)), np.zeros(0, dtype=int))
 
 
 class TestPrediction:
@@ -273,17 +307,17 @@ class TestPrediction:
         rng = Rng(12)
         for _ in range(10):
             features = np.array([rng.uniform(-2, 2) for _ in range(4)])
-            prediction = models.forward(model, features)
-            assert prediction.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
-            assert np.all(prediction.probabilities > 0)
-            assert np.argmax(prediction.logits) == np.argmax(prediction.probabilities)
+            logits, probabilities = models.predict_batch(model, features[None, :])
+            assert probabilities[0].sum() == pytest.approx(1.0, abs=1e-9)
+            assert np.all(probabilities > 0)
+            assert np.argmax(logits[0]) == np.argmax(probabilities[0])
 
     def test_deterministic(self):
         model = make_model("dv", rng_seed=13)
         features = np.array([0.1, 0.2, 0.3, 0.4])
-        a = models.forward(model, features)
-        b = models.forward(model, features)
-        np.testing.assert_array_equal(a.logits, b.logits)
+        a = single_logits(model, features)
+        b = single_logits(model, features)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestCheckpoint:
@@ -298,10 +332,32 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.feature_std, model.feature_std)
 
     def test_rejects_garbage(self, tmp_path):
-        from medqnn.errors import DataError
-
         path = tmp_path / "bad.json"
         path.write_text('{"version": 99}')
+        with pytest.raises(DataError):
+            models.load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda p: p.pop("feature_stats"),
+            lambda p: p.pop("head_bias"),
+            lambda p: p.update(num_classes="2"),
+            lambda p: p.update(circuit_params=p["circuit_params"][:31]),
+            lambda p: p.update(head_weights=[row[:3] for row in p["head_weights"]]),
+            lambda p: p.update(head_bias=p["head_bias"] + [0.0]),
+            lambda p: p["feature_stats"].update(std=[1.0, 1.0, 1.0]),
+            lambda p: p["feature_stats"].update(std=[1.0, 0.0, 1.0, 1.0]),
+            lambda p: p["circuit_params"].__setitem__(3, float("nan")),
+            lambda p: p["head_weights"][0].__setitem__(0, float("inf")),
+        ],
+    )
+    def test_rejects_missing_keys_bad_shapes_and_non_finite_values(self, tmp_path, damage):
+        path = tmp_path / "checkpoint.json"
+        models.save_checkpoint(make_model("cv", rng_seed=16), path)
+        payload = json.loads(path.read_text())
+        damage(payload)
+        path.write_text(json.dumps(payload))
         with pytest.raises(DataError):
             models.load_checkpoint(path)
 

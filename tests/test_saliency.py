@@ -26,6 +26,11 @@ def make_model(kind, seed=0, spread=4.0):
     )
 
 
+def one_logit(model, features, target):
+    logits, _ = models.predict_batch(model, features[None, :])  # 1-row batch
+    return logits[0, target]
+
+
 def pixel_fd_gradient(model, pca_model, image, target, eps=1e-4):
     """End-to-end central differences of one logit over all 784 pixels."""
     grad = np.empty(image.size)
@@ -33,8 +38,8 @@ def pixel_fd_gradient(model, pca_model, image, target, eps=1e-4):
         up, down = image.copy(), image.copy()
         up[i] += eps
         down[i] -= eps
-        logit_up = models.forward(model, pca.transform(pca_model, up)).logits[target]
-        logit_down = models.forward(model, pca.transform(pca_model, down)).logits[target]
+        logit_up = one_logit(model, pca.transform(pca_model, up), target)
+        logit_down = one_logit(model, pca.transform(pca_model, down), target)
         grad[i] = (logit_up - logit_down) / (2 * eps)
     return grad
 

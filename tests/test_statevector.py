@@ -159,20 +159,33 @@ class TestCircuitInvariants:
             np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-10)
 
 
+def shift_one_source(circuit, params, inputs, field, index):
+    """Oracle: the shift rule for one parameter or input slot, one gate at a time."""
+    grad = 0.0
+    for pos, op in enumerate(circuit.ops):
+        if getattr(op, field) != index:
+            continue
+        plus = sv.circuit_expectations(circuit, params, inputs, {pos: np.pi / 2.0})
+        minus = sv.circuit_expectations(circuit, params, inputs, {pos: -np.pi / 2.0})
+        grad = grad + op.scale * 0.5 * (plus - minus)
+    return grad
+
+
 class TestParamShift:
     def single_ry_circuit(self):
         return sv.Circuit(num_qubits=1, ops=(sv.Op("ry", (0,), param=0),))
 
     def test_zero_angle_gradient(self):
         circuit = self.single_ry_circuit()
-        grad = sv.param_shift_grad(circuit, np.array([0.0]), np.zeros(0), 0)
-        assert grad[0] == pytest.approx(0.0, abs=1e-15)
+        grad = sv.param_shift_grad_all(circuit, np.array([0.0]), np.zeros(0))
+        assert grad.shape == (1, 1)
+        assert grad[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_half_pi_gradient(self):
         # <Z> = cos(theta), so the derivative at pi/2 is -1
         circuit = self.single_ry_circuit()
-        grad = sv.param_shift_grad(circuit, np.array([np.pi / 2]), np.zeros(0), 0)
-        assert grad[0] == pytest.approx(-1.0, abs=1e-12)
+        grad = sv.param_shift_grad_all(circuit, np.array([np.pi / 2]), np.zeros(0))
+        assert grad[0, 0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_matches_finite_difference_on_random_circuits(self):
         rng = Rng(7)
@@ -197,7 +210,7 @@ class TestParamShift:
             circuit = sv.Circuit(num_qubits=4, ops=tuple(ops))
             params = np.array([rng.uniform(-np.pi, np.pi) for _ in range(param_count)])
             index = rng.integer(param_count)
-            exact = sv.param_shift_grad(circuit, params, np.zeros(0), index)
+            exact = sv.param_shift_grad_all(circuit, params, np.zeros(0))[index]
             up, down = params.copy(), params.copy()
             up[index] += eps
             down[index] -= eps
@@ -220,13 +233,50 @@ class TestParamShift:
         stacked = sv.param_shift_grad_all(circuit, params, inputs)
         assert stacked.shape == (6, 4, 3)
         for j in range(6):
-            single = sv.param_shift_grad(circuit, params, inputs, j)
+            single = shift_one_source(circuit, params, inputs, "param", j)
             np.testing.assert_allclose(stacked[j], single, atol=1e-13)
+        stacked_inputs = sv.param_shift_grad_all(circuit, params, inputs, wrt="input_slot")
+        assert stacked_inputs.shape == (3, 4, 3)
+        for slot in range(3):
+            single = shift_one_source(circuit, params, inputs, "input_slot", slot)
+            np.testing.assert_allclose(stacked_inputs[slot], single, atol=1e-13)
+
+    def test_input_slot_gradient_matches_finite_difference(self):
+        rng = Rng(9)
+        eps = 1e-6
+        circuit = sv.Circuit(
+            num_qubits=2,
+            ops=(
+                sv.Op("ry", (0,), input_slot=0, scale=np.pi),
+                sv.Op("rz", (1,), input_slot=1, scale=2.0),
+                sv.Op("ry", (1,), input_slot=1, scale=np.pi),
+                sv.Op("ry", (0,), param=0),
+                sv.Op("cnot", (0, 1)),
+                sv.Op("ry", (1,), param=1),
+            ),
+        )
+        for _ in range(10):
+            params = np.array([rng.uniform(-np.pi, np.pi) for _ in range(2)])
+            inputs = np.array([rng.uniform(-1, 1) for _ in range(2)])
+            exact = sv.param_shift_grad_all(circuit, params, inputs, wrt="input_slot")
+            for slot in range(2):
+                up, down = inputs.copy(), inputs.copy()
+                up[slot] += eps
+                down[slot] -= eps
+                fd = (
+                    sv.circuit_expectations(circuit, params, up)
+                    - sv.circuit_expectations(circuit, params, down)
+                ) / (2 * eps)
+                np.testing.assert_allclose(exact[slot], fd, atol=1e-8)
 
     def test_parameter_on_no_rotation_rejected(self):
         circuit = sv.Circuit(num_qubits=2, ops=(sv.Op("cnot", (0, 1)),))
         with pytest.raises(ValueError):
-            sv.param_shift_grad(circuit, np.zeros(1), np.zeros(0), 0)
+            sv.param_shift_grad_all(circuit, np.zeros(1), np.zeros(0))
+        with pytest.raises(ValueError):
+            sv.param_shift_grad_all(circuit, np.zeros(1), np.zeros(1), wrt="input_slot")
+        with pytest.raises(ValueError):
+            sv.param_shift_grad_all(self.single_ry_circuit(), np.zeros(1), np.zeros(0), wrt="qubit")
 
     def test_batched_inputs_match_loop(self):
         circuit = sv.Circuit(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from medqnn import models, training
-from medqnn.errors import DataError
+from medqnn.errors import ConfigError, DataError
 from medqnn.rng import Rng
 
 
@@ -64,6 +64,26 @@ class TestStratifiedKfold:
         b = training.stratified_kfold(labels, 4, seed=8)
         for (ta, va), (tb, vb) in zip(a, b):
             assert np.array_equal(ta, tb) and np.array_equal(va, vb)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"batch_size": 0},
+            {"folds": 1},
+            {"epochs": -1},
+            {"learning_rate": -1e-3},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+        ],
+    )
+    def test_unusable_values_raise_config_error(self, values):
+        with pytest.raises(ConfigError):
+            training.TrainConfig(**values)
+
+    def test_zero_learning_rate_allowed(self):
+        assert training.TrainConfig(learning_rate=0.0).learning_rate == 0.0
 
 
 class TestAdam:
@@ -167,7 +187,7 @@ class TestCrossValidate:
         images[labels == 1, :8] = 0.9
         images[labels == 0, :8] = 0.1
         config = training.TrainConfig(
-            batch_size=8, learning_rate=0.05, epochs=15, seed=5, pca_components=4
+            batch_size=8, learning_rate=0.05, epochs=15, seed=5
         )
         result = training.cross_validate("classical", images, labels, 2, config)
         assert all(f.val_metrics["f1"] == 1.0 for f in result.folds)
@@ -189,18 +209,6 @@ class TestCrossValidate:
                 models.flat_params(fold_a.model), models.flat_params(fold_b.model)
             )
             assert fold_a.val_metrics == fold_b.val_metrics
-
-    def test_threaded_matches_sequential(self):
-        rng = np.random.default_rng(13)
-        labels = rng.integers(0, 2, 36)
-        images = rng.uniform(0, 1, size=(36, 49))
-        config = training.TrainConfig(batch_size=8, epochs=2, seed=10)
-        seq = training.cross_validate("classical", images, labels, 2, config, max_workers=1)
-        par = training.cross_validate("classical", images, labels, 2, config, max_workers=3)
-        for fold_s, fold_p in zip(seq.folds, par.folds):
-            assert np.array_equal(
-                models.flat_params(fold_s.model), models.flat_params(fold_p.model)
-            )
 
     def test_summary_shape(self):
         rng = np.random.default_rng(14)
