@@ -6,10 +6,12 @@ progress lines. Exit codes: 0 success, 2 data error, 3 config error,
 4 numeric failure.
 
 Every command writes a manifest.json into its output directory last and
-atomically, naming the effective configuration, the seed, sha256 of each
-input archive, and every artifact it produced, so a run can be repeated
-exactly. Flags win over the optional "key = value" config file, which
-wins over built-in defaults. Reruns with the same seed and inputs produce
+atomically, naming the effective configuration, the seed (null for the
+commands that draw no random number and so take no --seed), sha256 of
+each input archive, and every artifact it produced, so a run can be
+repeated exactly. Flags win over the optional "key = value" config file,
+which wins over built-in defaults; a config file may only set the keys
+its command has flags for. Reruns with the same seed and inputs produce
 byte-identical result files (manifests differ only in timestamps).
 """
 
@@ -72,19 +74,21 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _resolve_config(args) -> dict:
-    """defaults < config file < explicit flags."""
-    effective = dict(_CONFIG_DEFAULTS)
-    file_values = _load_config_file(getattr(args, "config", None))
+    """defaults < config file < explicit flags, over the keys the command has flags for."""
+    effective = {k: v for k, v in _CONFIG_DEFAULTS.items() if hasattr(args, k)}
+    file_values = _load_config_file(args.config)
     for key, raw in file_values.items():
         if key not in effective:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ConfigError(
+                f"config key {key!r} does not apply to {args.command}; it takes {sorted(effective)}"
+            )
         kind = type(effective[key])
         try:
             effective[key] = kind(raw)
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
     for key in effective:
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             effective[key] = flag
     return effective
@@ -405,6 +409,8 @@ def _read_fold_metrics(path: str) -> dict[str, list[float]]:
 
 
 def cmd_stats(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
+    if not 0.0 < args.alpha < 1.0:  # also rejects nan
+        raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha}")
     sources = {
         "classical": _read_fold_metrics(args.classical),
         "dv": _read_fold_metrics(args.dv),
@@ -449,10 +455,11 @@ def cmd_stats(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
 # --- pca report ------------------------------------------------------------
 
 def cmd_pca_report(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
-    if config["pca_components"] < 1:
-        raise ConfigError(f"--k must be >= 1, got {config['pca_components']}")
     train_split = splits[0]
-    model = pca.fit(train_split.flat_images(), config["pca_components"])
+    images = train_split.flat_images()
+    if not 1 <= config["pca_components"] <= images.shape[1]:
+        raise ConfigError(f"--k must lie in [1, {images.shape[1]}], got {config['pca_components']}")
+    model = pca.fit(images, config["pca_components"])
     ratios = model.explained_variance_ratio
     report = {
         "dataset": args.dataset,
@@ -481,7 +488,6 @@ def cmd_pca_report(args, config: dict, out: Path, splits) -> tuple[list[Path], d
 def _add_common(sub, archive: bool = True) -> None:
     sub.add_argument("--out", required=True, help="output directory")
     sub.add_argument("--config", help="optional 'key = value' config file")
-    sub.add_argument("--seed", type=int, default=None)
     if archive:
         sub.add_argument("--archive", required=True, help="path to the dataset .npz archive")
         sub.add_argument("--dataset", required=True, help="dataset name, e.g. pneumoniamnist")
@@ -495,6 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = subs.add_parser("train", help="cross-validated training run")
     _add_common(p_train)
     p_train.add_argument("--model", required=True, choices=models.KINDS)
+    p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--epochs", type=int, default=None)
     p_train.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p_train.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
@@ -518,6 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--classical-checkpoint", required=True)
     p_sweep.add_argument("--classical-pca", required=True)
     p_sweep.add_argument("--clip", action="store_true", help="clip noisy pixels back to [0, 1]")
+    p_sweep.add_argument("--seed", type=int, default=None, help="seed of the noise field")
     p_sweep.set_defaults(func=cmd_noise_sweep)
 
     p_sal = subs.add_parser("saliency", help="attribution heatmaps for chosen samples")

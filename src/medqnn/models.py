@@ -321,10 +321,10 @@ def _cv_circuit_grad(model: HybridModel, z: np.ndarray, labels: np.ndarray) -> n
 def logit_input_jacobian(model: HybridModel, features: np.ndarray) -> np.ndarray:
     """d logits / d features, shape (num_classes, 4).
 
-    Uses the same machinery as training gradients: analytic backprop for
-    the classical net, the shift rule on encoding angles for DV, central
-    finite differences for CV. The clamp in the DV encoding contributes
-    zero gradient where it saturates.
+    Analytic backprop for the classical net, the shift rule on encoding
+    angles for DV, and the closed form of the CV circuit's affine map.
+    The clamp in the DV encoding contributes zero gradient where it
+    saturates.
     """
     features = _check_features(np.asarray(features, dtype=float))
     z = standardize(model, features)
@@ -341,16 +341,10 @@ def logit_input_jacobian(model: HybridModel, features: np.ndarray) -> np.ndarray
         )  # (4 features, 4 outputs)
         active = (np.abs(z) < 1.0).astype(float)
         return model.head_weights @ (d_exp.T * active / model.feature_std)
-    # cv: central differences on the raw features
-    jac = np.empty((model.num_classes, NUM_MODES))
-    for i in range(NUM_MODES):
-        bumped = features.copy()
-        bumped[i] += CV_FD_EPSILON
-        up = _head(model, _cv_outputs_batch(model.circuit_params, standardize(model, bumped)))
-        bumped[i] -= 2.0 * CV_FD_EPSILON
-        down = _head(model, _cv_outputs_batch(model.circuit_params, standardize(model, bumped)))
-        jac[:, i] = (up - down) / (2.0 * CV_FD_EPSILON)
-    return jac
+    # cv: the outputs sqrt(2) z S[:4, :4]^T + d are affine in the features
+    s_total, _ = _cv_transform(model.circuit_params)
+    block = s_total[:NUM_MODES, :NUM_MODES]
+    return model.head_weights @ (np.sqrt(2.0) * block / model.feature_std)
 
 
 # --- persistence -------------------------------------------------------------

@@ -4,9 +4,9 @@ With only a handful of cross-validation folds per model the usual
 large-sample approximations are meaningless, so the Wilcoxon signed-rank
 p value is computed exactly by enumerating all 2^n sign assignments
 (n <= 25 after zero differences are dropped; here n is 3). The Friedman
-chi-square tail comes from an in-module regularized incomplete gamma
-(series for small arguments, continued fraction for large), good to
-about 1e-10 absolute for df <= 30.
+chi-square tail uses the closed form that the regularized upper gamma
+function has at integer degrees of freedom: a finite Poisson sum for
+even df, erfc plus a finite sum for odd df.
 """
 
 from __future__ import annotations
@@ -34,54 +34,32 @@ class StatTestReport:
     alpha_corrected: float
 
 
-def _gamma_p_series(a: float, x: float) -> float:
-    """Lower regularized gamma P(a, x) by power series; for x < a + 1."""
-    term = 1.0 / a
-    total = term
-    n = a
-    for _ in range(500):
-        n += 1.0
-        term *= x / n
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    """Upper regularized gamma Q(a, x) by Lentz continued fraction; x >= a + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
 def chi2_sf(x: float, df: int) -> float:
-    """Upper tail P(X >= x) of a chi-square with ``df`` degrees of freedom."""
+    """Upper tail P(X >= x) of a chi-square with integer ``df`` degrees of freedom.
+
+    With y = x/2 the tail is Q(df/2, y) = e^-y sum_{j < df/2} y^j / j! for
+    even df, and erfc(sqrt y) + e^-y sum_{j < (df-1)/2} y^(j+1/2) / Gamma(j+3/2)
+    for odd df. Each term is the previous one times y / order; e^-y rides
+    in the first term, so a large x underflows to 0 instead of 0 * inf.
+    """
     if df < 1:
         raise ValueError("df must be >= 1")
     if x <= 0.0:
         return 1.0
-    a = df / 2.0
-    half = x / 2.0
-    if half < a + 1.0:
-        return 1.0 - _gamma_p_series(a, half)
-    return _gamma_q_contfrac(a, half)
+    y = x / 2.0
+    if df % 2:
+        tail = math.erfc(math.sqrt(y))
+        term = math.exp(-y) * 2.0 * math.sqrt(y / math.pi)  # e^-y y^(1/2) / Gamma(3/2)
+        order = 1.5
+    else:
+        tail = 0.0
+        term = math.exp(-y)
+        order = 1.0
+    for _ in range(df // 2):
+        tail += term
+        term *= y / order
+        order += 1.0
+    return min(tail, 1.0)  # a probability; the sum can round a hair past 1
 
 
 def _rank_with_ties(values: np.ndarray) -> np.ndarray:

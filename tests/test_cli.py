@@ -444,7 +444,16 @@ def bad_input_files(tmp_path, archive, trained):
         damage(payload)
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(payload))
-    for name, text in (("threads_cfg", "threads = 2\n"), ("nan_cfg", "learning_rate = nan\n")):
+    for kind in models.KINDS:
+        files[f"{kind}_folds"] = str(trained[kind] / "fold_metrics.csv")
+    configs = {
+        "threads_cfg": "threads = 2\n",
+        "nan_cfg": "learning_rate = nan\n",
+        "pca_cfg": "pca_components = 8\n",
+        "epochs_cfg": "epochs = 3\n",
+        "seed_cfg": "seed = 7\n",
+    }
+    for name, text in configs.items():
         files[name] = str(tmp_path / f"{name}.cfg")
         (tmp_path / f"{name}.cfg").write_text(text)
     files["corrupt"] = str(tmp_path / "corrupt.npz")
@@ -463,6 +472,8 @@ def bad_input_files(tmp_path, archive, trained):
 TRAIN = "train --dataset toyset --archive {archive}"
 SALIENCY = "saliency --dataset toyset --archive {archive} --checkpoint {checkpoint} --pca {pca}"
 EVAL = "eval --dataset toyset --archive {archive} --pca {pca}"
+STATS = "stats --classical {classical_folds} --dv {dv_folds} --cv {cv_folds}"
+PCA_REPORT = "pca-report --dataset toyset --archive {archive}"
 BAD_INPUTS = [  # (case, documented exit code, argv template)
     ("batch size 0", 3, f"{TRAIN} --model classical --batch-size 0"),
     ("one fold", 3, f"{TRAIN} --model classical --folds 1"),
@@ -472,6 +483,8 @@ BAD_INPUTS = [  # (case, documented exit code, argv template)
     ("removed --pca-components", 3, f"{TRAIN} --model dv --pca-components 8"),
     ("threads in config file", 3, f"{TRAIN} --model dv --config {{threads_cfg}}"),
     ("nan learning rate in config file", 3, f"{TRAIN} --model dv --config {{nan_cfg}}"),
+    ("pca_components in train config file", 3, f"{TRAIN} --model dv --config {{pca_cfg}}"),
+    ("epochs in eval config file", 3, f"{EVAL} --checkpoint {{checkpoint}} --config {{epochs_cfg}}"),
     ("corrupt archive", 2, "train --dataset toyset --archive {corrupt} --model dv"),
     ("classical overflow", 4, f"{TRAIN} --model classical --learning-rate 1e308 --epochs 1"),
     ("squeeze overflow", 4, f"{TRAIN} --model cv --learning-rate 1e308 --epochs 1"),
@@ -482,8 +495,20 @@ BAD_INPUTS = [  # (case, documented exit code, argv template)
     ("out-of-range --indices", 2, f"{SALIENCY} --indices 0,9999"),
     ("binary test split with one class", 2,
      "eval --dataset toyset --archive {one_class} --checkpoint {checkpoint} --pca {pca}"),
-    ("pca-report --k 0", 3, "pca-report --dataset toyset --archive {archive} --k 0"),
+    ("pca-report --k 0", 3, f"{PCA_REPORT} --k 0"),
+    ("pca-report --k above the pixel count", 3, f"{PCA_REPORT} --k 785"),
     ("missing fold metrics", 2, "stats --classical {nope} --dv {nope} --cv {nope}"),
+    ("stats --alpha 1.5", 3, f"{STATS} --alpha 1.5"),
+    ("stats --alpha 0", 3, f"{STATS} --alpha 0"),
+    ("stats --alpha nan", 3, f"{STATS} --alpha nan"),
+    ("removed eval --seed", 3, f"{EVAL} --checkpoint {{checkpoint}} --seed 1"),
+    ("removed saliency --seed", 3, f"{SALIENCY} --indices 0 --seed 1"),
+    ("removed stats --seed", 3, f"{STATS} --seed 1"),
+    ("removed pca-report --seed", 3, f"{PCA_REPORT} --seed 1"),
+    ("seed in eval config file", 3, f"{EVAL} --checkpoint {{checkpoint}} --config {{seed_cfg}}"),
+    ("seed in saliency config file", 3, f"{SALIENCY} --indices 0 --config {{seed_cfg}}"),
+    ("seed in stats config file", 3, f"{STATS} --config {{seed_cfg}}"),
+    ("seed in pca-report config file", 3, f"{PCA_REPORT} --config {{seed_cfg}}"),
 ]
 
 

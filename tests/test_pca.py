@@ -9,6 +9,41 @@ def random_pixel_matrix(rng: np.random.Generator, m: int, dim: int) -> np.ndarra
     return rng.uniform(0.0, 1.0, size=(m, dim))
 
 
+def pixels_with_spectrum(rng: np.random.Generator, m: int, eigvals) -> np.ndarray:
+    """m samples around 0.5 whose sample covariance has exactly ``eigvals``.
+
+    The centered scores are orthonormal columns orthogonal to the ones
+    vector, scaled to each variance and rotated by a random orthogonal basis.
+    """
+    dim = len(eigvals)
+    q, _ = np.linalg.qr(np.column_stack([np.ones(m), rng.normal(size=(m, dim))]))
+    scores = q[:, 1:] * np.sqrt((m - 1) * np.asarray(eigvals))
+    basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    return 0.5 + scores @ basis.T
+
+
+def subspace_iteration_fit(images: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference (components, ratios) by orthogonal subspace iteration from the
+    canonical basis plus a Rayleigh-Ritz step, with the sign rule of ``pca.fit``."""
+    centered = images - images.mean(axis=0)
+    cov = (centered.T @ centered) / (len(images) - 1)
+    basis = np.eye(cov.shape[0])[:, :k]
+    for _ in range(5000):
+        new_basis, _ = np.linalg.qr(cov @ basis)
+        residual = new_basis - basis @ (basis.T @ new_basis)
+        basis = new_basis
+        if np.abs(residual).max() < 1e-10:
+            break
+    small = basis.T @ cov @ basis
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (small + small.T))
+    order = np.argsort(eigvals)[::-1]
+    components = (basis @ eigvecs[:, order]).T
+    for row in components:
+        if row[np.argmax(np.abs(row))] < 0:
+            row *= -1.0
+    return components, eigvals[order] / np.trace(cov)
+
+
 class TestFit:
     def test_rank_one_data(self):
         # points on a single line through the origin, plus an offset
@@ -56,6 +91,33 @@ class TestFit:
         assert np.array_equal(a.components, b.components)
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.explained_variance_ratio, b.explained_variance_ratio)
+
+    def test_matches_subspace_iteration_on_separated_spectrum(self):
+        rng = np.random.default_rng(11)
+        images = pixels_with_spectrum(rng, 300, 0.01 * 0.5 ** np.arange(20))
+        model = pca.fit(images, 4)
+        components, ratios = subspace_iteration_fit(images, 4)
+        np.testing.assert_allclose(model.components, components, atol=1e-8)
+        np.testing.assert_allclose(model.explained_variance_ratio, ratios, atol=1e-8)
+
+    def test_eigen_residual_on_near_degenerate_spectrum(self):
+        # the 4th and 5th eigenvalues differ by 1e-6 relative: subspace
+        # iteration cannot separate them, an eigendecomposition must
+        rng = np.random.default_rng(12)
+        eigvals = 0.01 * np.array([1.0, 0.9, 0.8, 0.7, 0.7 * (1 - 1e-6), 0.3, 0.2, 0.1])
+        images = pixels_with_spectrum(rng, 200, np.concatenate([eigvals, np.full(12, 1e-4)]))
+        model = pca.fit(images, 4)
+        centered = images - images.mean(axis=0)
+        cov = (centered.T @ centered) / (len(images) - 1)
+        lam = model.explained_variance_ratio * np.trace(cov)
+        for value, vector in zip(lam, model.components):
+            assert np.abs(cov @ vector - value * vector).max() <= 1e-12 * lam[0]
+
+    def test_k_outside_one_to_input_dim_rejected(self):
+        data = np.full((10, 5), 0.5)
+        for k in (0, 6):
+            with pytest.raises(ValueError):
+                pca.fit(data, k)
 
     def test_insufficient_samples(self):
         with pytest.raises(DataError):
