@@ -137,9 +137,13 @@ def _run(args, argv: list[str]) -> int:
     """The steps every command shares, around its body ``args.func``.
 
     A body takes (args, config, out, splits), where splits is None for a
-    command without ``--archive``, and returns (artifacts, summary).
+    command without ``--archive``, and returns (artifacts, summary). A
+    command may also set ``args.check``, which validates the resolved
+    config before the output directory or the archive is touched.
     """
     config = _resolve_config(args)
+    if hasattr(args, "check"):
+        args.check(config)  # a bad config exits 3 before any input is read
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
@@ -194,25 +198,28 @@ def _evaluate_model(model, pca_model, dataset) -> tuple[dict, dict[str, metrics.
 
 # --- train -------------------------------------------------------------------
 
-def cmd_train(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
-    train_split = splits[0]
-    log(
-        f"training {args.model} on {args.dataset} "
-        f"(m={len(train_split)}, classes={train_split.num_classes}, seed={config['seed']})"
-    )
-    train_config = training.TrainConfig(
+def _train_config(config: dict) -> training.TrainConfig:
+    return training.TrainConfig(
         batch_size=config["batch_size"],
         learning_rate=config["learning_rate"],
         epochs=config["epochs"],
         folds=config["folds"],
         seed=config["seed"],
     )
+
+
+def cmd_train(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
+    train_split = splits[0]
+    log(
+        f"training {args.model} on {args.dataset} "
+        f"(m={len(train_split)}, classes={train_split.num_classes}, seed={config['seed']})"
+    )
     result = training.cross_validate(
         args.model,
         train_split.flat_images(),
         train_split.labels,
         train_split.num_classes,
-        train_config,
+        _train_config(config),
     )
 
     artifacts = []
@@ -506,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p_train.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
     p_train.add_argument("--folds", type=int, default=None)
-    p_train.set_defaults(func=cmd_train)
+    p_train.set_defaults(func=cmd_train, check=_train_config)
 
     p_eval = subs.add_parser("eval", help="evaluate a checkpoint on a split")
     _add_common(p_eval)

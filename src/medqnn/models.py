@@ -16,17 +16,26 @@ Feature extractors, layer by layer (two layers, 16 parameters each):
   outputs are the four <Z_i>.
 * Classical: two bias-free 4x4 dense maps with tanh after each.
 
-Every kind runs through one batched path, ``predict_batch``, which
-training, evaluation and saliency all use; ``cv_final_state`` and
+Every kind runs through one forward function that returns the outputs
+and a backward closure; ``predict_batch`` (training, evaluation and
+saliency) and ``loss_and_grad`` both use it. ``cv_final_state`` and
 ``dv_final_state`` expose one sample's full circuit state for dumps.
-Head gradients are analytic (softmax cross-entropy closed form), the DV
-circuit differentiates by the parameter-shift rule, the CV circuit by
-central finite differences (the shift rules for squeezing are not worth
-their complexity at 32 parameters), and the classical net by backprop.
+Neither circuit's variational block depends on the batch, so each is
+compiled once per call and all gradients are exact:
+
+* CV: the block is an affine map (S, d) of the quadrature means
+  (Weedbrook et al., RMP 84, 621, arXiv:1110.3234). The loss reaches the
+  parameters only through A = S[:4, :4] and b = d[:4], so one reverse
+  sweep through the 28 gates gives every partial derivative.
+* DV: the encoding is a real product state psi and the block one 16 x 16
+  unitary U, so <Z_q> = |U psi|^2 . z_q, and one adjoint sweep over the
+  block gives every parameter gradient for the whole batch.
+* Head: softmax cross-entropy in closed form; classical net: backprop.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -43,8 +52,6 @@ PARAMS_PER_LAYER = 16
 NUM_CIRCUIT_PARAMS = NUM_LAYERS * PARAMS_PER_LAYER  # 32
 
 KINDS = ("cv", "dv", "classical")
-
-CV_FD_EPSILON = 1e-4
 
 CHECKPOINT_VERSION = 1
 
@@ -120,43 +127,93 @@ def _head(model: HybridModel, outputs: np.ndarray) -> np.ndarray:
 
 # --- CV ----------------------------------------------------------------------
 
-def _cv_layer_gates(layer_params: np.ndarray):
-    """Yield (symplectic, displacement) pairs in application order."""
+def _cv_gates(circuit_params: np.ndarray) -> list[tuple[str, int, int, np.ndarray]]:
+    """The block's 28 gates in application order as (kind, first parameter
+    index, mode, gate); a displacement's gate is its vector, every other
+    gate's its symplectic matrix."""
     n = NUM_MODES
-    for mode in range(n):
-        yield None, gaussian.displacement_vector(n, mode, layer_params[mode], 0.0)
-    for mode in range(n):
-        yield gaussian.rotation_symplectic(n, mode, layer_params[4 + mode]), None
-    for mode in range(n):
-        yield gaussian.squeeze_symplectic(n, mode, layer_params[8 + mode]), None
-    yield gaussian.beamsplitter_symplectic(n, 0, 1, layer_params[12], layer_params[13]), None
-    yield gaussian.beamsplitter_symplectic(n, 2, 3, layer_params[14], layer_params[15]), None
-
-
-def _cv_transform(circuit_params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulated affine action (S, d) of the variational layers on the mean."""
-    n2 = 2 * NUM_MODES
-    s_total = np.eye(n2)
-    d_total = np.zeros(n2)
+    gates = []
     try:
         for layer in range(NUM_LAYERS):
-            chunk = circuit_params[layer * PARAMS_PER_LAYER : (layer + 1) * PARAMS_PER_LAYER]
-            for s_gate, d_gate in _cv_layer_gates(chunk):
-                if s_gate is not None:
-                    s_total = s_gate @ s_total
-                    d_total = s_gate @ d_total
-                if d_gate is not None:
-                    d_total = d_total + d_gate
+            base = layer * PARAMS_PER_LAYER
+            p = circuit_params[base : base + PARAMS_PER_LAYER]
+            for mode in range(n):
+                gates.append(("displacement", base + mode, mode,
+                              gaussian.displacement_vector(n, mode, p[mode], 0.0)))
+            for mode in range(n):
+                gates.append(("rotation", base + 4 + mode, mode,
+                              gaussian.rotation_symplectic(n, mode, p[4 + mode])))
+            for mode in range(n):
+                gates.append(("squeeze", base + 8 + mode, mode,
+                              gaussian.squeeze_symplectic(n, mode, p[8 + mode])))
+            for pair, mode in enumerate((0, 2)):
+                j = 12 + 2 * pair
+                gates.append(("beamsplitter", base + j, mode,
+                              gaussian.beamsplitter_symplectic(n, mode, mode + 1, p[j], p[j + 1])))
     except ValueError as exc:  # the squeeze overflow guard, the gates' only check
         raise NumericError(str(exc)) from exc
-    return s_total, d_total
+    return gates
 
 
-def _cv_outputs_batch(circuit_params: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """<x_i> for standardized inputs z of shape (..., 4)."""
-    s_total, d_total = _cv_transform(circuit_params)
-    block = s_total[:NUM_MODES, :NUM_MODES]  # encoding means live on x only
-    return np.sqrt(2.0) * z @ block.T + d_total[:NUM_MODES]
+def _cv_transform(circuit_params: np.ndarray):
+    """Accumulated affine action (S, d) of the variational layers on the
+    mean, and each gate with the (S, d) it was applied to."""
+    s_total = np.eye(2 * NUM_MODES)
+    d_total = np.zeros(2 * NUM_MODES)
+    steps = []
+    for gate in _cv_gates(circuit_params):
+        steps.append((gate, s_total, d_total))
+        kind, _, _, matrix = gate
+        if kind == "displacement":
+            d_total = d_total + matrix
+        else:
+            s_total = matrix @ s_total
+            d_total = matrix @ d_total
+    return s_total, d_total, steps
+
+
+def _cv_forward(circuit_params: np.ndarray, z: np.ndarray):
+    """<x_i> for standardized inputs z of shape (m, 4), and the backward pass.
+
+    The encoded means sqrt(2) z live on x only, so the outputs are
+    sqrt(2) z A^T + b with A = S[:4, :4], b = d[:4]; only the x columns
+    of S reach the loss.
+    """
+    s_total, d_total, steps = _cv_transform(circuit_params)
+    outputs = np.sqrt(2.0) * z @ s_total[:NUM_MODES, :NUM_MODES].T + d_total[:NUM_MODES]
+
+    def backward(d_outputs: np.ndarray) -> np.ndarray:
+        n = NUM_MODES
+        bar_s = np.zeros((2 * n, n))  # dL / dS[:, :4]
+        bar_s[:n] = np.sqrt(2.0) * d_outputs.T @ z
+        bar_d = np.zeros(2 * n)
+        bar_d[:n] = d_outputs.sum(axis=0)
+        grad = np.zeros(NUM_CIRCUIT_PARAMS)
+        for (kind, index, mode, gate), s_before, d_before in reversed(steps):
+            if kind == "displacement":  # d/dr of sqrt(2) r (cos 0, sin 0) on mode
+                grad[index] = np.sqrt(2.0) * bar_d[mode]
+                continue
+            bar_gate = bar_s @ s_before[:, :n].T + bar_d[:, None] * d_before  # dL / dgate
+            x, p = mode, n + mode
+            if kind == "squeeze":  # diag(e^-r, e^r) on (x, p) of mode
+                grad[index] = gate[p, p] * bar_gate[p, p] - gate[x, x] * bar_gate[x, x]
+            elif kind == "rotation":  # [[cos, -sin], [sin, cos]] on (x, p) of mode
+                cos, sin = gate[x, x], gate[p, x]
+                grad[index] = (cos * (bar_gate[p, x] - bar_gate[x, p])
+                               - sin * (bar_gate[x, x] + bar_gate[p, p]))
+            else:
+                # Each entry is a cos(t) + b sin(t) + c in either angle t, so
+                # [G(t + pi/2) - G(t - pi/2)] / 2 is the exact derivative.
+                theta, phi = circuit_params[index], circuit_params[index + 1]
+                bs = functools.partial(gaussian.beamsplitter_symplectic, n, mode, mode + 1)
+                h = np.pi / 2.0
+                grad[index] = np.vdot(bs(theta + h, phi) - bs(theta - h, phi), bar_gate) / 2.0
+                grad[index + 1] = np.vdot(bs(theta, phi + h) - bs(theta, phi - h), bar_gate) / 2.0
+            bar_s = gate.T @ bar_s
+            bar_d = gate.T @ bar_d
+        return grad
+
+    return outputs, backward
 
 
 def cv_final_state(model: HybridModel, features: np.ndarray) -> gaussian.GaussianState:
@@ -168,7 +225,7 @@ def cv_final_state(model: HybridModel, features: np.ndarray) -> gaussian.Gaussia
     """
     _require_kind(model, "cv")
     z = standardize(model, _check_features(features))
-    s_total, d_total = _cv_transform(model.circuit_params)
+    s_total, d_total, _ = _cv_transform(model.circuit_params)
     encoded = np.concatenate([np.sqrt(2.0) * z, np.zeros(NUM_MODES)])
     return gaussian.GaussianState(NUM_MODES, s_total @ encoded + d_total, s_total @ s_total.T)
 
@@ -196,15 +253,33 @@ def _dv_encoding(z: np.ndarray) -> np.ndarray:
     return np.clip(z, -1.0, 1.0)
 
 
-def _dv_outputs_batch(circuit_params: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return statevector.circuit_expectations(_DV_CIRCUIT, circuit_params, _dv_encoding(z))
+def _dv_states(z: np.ndarray) -> np.ndarray:
+    return statevector.ry_product_state(np.pi * _dv_encoding(z))
+
+
+def _dv_forward(circuit_params: np.ndarray, z: np.ndarray):
+    """<Z_q> for standardized inputs z of shape (m, 4), and the backward pass.
+
+    The encoding ops of ``_DV_CIRCUIT`` make the real product state
+    RY(pi * clip z)|0000>; the block after them is compiled once.
+    """
+    states = _dv_states(z)
+    block = statevector.compile_block(_DV_CIRCUIT, circuit_params)
+    outputs = statevector.block_expectations(block, states)
+
+    def backward(d_outputs: np.ndarray) -> np.ndarray:
+        # W_q = sum_m d_outputs[m, q] psi_m psi_m^T: the batch in four 16 x 16 matrices
+        weights = (states.T * d_outputs.T[:, None, :]) @ states
+        return statevector.block_adjoint_grad(block, weights)
+
+    return outputs, backward
 
 
 def dv_final_state(model: HybridModel, features: np.ndarray) -> statevector.QubitState:
     _require_kind(model, "dv")
     z = standardize(model, _check_features(features))
-    amps = statevector.run_circuit(_DV_CIRCUIT, model.circuit_params, _dv_encoding(z))
-    return statevector.QubitState(NUM_MODES, amps)
+    block = statevector.compile_block(_DV_CIRCUIT, model.circuit_params)
+    return statevector.QubitState(NUM_MODES, _dv_states(z) @ block.transfer)
 
 
 # --- classical ----------------------------------------------------------------
@@ -217,23 +292,34 @@ def _classical_hidden(circuit_params: np.ndarray, z: np.ndarray):
     return h1, h2
 
 
-def _classical_outputs_batch(circuit_params: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return _classical_hidden(circuit_params, z)[1]
+def _classical_forward(circuit_params: np.ndarray, z: np.ndarray):
+    h1, h2 = _classical_hidden(circuit_params, z)
+
+    def backward(d_outputs: np.ndarray) -> np.ndarray:
+        w2 = circuit_params[16:].reshape(NUM_MODES, NUM_MODES)
+        d_pre2 = d_outputs * (1.0 - h2**2)
+        grad_w2 = d_pre2.T @ h1
+        d_pre1 = (d_pre2 @ w2) * (1.0 - h1**2)
+        grad_w1 = d_pre1.T @ z
+        return np.concatenate([grad_w1.reshape(-1), grad_w2.reshape(-1)])
+
+    return h2, backward
 
 
 # --- shared entry points --------------------------------------------------
 
-_OUTPUTS_BY_KIND = {
-    "cv": _cv_outputs_batch,
-    "dv": _dv_outputs_batch,
-    "classical": _classical_outputs_batch,
+_FORWARD_BY_KIND = {
+    "cv": _cv_forward,
+    "dv": _dv_forward,
+    "classical": _classical_forward,
 }
 
 
 def predict_batch(model: HybridModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(logits, probabilities) for a (m, 4) feature matrix."""
     z = standardize(model, _check_features(features))
-    logits = _head(model, _OUTPUTS_BY_KIND[model.kind](model.circuit_params, z))
+    outputs, _ = _FORWARD_BY_KIND[model.kind](model.circuit_params, z)
+    logits = _head(model, outputs)
     return logits, softmax(logits)
 
 
@@ -257,7 +343,7 @@ def loss_and_grad(
     if labels.min() < 0 or labels.max() >= model.num_classes:
         raise ValueError("label out of range")
     z = standardize(model, features)
-    outputs = _OUTPUTS_BY_KIND[model.kind](model.circuit_params, z)
+    outputs, backward = _FORWARD_BY_KIND[model.kind](model.circuit_params, z)
     logits = _head(model, outputs)
     probs = softmax(logits)
     loss = batch_loss_from_logits(logits, labels)
@@ -269,51 +355,8 @@ def loss_and_grad(
     grad_bias = dlogits.sum(axis=0)
     grad_weights = dlogits.T @ outputs
     d_outputs = dlogits @ model.head_weights  # (m, 4)
-
-    if model.kind == "classical":
-        grad_circuit = _classical_circuit_grad(model.circuit_params, z, d_outputs)
-    elif model.kind == "dv":
-        grad_circuit = _dv_circuit_grad(model.circuit_params, z, d_outputs)
-    else:
-        grad_circuit = _cv_circuit_grad(model, z, labels)
-
-    grad = np.concatenate([grad_circuit, grad_weights.reshape(-1), grad_bias])
+    grad = np.concatenate([backward(d_outputs), grad_weights.reshape(-1), grad_bias])
     return loss, grad, logits
-
-
-def _classical_circuit_grad(
-    circuit_params: np.ndarray, z: np.ndarray, d_outputs: np.ndarray
-) -> np.ndarray:
-    w2 = circuit_params[16:].reshape(NUM_MODES, NUM_MODES)
-    h1, h2 = _classical_hidden(circuit_params, z)
-    d_pre2 = d_outputs * (1.0 - h2**2)
-    grad_w2 = d_pre2.T @ h1
-    d_h1 = d_pre2 @ w2
-    d_pre1 = d_h1 * (1.0 - h1**2)
-    grad_w1 = d_pre1.T @ z
-    return np.concatenate([grad_w1.reshape(-1), grad_w2.reshape(-1)])
-
-
-def _dv_circuit_grad(
-    circuit_params: np.ndarray, z: np.ndarray, d_outputs: np.ndarray
-) -> np.ndarray:
-    d_expectations = statevector.param_shift_grad_all(
-        _DV_CIRCUIT, circuit_params, _dv_encoding(z)
-    )  # (32, m, 4)
-    return np.einsum("jmq,mq->j", d_expectations, d_outputs)
-
-
-def _cv_circuit_grad(model: HybridModel, z: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    grad = np.empty(NUM_CIRCUIT_PARAMS)
-    params = model.circuit_params
-    for index in range(NUM_CIRCUIT_PARAMS):
-        shifted = params.copy()
-        shifted[index] += CV_FD_EPSILON
-        up = batch_loss_from_logits(_head(model, _cv_outputs_batch(shifted, z)), labels)
-        shifted[index] -= 2.0 * CV_FD_EPSILON
-        down = batch_loss_from_logits(_head(model, _cv_outputs_batch(shifted, z)), labels)
-        grad[index] = (up - down) / (2.0 * CV_FD_EPSILON)
-    return grad
 
 
 # --- input gradients (saliency support) -------------------------------------
@@ -321,8 +364,9 @@ def _cv_circuit_grad(model: HybridModel, z: np.ndarray, labels: np.ndarray) -> n
 def logit_input_jacobian(model: HybridModel, features: np.ndarray) -> np.ndarray:
     """d logits / d features, shape (num_classes, 4).
 
-    Analytic backprop for the classical net, the shift rule on encoding
-    angles for DV, and the closed form of the CV circuit's affine map.
+    Analytic backprop for the classical net, the closed form of the CV
+    circuit's affine map, and for DV the chain through the product state:
+    d<Z_q>/dpsi = 2 Re(conj(U psi) * z_q) U, d psi / dz in closed form.
     The clamp in the DV encoding contributes zero gradient where it
     saturates.
     """
@@ -336,13 +380,16 @@ def logit_input_jacobian(model: HybridModel, features: np.ndarray) -> np.ndarray
         d_out_d_features = jac_outputs / model.feature_std[None, :]
         return model.head_weights @ d_out_d_features
     if model.kind == "dv":
-        d_exp = statevector.param_shift_grad_all(
-            _DV_CIRCUIT, model.circuit_params, _dv_encoding(z), wrt="input_slot"
-        )  # (4 features, 4 outputs)
+        angles = np.pi * _dv_encoding(z)
+        transfer = statevector.compile_block(_DV_CIRCUIT, model.circuit_params).transfer
+        amps = statevector.ry_product_state(angles) @ transfer
+        d_amps = np.pi * statevector.ry_product_state_jacobian(angles) @ transfer
+        # (4 features, 4 outputs)
+        d_exp = 2.0 * (amps.conj() * d_amps).real @ statevector.z_eigenvalues(NUM_MODES)
         active = (np.abs(z) < 1.0).astype(float)
         return model.head_weights @ (d_exp.T * active / model.feature_std)
     # cv: the outputs sqrt(2) z S[:4, :4]^T + d are affine in the features
-    s_total, _ = _cv_transform(model.circuit_params)
+    s_total, _, _ = _cv_transform(model.circuit_params)
     block = s_total[:NUM_MODES, :NUM_MODES]
     return model.head_weights @ (np.sqrt(2.0) * block / model.feature_std)
 

@@ -11,6 +11,14 @@ The gate helpers accept arrays of shape (..., 2^n) so a batch of states
 ``Circuit`` is a flat gate list whose rotation angles are bound either to
 a trainable parameter slot or to an input-vector slot; that split is what
 lets ``param_shift_grad_all`` shift exactly one source.
+
+A circuit whose input-bound rotations all come first splits into an
+encoding and a variational block, the ops after it. The block does not
+depend on the inputs, so ``compile_block`` runs it once on the basis
+states, giving one 2^n x 2^n matrix for any batch, and
+``block_adjoint_grad`` differentiates it for a whole batch in one sweep
+(Jones & Gacon, arXiv:2009.02823). An RY-only encoding of |0...0> is a
+real product state, ``ry_product_state``.
 """
 
 from __future__ import annotations
@@ -51,13 +59,12 @@ def _qubit_axis(ndim: int, qubit: int) -> int:
 
 
 def apply_1q_array(amps: np.ndarray, mat: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
-    lead = amps.shape[:-1]
-    arr = amps.reshape(*lead, *([2] * num_qubits))
-    axis = len(lead) + _qubit_axis(num_qubits, qubit)
-    arr = np.moveaxis(arr, axis, -1)
-    arr = arr @ mat.T
-    arr = np.moveaxis(arr, -1, axis)
-    return arr.reshape(*lead, 2**num_qubits)
+    # Index = (lead and higher bits, bit of ``qubit``, lower bits).
+    pairs = amps.reshape(-1, 2, 2**qubit)
+    out = np.empty(pairs.shape, dtype=np.result_type(amps, mat))
+    out[:, 0] = mat[0, 0] * pairs[:, 0] + mat[0, 1] * pairs[:, 1]
+    out[:, 1] = mat[1, 0] * pairs[:, 0] + mat[1, 1] * pairs[:, 1]
+    return out.reshape(amps.shape)
 
 
 def apply_cnot_array(amps: np.ndarray, control: int, target: int, num_qubits: int) -> np.ndarray:
@@ -261,4 +268,123 @@ def param_shift_grad_all(
     expectations = circuit_expectations(circuit, params, stacked, override)  # (variants, *lead, n)
     for occ, (_, index, scale) in enumerate(occurrences):
         grads[index] += scale * 0.5 * (expectations[2 * occ] - expectations[2 * occ + 1])
+    return grads
+
+
+# --- compiled variational blocks ---------------------------------------------
+
+def z_eigenvalues(num_qubits: int) -> np.ndarray:
+    """(2^n, n) table of Z_q on basis states: +1 where bit q is 0, else -1.
+
+    ``(|amps|**2) @ z_eigenvalues(n)`` is every ``expect_z_array`` at once.
+    """
+    bits = (np.arange(2**num_qubits)[:, None] >> np.arange(num_qubits)) & 1
+    return 1.0 - 2.0 * bits
+
+
+def _ry_factors(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-qubit factors of each product amplitude, and their angle slopes."""
+    half = np.asarray(angles, dtype=float)[..., None, :] / 2.0
+    bits = z_eigenvalues(half.shape[-1]) < 0
+    cos, sin = np.cos(half), np.sin(half)
+    return np.where(bits, sin, cos), 0.5 * np.where(bits, cos, -sin)
+
+
+def ry_product_state(angles: np.ndarray) -> np.ndarray:
+    """RY(angles[..., q]) on every qubit q of |0...0>, shape (..., 2^n).
+
+    The state is a product of (cos a_q/2, sin a_q/2) factors, so it is real.
+    """
+    factors, _ = _ry_factors(angles)
+    return factors.prod(axis=-1)
+
+
+def ry_product_state_jacobian(angles: np.ndarray) -> np.ndarray:
+    """d ``ry_product_state`` / d angles[..., q], shape (..., n, 2^n)."""
+    factors, slopes = _ry_factors(angles)
+    columns = []
+    for qubit in range(factors.shape[-1]):
+        varied = factors.copy()
+        varied[..., qubit] = slopes[..., qubit]
+        columns.append(varied.prod(axis=-1))
+    return np.stack(columns, axis=-2)
+
+
+def _rotation_matrix(gate: str, angle: float) -> np.ndarray:
+    return ry_matrix(angle) if gate == "ry" else rz_matrix(angle)
+
+
+@dataclass(frozen=True)
+class CompiledBlock:
+    """A circuit's variational block, bound to parameter values.
+
+    The block is every op after the input-bound ones. ``prefixes[k]`` is
+    the product of its first k ops, transposed: a row stack of states
+    leaves those ops as ``states @ prefixes[k]``. The last prefix is the
+    whole block, U^T.
+    """
+
+    circuit: Circuit
+    ops: tuple[Op, ...]
+    prefixes: tuple[np.ndarray, ...]
+
+    @property
+    def transfer(self) -> np.ndarray:
+        return self.prefixes[-1]
+
+
+def compile_block(circuit: Circuit, params: np.ndarray) -> CompiledBlock:
+    """Run the basis states through the block once, keeping every prefix."""
+    start = 1 + max((i for i, op in enumerate(circuit.ops) if op.input_slot is not None), default=-1)
+    if any(op.input_slot is None for op in circuit.ops[:start]):
+        raise ValueError("the input-bound ops must all come before the block's ops")
+    ops = circuit.ops[start:]
+    n = circuit.num_qubits
+    rows = np.eye(2**n, dtype=complex)
+    prefixes = [rows]
+    for op in ops:
+        if op.gate == "cnot":
+            rows = apply_cnot_array(rows, op.qubits[0], op.qubits[1], n)
+        elif op.param is None:
+            raise ValueError("every op after the encoding must be a cnot or bound to a parameter")
+        else:
+            matrix = _rotation_matrix(op.gate, op.scale * params[op.param])
+            rows = apply_1q_array(rows, matrix, op.qubits[0], n)
+        prefixes.append(rows)
+    return CompiledBlock(circuit, ops, tuple(prefixes))
+
+
+def block_expectations(block: CompiledBlock, states: np.ndarray) -> np.ndarray:
+    """<Z_q> per qubit after the block, shape (..., n), for states (..., 2^n)."""
+    amps = states @ block.transfer
+    return (amps.real**2 + amps.imag**2) @ z_eigenvalues(block.circuit.num_qubits)
+
+
+def block_adjoint_grad(block: CompiledBlock, weights: np.ndarray) -> np.ndarray:
+    """d/d params[j] of L = sum_q tr(Z_q U W_q U^dagger), for every j, in one sweep.
+
+    ``weights`` holds one real symmetric 2^n x 2^n matrix W_q per qubit q.
+    For W_q = sum_m c[m, q] psi_m psi_m^T over real input states psi_m, L
+    is sum_{m,q} c[m, q] <Z_q>_m, and its gradient costs the same for any
+    batch size.
+
+    With P the product of the ops before a rotation R(theta) and
+    dR/dtheta = R(theta + pi) / 2 = R(theta) R(pi) / 2, the rotation adds
+    Re tr(R(pi) P T P^dagger), where T = sum_q W_q U^dagger Z_q U is
+    built once from the adjoint observables (Jones & Gacon,
+    arXiv:2009.02823). Only the qubit's 2 x 2 block of P T P^dagger enters.
+    """
+    n = block.circuit.num_qubits
+    transfer = block.transfer
+    observables = (transfer.conj()[None] * z_eigenvalues(n).T[:, None, :]) @ transfer.T
+    product = np.einsum("qab,qbc->ac", weights, observables)  # T
+    generators = {gate: _rotation_matrix(gate, np.pi) for gate in ("ry", "rz")}
+    grads = np.zeros(block.circuit.num_params())
+    for op, prefix in zip(block.ops, block.prefixes):
+        if op.param is None:
+            continue
+        qubit = op.qubits[0]
+        high, low = 2 ** (n - 1 - qubit), 2**qubit
+        moved = (prefix.T @ product @ prefix.conj()).reshape(high, 2, low, high, 2, low)
+        grads[op.param] += op.scale * np.einsum("rc,hclhrl->", generators[op.gate], moved).real
     return grads

@@ -459,6 +459,7 @@ def bad_input_files(tmp_path, archive, trained):
     files["corrupt"] = str(tmp_path / "corrupt.npz")
     (tmp_path / "corrupt.npz").write_bytes(b"PK\x03\x04 this is not a zip archive")
     files["nope"] = str(tmp_path / "nope.csv")
+    files["missing_archive"] = str(tmp_path / "missing.npz")
     rng = np.random.default_rng(8)
     arrays = {}
     for split, m, classes in (("train", 40, 2), ("val", 10, 2), ("test", 10, 1)):
@@ -476,6 +477,8 @@ STATS = "stats --classical {classical_folds} --dv {dv_folds} --cv {cv_folds}"
 PCA_REPORT = "pca-report --dataset toyset --archive {archive}"
 BAD_INPUTS = [  # (case, documented exit code, argv template)
     ("batch size 0", 3, f"{TRAIN} --model classical --batch-size 0"),
+    ("batch size 0 with a missing archive", 3,
+     "train --dataset toyset --archive {missing_archive} --model classical --batch-size 0"),
     ("one fold", 3, f"{TRAIN} --model classical --folds 1"),
     ("negative epochs", 3, f"{TRAIN} --model classical --epochs -1"),
     ("nan learning rate", 3, f"{TRAIN} --model dv --learning-rate nan"),

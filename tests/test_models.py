@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from medqnn import gaussian, models, statevector
-from medqnn.errors import DataError
+from medqnn.errors import DataError, NumericError
 from medqnn.rng import Rng
 
 
@@ -298,6 +298,112 @@ class TestGradients:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             models.loss_and_grad(make_model("cv"), np.zeros((0, 4)), np.zeros(0, dtype=int))
+
+
+def random_model(kind, num_classes, seed):
+    """A model with spread-out parameters and feature statistics."""
+    rng = np.random.default_rng(seed)
+    model = models.init_model(
+        kind, num_classes, Rng(seed), rng.normal(size=4), rng.uniform(0.5, 2.0, size=4)
+    )
+    return models.with_params(model, rng.uniform(-1.5, 1.5, models.num_params(model)))
+
+
+def random_batch(model, rows, seed):
+    """Features around the model's statistics, a share of them past the DV clamp."""
+    rng = np.random.default_rng(seed + 1)
+    features = model.feature_mean + model.feature_std * rng.normal(scale=1.2, size=(rows, 4))
+    return features, rng.integers(0, model.num_classes, size=rows)
+
+
+def output_adjoint(model, features, labels):
+    """d loss / d circuit outputs, the vector the circuit gradient contracts."""
+    logits, probs = models.predict_batch(model, features)
+    dlogits = probs.copy()
+    dlogits[np.arange(len(labels)), labels] -= 1.0
+    return dlogits / len(labels) @ model.head_weights
+
+
+def old_dv_circuit_grad(model, features, labels):
+    """The DV circuit gradient before compiling the block: the stacked
+    shift rule on every sample, contracted with the output adjoint."""
+    z = np.clip(models.standardize(model, features), -1.0, 1.0)
+    shifted = statevector.param_shift_grad_all(models.build_dv_circuit(), model.circuit_params, z)
+    return np.einsum("jmq,mq->j", shifted, output_adjoint(model, features, labels))
+
+
+def old_cv_fd_grad(model, features, labels):
+    """The CV circuit gradient before the reverse sweep: central finite
+    differences with epsilon 1e-4."""
+    return fd_loss_gradient(model, features, labels, eps=1e-4)[: models.NUM_CIRCUIT_PARAMS]
+
+
+def richardson_cv_grad(model, features, labels, eps=1e-3):
+    """Central differences at eps and eps / 2 combined to cancel their
+    eps^2 error term, leaving O(eps^4)."""
+    coarse = fd_loss_gradient(model, features, labels, eps)
+    fine = fd_loss_gradient(model, features, labels, eps / 2)
+    return ((4.0 * fine - coarse) / 3.0)[: models.NUM_CIRCUIT_PARAMS]
+
+
+COMPILED_CASES = [(classes, rows) for classes in (2, 11) for rows in (1, 32, 128)]
+
+
+class TestCompiledPathOracles:
+    @pytest.mark.parametrize("num_classes, rows", COMPILED_CASES)
+    def test_dv_gradient_matches_shift_rule(self, num_classes, rows):
+        model = random_model("dv", num_classes, seed=rows + num_classes)
+        features, labels = random_batch(model, rows, seed=rows)
+        _, grad, _ = models.loss_and_grad(model, features, labels)
+        oracle = old_dv_circuit_grad(model, features, labels)
+        np.testing.assert_allclose(grad[: models.NUM_CIRCUIT_PARAMS], oracle, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("num_classes, rows", COMPILED_CASES)
+    def test_dv_predictions_match_gate_by_gate_circuit(self, num_classes, rows):
+        model = random_model("dv", num_classes, seed=rows + num_classes)
+        features, _ = random_batch(model, rows, seed=rows)
+        z = np.clip(models.standardize(model, features), -1.0, 1.0)
+        amps = statevector.run_circuit(models.build_dv_circuit(), model.circuit_params, z)
+        outputs = np.stack([statevector.expect_z_array(amps, q, 4) for q in range(4)], axis=-1)
+        logits, _ = models.predict_batch(model, features)
+        expected = outputs @ model.head_weights.T + model.head_bias
+        np.testing.assert_allclose(logits, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("num_classes, rows", COMPILED_CASES)
+    def test_dv_input_jacobian_matches_shift_rule(self, num_classes, rows):
+        model = random_model("dv", num_classes, seed=rows + num_classes)
+        features, _ = random_batch(model, rows, seed=rows)
+        z = models.standardize(model, features)
+        shifted = statevector.param_shift_grad_all(
+            models.build_dv_circuit(), model.circuit_params, np.clip(z, -1.0, 1.0), wrt="input_slot"
+        )  # (4 features, rows, 4 outputs)
+        active = np.abs(z) < 1.0
+        if rows > 1:
+            assert not active.all() and active.any()  # saturated and live inputs both occur
+        for row in range(rows):
+            oracle = model.head_weights @ (shifted[:, row].T * active[row] / model.feature_std)
+            jac = models.logit_input_jacobian(model, features[row])
+            np.testing.assert_allclose(jac, oracle, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("num_classes, rows", COMPILED_CASES)
+    def test_cv_gradient_beats_the_finite_differences_it_replaced(self, num_classes, rows):
+        model = random_model("cv", num_classes, seed=rows + num_classes)
+        features, labels = random_batch(model, rows, seed=rows)
+        _, grad, _ = models.loss_and_grad(model, features, labels)
+        grad = grad[: models.NUM_CIRCUIT_PARAMS]
+        reference = richardson_cv_grad(model, features, labels)
+        scale = np.abs(reference).max()
+        new_error = np.abs(grad - reference).max() / scale
+        old_error = np.abs(old_cv_fd_grad(model, features, labels) - reference).max() / scale
+        assert new_error < 1e-7
+        assert new_error < old_error
+
+    def test_cv_squeeze_past_the_guard_is_a_numeric_error(self):
+        model = random_model("cv", 2, seed=0)
+        params = models.flat_params(model)
+        params[8] = gaussian.SQUEEZE_LIMIT * 1.01
+        with pytest.raises(NumericError):
+            models.loss_and_grad(models.with_params(model, params), np.zeros((1, 4)), np.array([0]))
 
 
 class TestPrediction:

@@ -294,3 +294,83 @@ class TestParamShift:
         for row in range(3):
             single = sv.circuit_expectations(circuit, params, inputs[row])
             np.testing.assert_allclose(batched[row], single, atol=1e-14)
+
+
+
+def encoded_random_circuit(rng, num_qubits, block_ops):
+    """RY(pi * input) on every qubit, then a random block of rotations and
+    CNOTs whose parameters repeat and carry scales, as the shift rule allows."""
+    ops = [sv.Op("ry", (q,), input_slot=q, scale=np.pi) for q in range(num_qubits)]
+    ops.append(sv.Op("ry", (0,), param=5))  # every parameter slot is used at least once
+    for _ in range(block_ops):
+        if rng.integer(4) == 0:
+            c = rng.integer(num_qubits)
+            ops.append(sv.Op("cnot", (c, (c + 1 + rng.integer(num_qubits - 1)) % num_qubits)))
+        else:
+            gate = "ry" if rng.integer(2) else "rz"
+            ops.append(sv.Op(gate, (rng.integer(num_qubits),), param=rng.integer(6),
+                             scale=rng.uniform(0.5, 2.0)))
+    return sv.Circuit(num_qubits=num_qubits, ops=tuple(ops))
+
+
+class TestCompiledBlock:
+    def random_case(self, rng, rows):
+        circuit = encoded_random_circuit(rng, 3, 14)
+        params = np.array([rng.uniform(-np.pi, np.pi) for _ in range(circuit.num_params())])
+        inputs = np.array([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(rows)])
+        return circuit, params, inputs
+
+    def test_product_state_is_the_encoding(self):
+        rng = Rng(10)
+        encoding = sv.Circuit(
+            num_qubits=3, ops=tuple(sv.Op("ry", (q,), input_slot=q) for q in range(3))
+        )
+        angles = np.array([[rng.uniform(-4, 4) for _ in range(3)] for _ in range(6)])
+        np.testing.assert_allclose(
+            sv.ry_product_state(angles), sv.run_circuit(encoding, np.zeros(0), angles), atol=1e-15
+        )
+        exact = sv.ry_product_state_jacobian(angles)
+        eps = 1e-6
+        for q in range(3):
+            step = np.zeros(3)
+            step[q] = eps
+            fd = (sv.ry_product_state(angles + step) - sv.ry_product_state(angles - step)) / (2 * eps)
+            np.testing.assert_allclose(exact[:, q], fd, atol=1e-9)
+
+    def test_matches_gate_by_gate_circuit(self):
+        rng = Rng(11)
+        for _ in range(10):
+            circuit, params, inputs = self.random_case(rng, 5)
+            states = sv.ry_product_state(np.pi * inputs)
+            block = sv.compile_block(circuit, params)
+            np.testing.assert_allclose(
+                states @ block.transfer, sv.run_circuit(circuit, params, inputs), atol=1e-13
+            )
+            np.testing.assert_allclose(
+                sv.block_expectations(block, states),
+                sv.circuit_expectations(circuit, params, inputs),
+                atol=1e-13,
+            )
+
+    def test_adjoint_grad_matches_shift_rule(self):
+        rng = Rng(12)
+        for rows in (1, 7):
+            for _ in range(5):
+                circuit, params, inputs = self.random_case(rng, rows)
+                weights_per_row = np.array(
+                    [[rng.uniform(-1, 1) for _ in range(3)] for _ in range(rows)]
+                )
+                states = sv.ry_product_state(np.pi * inputs)
+                weights = np.einsum("mq,mi,mj->qij", weights_per_row, states, states)
+                exact = sv.block_adjoint_grad(sv.compile_block(circuit, params), weights)
+                shifted = sv.param_shift_grad_all(circuit, params, inputs)
+                oracle = np.einsum("jmq,mq->j", shifted, weights_per_row)
+                np.testing.assert_allclose(exact, oracle, atol=1e-12)
+
+    def test_block_must_follow_the_encoding(self):
+        circuit = sv.Circuit(
+            num_qubits=2,
+            ops=(sv.Op("ry", (0,), param=0), sv.Op("ry", (1,), input_slot=0)),
+        )
+        with pytest.raises(ValueError):
+            sv.compile_block(circuit, np.zeros(1))
