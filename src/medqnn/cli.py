@@ -139,16 +139,17 @@ def _run(args, argv: list[str]) -> int:
     A body takes (args, config, out, splits), where splits is None for a
     command without ``--archive``, and returns (artifacts, summary). A
     command may also set ``args.check``, which validates the resolved
-    config before the output directory or the archive is touched.
+    config before the archive is read. The output directory is created
+    only once the config and the archive have passed.
     """
     config = _resolve_config(args)
     if hasattr(args, "check"):
         args.check(config)  # a bad config exits 3 before any input is read
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
     takes_archive = hasattr(args, "archive")
     splits = _load_verified_archive(args) if takes_archive else None
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     artifacts, summary = args.func(args, config, out, splits)
     checksums = {args.dataset: data.sha256_of_file(args.archive)} if takes_archive else {}
     _write_manifest(out, argv, config, checksums, artifacts, started, summary)
@@ -461,10 +462,15 @@ def cmd_stats(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
 
 # --- pca report ------------------------------------------------------------
 
+def _pca_report_config(config: dict) -> None:
+    if config["pca_components"] < 1:
+        raise ConfigError(f"--k must be >= 1, got {config['pca_components']}")
+
+
 def cmd_pca_report(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
     train_split = splits[0]
     images = train_split.flat_images()
-    if not 1 <= config["pca_components"] <= images.shape[1]:
+    if config["pca_components"] > images.shape[1]:
         raise ConfigError(f"--k must lie in [1, {images.shape[1]}], got {config['pca_components']}")
     model = pca.fit(images, config["pca_components"])
     ratios = model.explained_variance_ratio
@@ -555,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pca = subs.add_parser("pca-report", help="explained-variance table for a dataset")
     _add_common(p_pca)
     p_pca.add_argument("--k", dest="pca_components", type=int, default=None)
-    p_pca.set_defaults(func=cmd_pca_report)
+    p_pca.set_defaults(func=cmd_pca_report, check=_pca_report_config)
 
     return parser
 

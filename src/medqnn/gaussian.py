@@ -10,10 +10,15 @@ vacuum covariance is the identity, which puts the uncertainty bound at
 
 Gates act affinely on the moments: mean -> S mean + d, cov -> S cov S^T,
 with S symplectic (S Omega S^T = Omega). All operations return new states.
+Each gate constructor also takes a sequence of distinct modes (or mode
+pairs) with one parameter per gate and returns the product of those
+gates, so a layer's stage of commuting gates is built in one call. Extra
+leading axes on the parameters give a stack of such matrices.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,53 +63,96 @@ def _check_mode(state: GaussianState, mode: int) -> None:
         raise ValueError(f"mode {mode} out of range for {state.num_modes} modes")
 
 
-def displacement_vector(num_modes: int, mode: int, r_d: float, phi_d: float) -> np.ndarray:
-    d = np.zeros(2 * num_modes)
-    d[mode] = np.sqrt(2.0) * r_d * np.cos(phi_d)
-    d[num_modes + mode] = np.sqrt(2.0) * r_d * np.sin(phi_d)
+@functools.lru_cache(maxsize=None)
+def _layout(num_modes: int, groups: tuple[tuple[int, ...], ...]):
+    """Each gate's quadratures, their blocks' flat positions and the identity.
+
+    ``groups`` holds one tuple per mode slot of a gate (one slot for
+    single-mode gates, mode_a and mode_b for beamsplitters), with one entry
+    per gate. A gate's quadratures are its modes' x, then their p. The
+    positions, shape (b * b, gates), run over the b x b block row-major.
+    The gates must act on distinct modes: then they commute, and writing
+    their blocks into one matrix is their product.
+    """
+    flat = [mode for group in groups for mode in group]
+    if len(set(flat)) != len(flat) or not all(0 <= mode < num_modes for mode in flat):
+        raise ValueError(f"gates need distinct modes in [0, {num_modes}), got {groups}")
+    size = 2 * num_modes
+    modes = np.array(groups)  # (slots, gates)
+    quadratures = np.concatenate([modes, num_modes + modes])  # (b, gates)
+    index = (quadratures[:, None] * size + quadratures[None, :]).reshape(-1, modes.shape[1])
+    identity = np.eye(size).reshape(-1)
+    for array in (quadratures, index, identity):
+        array.flags.writeable = False
+    return quadratures, index, identity
+
+
+def _quadratures(num_modes: int, *groups):
+    return _layout(num_modes, tuple(tuple(np.asarray(group).reshape(-1).tolist()) for group in groups))
+
+
+def _embed(num_modes: int, groups: tuple, entries: list) -> np.ndarray:
+    """Identity with each gate's b x b block written over its quadratures.
+
+    ``entries`` holds the block's b * b values row-major, each a scalar or
+    an array of shape (..., gates); the result has shape (..., 2n, 2n).
+    """
+    _, index, identity = _quadratures(num_modes, *groups)
+    values = np.array(entries)
+    lead = values.shape[1:-1]
+    stack = np.empty(lead + identity.shape)
+    rows = stack.reshape(-1, identity.size)  # one flattened matrix per row, a view
+    rows[:] = identity
+    # (entries, gates, matrices) against the transposed rows
+    rows.T[index] = values.reshape(len(index), -1, index.shape[1]).swapaxes(1, 2)
+    return stack.reshape(lead + (2 * num_modes, 2 * num_modes))
+
+
+def displacement_vector(num_modes: int, mode, r_d, phi_d) -> np.ndarray:
+    """Mean shift of D(r_d e^{i phi_d}) on ``mode``.
+
+    Like every gate constructor below, it also takes a sequence of
+    distinct modes with parameters of shape (..., modes) and returns the
+    combined action of those gates, shape (..., 2n).
+    """
+    quadratures, _, _ = _quadratures(num_modes, mode)
+    amplitude = np.sqrt(2.0) * np.asarray(r_d, dtype=float)
+    d = np.zeros(amplitude.shape[:-1] + (2 * num_modes,))
+    d[..., quadratures[0]] = amplitude * np.cos(phi_d)
+    d[..., quadratures[1]] = amplitude * np.sin(phi_d)
     return d
 
 
-def rotation_symplectic(num_modes: int, mode: int, phi: float) -> np.ndarray:
-    s = np.eye(2 * num_modes)
+def rotation_symplectic(num_modes: int, mode, phi) -> np.ndarray:
     c, sn = np.cos(phi), np.sin(phi)
-    x, p = mode, num_modes + mode
-    s[x, x], s[x, p] = c, -sn
-    s[p, x], s[p, p] = sn, c
-    return s
+    return _embed(num_modes, (mode,), [c, -sn, sn, c])
 
 
-def squeeze_symplectic(num_modes: int, mode: int, r: float) -> np.ndarray:
-    if abs(r) > SQUEEZE_LIMIT:
-        raise ValueError(f"squeeze magnitude |{r}| exceeds overflow guard {SQUEEZE_LIMIT}")
-    s = np.eye(2 * num_modes)
-    s[mode, mode] = np.exp(-r)
-    s[num_modes + mode, num_modes + mode] = np.exp(r)
-    return s
+def squeeze_symplectic(num_modes: int, mode, r) -> np.ndarray:
+    """diag(e^-r, e^r) on (x, p); ValueError when any |r| exceeds ``SQUEEZE_LIMIT``."""
+    worst = np.abs(r).max()
+    if worst > SQUEEZE_LIMIT:
+        raise ValueError(f"squeeze magnitude |{worst}| exceeds overflow guard {SQUEEZE_LIMIT}")
+    zero = np.zeros(np.shape(r))
+    return _embed(num_modes, (mode,), [np.exp(-r), zero, zero, np.exp(r)])
 
 
-def beamsplitter_symplectic(
-    num_modes: int, mode_a: int, mode_b: int, theta: float, phi: float
-) -> np.ndarray:
+def beamsplitter_symplectic(num_modes: int, mode_a, mode_b, theta, phi) -> np.ndarray:
     """Two-mode mixing derived from the mode transformation
     a1 -> cos(theta) a1 - e^{i phi} sin(theta) a2,
     a2 -> e^{-i phi} sin(theta) a1 + cos(theta) a2
-    via a = (x + i p) / sqrt(2).
+    via a = (x + i p) / sqrt(2); theta and phi share one shape.
     """
     ct, st = np.cos(theta), np.sin(theta)
-    cp, sp = np.cos(phi), np.sin(phi)
-    s = np.eye(2 * num_modes)
-    xa, pa = mode_a, num_modes + mode_a
-    xb, pb = mode_b, num_modes + mode_b
-    # x_a' = ct x_a - st (cp x_b - sp p_b)
-    s[xa, xa], s[xa, xb], s[xa, pb] = ct, -st * cp, st * sp
-    # p_a' = ct p_a - st (sp x_b + cp p_b)
-    s[pa, pa], s[pa, xb], s[pa, pb] = ct, -st * sp, -st * cp
-    # x_b' = st (cp x_a + sp p_a) + ct x_b
-    s[xb, xb], s[xb, xa], s[xb, pa] = ct, st * cp, st * sp
-    # p_b' = st (-sp x_a + cp p_a) + ct p_b
-    s[pb, pb], s[pb, xa], s[pb, pa] = ct, -st * sp, st * cp
-    return s
+    stcp, stsp = st * np.cos(phi), st * np.sin(phi)
+    zero = np.zeros(np.shape(ct))
+    # block rows and columns (x_a, x_b, p_a, p_b)
+    return _embed(num_modes, (mode_a, mode_b), [
+        ct, -stcp, zero, stsp,   # x_a' = ct x_a - st (cp x_b - sp p_b)
+        stcp, ct, stsp, zero,    # x_b' = st (cp x_a + sp p_a) + ct x_b
+        zero, -stsp, ct, -stcp,  # p_a' = ct p_a - st (sp x_b + cp p_b)
+        -stsp, zero, stcp, ct,   # p_b' = st (-sp x_a + cp p_a) + ct p_b
+    ])
 
 
 def _apply_symplectic(state: GaussianState, s: np.ndarray) -> GaussianState:

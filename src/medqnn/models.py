@@ -24,18 +24,21 @@ Neither circuit's variational block depends on the batch, so each is
 compiled once per call and all gradients are exact:
 
 * CV: the block is an affine map (S, d) of the quadrature means
-  (Weedbrook et al., RMP 84, 621, arXiv:1110.3234). The loss reaches the
-  parameters only through A = S[:4, :4] and b = d[:4], so one reverse
-  sweep through the 28 gates gives every partial derivative.
+  (Weedbrook et al., RMP 84, 621, arXiv:1110.3234). Each layer is four
+  stages of commuting gates on distinct modes (displacements, rotations,
+  squeezes, the beamsplitter pair), each one vector or 8 x 8 matrix. The
+  loss reaches the parameters only through A = S[:4, :4] and b = d[:4],
+  so one reverse sweep through the 8 stages gives every partial
+  derivative, each gate's read from its own modes' block.
 * DV: the encoding is a real product state psi and the block one 16 x 16
-  unitary U, so <Z_q> = |U psi|^2 . z_q, and one adjoint sweep over the
-  block gives every parameter gradient for the whole batch.
+  unitary U, so <Z_q> = |U psi|^2 . z_q. U is the product of 10 moments
+  (per layer four rotation stages, then the CNOT pair), and one adjoint
+  sweep over them gives every parameter gradient for the whole batch.
 * Head: softmax cross-entropy in closed form; classical net: backprop.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -127,91 +130,104 @@ def _head(model: HybridModel, outputs: np.ndarray) -> np.ndarray:
 
 # --- CV ----------------------------------------------------------------------
 
-def _cv_gates(circuit_params: np.ndarray) -> list[tuple[str, int, int, np.ndarray]]:
-    """The block's 28 gates in application order as (kind, first parameter
-    index, mode, gate); a displacement's gate is its vector, every other
-    gate's its symplectic matrix."""
+_CV_MODES = tuple(range(NUM_MODES))
+_BS_A, _BS_B = (0, 2), (1, 3)  # each layer's beamsplitters mix modes (0, 1) and (2, 3)
+# (theta, phi) offsets of a beamsplitter stage's variants: the stage itself,
+# then theta + and - pi/2, then phi + and - pi/2
+_BS_SHIFTS = np.pi / 2.0 * np.array([[0.0, 1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, -1.0]])
+_SYMPLECTIC_STAGES = ("rotation", "squeeze", "beamsplitter")  # after each layer's displacements
+
+
+def _cv_stages(circuit_params: np.ndarray) -> dict[str, np.ndarray]:
+    """Each kind of stage for every layer, stacked over the layers.
+
+    A layer applies displacements (vectors, shape (layers, 2n)), then
+    rotations, squeezes and the beamsplitter pair (symplectic matrices,
+    (layers, 2n, 2n)). A stage's gates act on distinct modes, so one
+    constructor call builds one kind of stage for all layers. "shifted"
+    holds the four beamsplitter stages with one angle moved by +-pi/2
+    that the gradient needs, (layers, 4, 2n, 2n).
+    """
     n = NUM_MODES
-    gates = []
+    layers = circuit_params.reshape(NUM_LAYERS, PARAMS_PER_LAYER)
     try:
-        for layer in range(NUM_LAYERS):
-            base = layer * PARAMS_PER_LAYER
-            p = circuit_params[base : base + PARAMS_PER_LAYER]
-            for mode in range(n):
-                gates.append(("displacement", base + mode, mode,
-                              gaussian.displacement_vector(n, mode, p[mode], 0.0)))
-            for mode in range(n):
-                gates.append(("rotation", base + 4 + mode, mode,
-                              gaussian.rotation_symplectic(n, mode, p[4 + mode])))
-            for mode in range(n):
-                gates.append(("squeeze", base + 8 + mode, mode,
-                              gaussian.squeeze_symplectic(n, mode, p[8 + mode])))
-            for pair, mode in enumerate((0, 2)):
-                j = 12 + 2 * pair
-                gates.append(("beamsplitter", base + j, mode,
-                              gaussian.beamsplitter_symplectic(n, mode, mode + 1, p[j], p[j + 1])))
-    except ValueError as exc:  # the squeeze overflow guard, the gates' only check
+        squeezes = gaussian.squeeze_symplectic(n, _CV_MODES, layers[:, 8:12])
+    except ValueError as exc:  # the squeeze overflow guard
         raise NumericError(str(exc)) from exc
-    return gates
+    beamsplitters = gaussian.beamsplitter_symplectic(
+        n, _BS_A, _BS_B,
+        layers[:, None, 12:16:2] + _BS_SHIFTS[0][:, None],
+        layers[:, None, 13:16:2] + _BS_SHIFTS[1][:, None],
+    )
+    return {
+        "displacement": gaussian.displacement_vector(n, _CV_MODES, layers[:, 0:4], 0.0),
+        "rotation": gaussian.rotation_symplectic(n, _CV_MODES, layers[:, 4:8]),
+        "squeeze": squeezes,
+        "beamsplitter": beamsplitters[:, 0],
+        "shifted": beamsplitters[:, 1:],
+    }
 
 
 def _cv_transform(circuit_params: np.ndarray):
     """Accumulated affine action (S, d) of the variational layers on the
-    mean, and each gate with the (S, d) it was applied to."""
-    s_total = np.eye(2 * NUM_MODES)
-    d_total = np.zeros(2 * NUM_MODES)
-    steps = []
-    for gate in _cv_gates(circuit_params):
-        steps.append((gate, s_total, d_total))
-        kind, _, _, matrix = gate
-        if kind == "displacement":
-            d_total = d_total + matrix
-        else:
-            s_total = matrix @ s_total
-            d_total = matrix @ d_total
-    return s_total, d_total, steps
+    mean, and the record the backward pass needs: the stages, and the
+    [S | d] each symplectic stage was applied to, in order."""
+    stages = _cv_stages(circuit_params)
+    affine = np.eye(2 * NUM_MODES, 2 * NUM_MODES + 1)  # [S | d]
+    inputs = []
+    for layer in range(NUM_LAYERS):
+        affine = affine.copy()
+        affine[:, -1] += stages["displacement"][layer]
+        for kind in _SYMPLECTIC_STAGES:
+            inputs.append(affine)
+            affine = stages[kind][layer] @ affine
+    return affine[:, :-1], affine[:, -1], (stages, inputs)
+
+
+def _mode_blocks(matrices: np.ndarray) -> np.ndarray:
+    """(..., 2n, 2n) -> (..., 2, 2, n): [..., :, :, i] is mode i's block on (x_i, p_i)."""
+    n = matrices.shape[-1] // 2
+    return matrices.reshape(matrices.shape[:-2] + (2, n, 2, n)).diagonal(axis1=-3, axis2=-1)
 
 
 def _cv_forward(circuit_params: np.ndarray, z: np.ndarray):
     """<x_i> for standardized inputs z of shape (m, 4), and the backward pass.
 
     The encoded means sqrt(2) z live on x only, so the outputs are
-    sqrt(2) z A^T + b with A = S[:4, :4], b = d[:4]; only the x columns
-    of S reach the loss.
+    sqrt(2) z A^T + b with A = S[:4, :4], b = d[:4]; only those entries
+    of [S | d] reach the loss.
     """
-    s_total, d_total, steps = _cv_transform(circuit_params)
+    s_total, d_total, (stages, inputs) = _cv_transform(circuit_params)
     outputs = np.sqrt(2.0) * z @ s_total[:NUM_MODES, :NUM_MODES].T + d_total[:NUM_MODES]
 
     def backward(d_outputs: np.ndarray) -> np.ndarray:
         n = NUM_MODES
-        bar_s = np.zeros((2 * n, n))  # dL / dS[:, :4]
-        bar_s[:n] = np.sqrt(2.0) * d_outputs.T @ z
-        bar_d = np.zeros(2 * n)
-        bar_d[:n] = d_outputs.sum(axis=0)
-        grad = np.zeros(NUM_CIRCUIT_PARAMS)
-        for (kind, index, mode, gate), s_before, d_before in reversed(steps):
-            if kind == "displacement":  # d/dr of sqrt(2) r (cos 0, sin 0) on mode
-                grad[index] = np.sqrt(2.0) * bar_d[mode]
-                continue
-            bar_gate = bar_s @ s_before[:, :n].T + bar_d[:, None] * d_before  # dL / dgate
-            x, p = mode, n + mode
-            if kind == "squeeze":  # diag(e^-r, e^r) on (x, p) of mode
-                grad[index] = gate[p, p] * bar_gate[p, p] - gate[x, x] * bar_gate[x, x]
-            elif kind == "rotation":  # [[cos, -sin], [sin, cos]] on (x, p) of mode
-                cos, sin = gate[x, x], gate[p, x]
-                grad[index] = (cos * (bar_gate[p, x] - bar_gate[x, p])
-                               - sin * (bar_gate[x, x] + bar_gate[p, p]))
-            else:
-                # Each entry is a cos(t) + b sin(t) + c in either angle t, so
-                # [G(t + pi/2) - G(t - pi/2)] / 2 is the exact derivative.
-                theta, phi = circuit_params[index], circuit_params[index + 1]
-                bs = functools.partial(gaussian.beamsplitter_symplectic, n, mode, mode + 1)
-                h = np.pi / 2.0
-                grad[index] = np.vdot(bs(theta + h, phi) - bs(theta - h, phi), bar_gate) / 2.0
-                grad[index + 1] = np.vdot(bs(theta, phi + h) - bs(theta, phi - h), bar_gate) / 2.0
-            bar_s = gate.T @ bar_s
-            bar_d = gate.T @ bar_d
-        return grad
+        bar = np.zeros((2 * n, 2 * n + 1))  # dL / d[S | d]
+        bar[:n, :n] = np.sqrt(2.0) * d_outputs.T @ z
+        bar[:n, -1] = d_outputs.sum(axis=0)
+        grad = np.zeros((NUM_LAYERS, PARAMS_PER_LAYER))
+        adjoints = []  # dL / d(output of each symplectic stage), last stage first
+        for layer in reversed(range(NUM_LAYERS)):
+            for kind in reversed(_SYMPLECTIC_STAGES):
+                adjoints.append(bar)
+                bar = stages[kind][layer].T @ bar
+            grad[layer, 0:4] = np.sqrt(2.0) * bar[:n, -1]  # d/dr of sqrt(2) r (cos 0, sin 0)
+        # dL / dstage, (layer, stage, 2n, 2n); each gate's partials read only its own modes' entries
+        bar_stages = np.array(adjoints[::-1]) @ np.array(inputs).transpose(0, 2, 1)
+        bar_stages = bar_stages.reshape(NUM_LAYERS, len(_SYMPLECTIC_STAGES), 2 * n, 2 * n)
+        g, b = _mode_blocks(stages["rotation"]), _mode_blocks(bar_stages[:, 0])
+        cos, sin = g[:, 0, 0], g[:, 1, 0]  # [[cos, -sin], [sin, cos]]
+        grad[:, 4:8] = cos * (b[:, 1, 0] - b[:, 0, 1]) - sin * (b[:, 0, 0] + b[:, 1, 1])
+        g, b = _mode_blocks(stages["squeeze"]), _mode_blocks(bar_stages[:, 1])  # diag(e^-r, e^r)
+        grad[:, 8:12] = g[:, 1, 1] * b[:, 1, 1] - g[:, 0, 0] * b[:, 0, 0]
+        # Each beamsplitter entry is a cos(t) + b sin(t) + c in either angle
+        # t, so [G(t + pi/2) - G(t - pi/2)] / 2 is the exact derivative; it
+        # is nonzero only in the rows of the pair that t belongs to.
+        shifted = stages["shifted"]
+        slopes = (shifted[:, 0::2] - shifted[:, 1::2]) / 2.0  # (layer, d/dtheta | d/dphi, 2n, 2n)
+        rows = (slopes * bar_stages[:, 2:]).reshape(NUM_LAYERS, 2, 2, n, 2 * n).sum(axis=(2, 4))
+        grad[:, 12:16] = (rows[..., _BS_A] + rows[..., _BS_B]).swapaxes(1, 2).reshape(NUM_LAYERS, 4)
+        return grad.reshape(-1)
 
     return outputs, backward
 

@@ -14,15 +14,19 @@ lets ``param_shift_grad_all`` shift exactly one source.
 
 A circuit whose input-bound rotations all come first splits into an
 encoding and a variational block, the ops after it. The block does not
-depend on the inputs, so ``compile_block`` runs it once on the basis
-states, giving one 2^n x 2^n matrix for any batch, and
-``block_adjoint_grad`` differentiates it for a whole batch in one sweep
-(Jones & Gacon, arXiv:2009.02823). An RY-only encoding of |0...0> is a
-real product state, ``ry_product_state``.
+depend on the inputs, so ``compile_block`` multiplies it out once, giving
+one 2^n x 2^n matrix for any batch, and ``block_adjoint_grad``
+differentiates it for a whole batch in one sweep (Jones & Gacon,
+arXiv:2009.02823). Both work moment by moment: a moment is a maximal run
+of rotations on distinct qubits (one Kronecker product of 2 x 2s) or a
+run of CNOTs (one basis permutation). Each circuit plans its moments once,
+``Circuit.block_plan``. An RY-only encoding of |0...0> is a real product
+state, ``ry_product_state``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,6 +158,11 @@ class Circuit:
     def num_params(self) -> int:
         return 1 + max((op.param for op in self.ops if op.param is not None), default=-1)
 
+    @functools.cached_property
+    def block_plan(self) -> "BlockPlan":
+        """How ``compile_block`` runs the ops after the encoding, built once."""
+        return _plan_block(self)
+
 
 def _op_angle(op: Op, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     if op.param is not None:
@@ -273,21 +282,23 @@ def param_shift_grad_all(
 
 # --- compiled variational blocks ---------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def z_eigenvalues(num_qubits: int) -> np.ndarray:
     """(2^n, n) table of Z_q on basis states: +1 where bit q is 0, else -1.
 
     ``(|amps|**2) @ z_eigenvalues(n)`` is every ``expect_z_array`` at once.
+    The table is built once per qubit count and is read-only.
     """
     bits = (np.arange(2**num_qubits)[:, None] >> np.arange(num_qubits)) & 1
-    return 1.0 - 2.0 * bits
+    table = 1.0 - 2.0 * bits
+    table.flags.writeable = False
+    return table
 
 
-def _ry_factors(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-qubit factors of each product amplitude, and their angle slopes."""
+def _ry_halves(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half angles, shape (..., 1, n), and where each amplitude has bit q set."""
     half = np.asarray(angles, dtype=float)[..., None, :] / 2.0
-    bits = z_eigenvalues(half.shape[-1]) < 0
-    cos, sin = np.cos(half), np.sin(half)
-    return np.where(bits, sin, cos), 0.5 * np.where(bits, cos, -sin)
+    return half, z_eigenvalues(half.shape[-1]) < 0
 
 
 def ry_product_state(angles: np.ndarray) -> np.ndarray:
@@ -295,13 +306,15 @@ def ry_product_state(angles: np.ndarray) -> np.ndarray:
 
     The state is a product of (cos a_q/2, sin a_q/2) factors, so it is real.
     """
-    factors, _ = _ry_factors(angles)
-    return factors.prod(axis=-1)
+    half, bits = _ry_halves(angles)
+    return np.where(bits, np.sin(half), np.cos(half)).prod(axis=-1)
 
 
 def ry_product_state_jacobian(angles: np.ndarray) -> np.ndarray:
     """d ``ry_product_state`` / d angles[..., q], shape (..., n, 2^n)."""
-    factors, slopes = _ry_factors(angles)
+    half, bits = _ry_halves(angles)
+    cos, sin = np.cos(half), np.sin(half)
+    factors, slopes = np.where(bits, sin, cos), 0.5 * np.where(bits, cos, -sin)
     columns = []
     for qubit in range(factors.shape[-1]):
         varied = factors.copy()
@@ -310,48 +323,126 @@ def ry_product_state_jacobian(angles: np.ndarray) -> np.ndarray:
     return np.stack(columns, axis=-2)
 
 
-def _rotation_matrix(gate: str, angle: float) -> np.ndarray:
-    return ry_matrix(angle) if gate == "ry" else rz_matrix(angle)
+_GENERATORS = {"ry": [[0.0, -1.0], [1.0, 0.0]], "rz": [[-1j, 0.0], [0.0, 1j]]}  # R(pi)
+
+
+@dataclass(frozen=True)
+class BlockPlan:
+    """A circuit's variational block grouped into moments.
+
+    A moment is a maximal run of rotations on distinct qubits, or a run of
+    CNOTs. ``steps`` runs the block in order: an int k applies rotation
+    moment k, an index array ``perm`` maps amplitudes ``psi -> psi[perm]``
+    for a CNOT run. The remaining arrays list the block's rotations in
+    order: their moment, qubit, parameter and scale; their gate's R(pi),
+    -i Y or -i Z, so that R(theta) = cos(theta/2) I + sin(theta/2) R(pi);
+    and ``block_entries``, where entry (a, b) of the rotation's qubit block
+    lies in its moment's stacked 2^n x 2^n matrices, once per state of the
+    other qubits.
+    """
+
+    steps: tuple[int | np.ndarray, ...]
+    num_moments: int
+    num_params: int
+    moment: np.ndarray
+    qubit: np.ndarray
+    param: np.ndarray
+    scale: np.ndarray
+    generators: np.ndarray  # (rotations, 2, 2)
+    block_entries: np.ndarray  # (rotations, 2, 2, 2^(n-1)) flat positions
+
+
+def _plan_block(circuit: Circuit) -> BlockPlan:
+    start = 1 + max((i for i, op in enumerate(circuit.ops) if op.input_slot is not None), default=-1)
+    if any(op.input_slot is None for op in circuit.ops[:start]):
+        raise ValueError("the input-bound ops must all come before the block's ops")
+    basis = np.arange(2**circuit.num_qubits)
+    steps: list[int | np.ndarray] = []
+    rotations: list[tuple[int, Op]] = []  # (moment, op)
+    num_moments = 0
+    busy: set[int] | None = None  # qubits of the open rotation moment
+    for op in circuit.ops[start:]:
+        if op.gate == "cnot":
+            control, target = op.qubits
+            flip = basis ^ (((basis >> control) & 1) << target)
+            if busy is None and steps:
+                steps[-1] = steps[-1][flip]  # extend the open CNOT run
+            else:
+                steps.append(flip)
+            busy = None
+            continue
+        if op.param is None:
+            raise ValueError("every op after the encoding must be a cnot or bound to a parameter")
+        if busy is None or op.qubits[0] in busy:
+            steps.append(num_moments)
+            num_moments += 1
+            busy = set()
+        busy.add(op.qubits[0])
+        rotations.append((num_moments - 1, op))
+    generators = np.array([_GENERATORS[op.gate] for _, op in rotations], dtype=complex)
+    moment = np.array([moment for moment, _ in rotations], dtype=int)
+    qubit = np.array([op.qubits[0] for _, op in rotations], dtype=int)
+    clear = np.array([basis[(basis >> q) & 1 == 0] for q in range(circuit.num_qubits)])
+    rest = clear[qubit][:, None, None, :]  # basis states with the rotation's qubit at 0
+    bit = (1 << qubit)[:, None, None, None]
+    a, b = np.arange(2)[:, None, None], np.arange(2)[None, :, None]
+    size = len(basis)
+    return BlockPlan(
+        steps=tuple(steps),
+        num_moments=num_moments,
+        num_params=circuit.num_params(),
+        moment=moment,
+        qubit=qubit,
+        param=np.array([op.param for _, op in rotations], dtype=int),
+        scale=np.array([op.scale for _, op in rotations], dtype=float),
+        generators=generators.reshape(-1, 2, 2),
+        block_entries=(moment[:, None, None, None] * size + rest + a * bit) * size + rest + b * bit,
+    )
 
 
 @dataclass(frozen=True)
 class CompiledBlock:
     """A circuit's variational block, bound to parameter values.
 
-    The block is every op after the input-bound ones. ``prefixes[k]`` is
-    the product of its first k ops, transposed: a row stack of states
-    leaves those ops as ``states @ prefixes[k]``. The last prefix is the
-    whole block, U^T.
+    ``prefixes[k]`` is the product of the block's ops through the end of
+    rotation moment k, transposed: a row stack of states leaves those ops
+    as ``states @ prefixes[k]``. ``transfer`` is the whole block, U^T.
     """
 
     circuit: Circuit
-    ops: tuple[Op, ...]
-    prefixes: tuple[np.ndarray, ...]
-
-    @property
-    def transfer(self) -> np.ndarray:
-        return self.prefixes[-1]
+    plan: BlockPlan
+    prefixes: np.ndarray  # (moments, 2^n, 2^n)
+    transfer: np.ndarray
 
 
 def compile_block(circuit: Circuit, params: np.ndarray) -> CompiledBlock:
-    """Run the basis states through the block once, keeping every prefix."""
-    start = 1 + max((i for i, op in enumerate(circuit.ops) if op.input_slot is not None), default=-1)
-    if any(op.input_slot is None for op in circuit.ops[:start]):
-        raise ValueError("the input-bound ops must all come before the block's ops")
-    ops = circuit.ops[start:]
+    """Build each moment as one 2^n x 2^n matrix and multiply them out once.
+
+    Every rotation's 2 x 2 comes from one vectorized expression; a
+    rotation moment is the Kronecker product of its qubits' 2 x 2s
+    (identity on the qubits it leaves alone), and a CNOT run is a column
+    permutation.
+    """
+    plan = circuit.block_plan
     n = circuit.num_qubits
+    half = (plan.scale * np.asarray(params, dtype=float)[plan.param] / 2.0)[:, None, None]
+    factors = np.broadcast_to(np.eye(2, dtype=complex), (plan.num_moments, n, 2, 2)).copy()
+    factors[plan.moment, plan.qubit] = np.cos(half) * np.eye(2) + np.sin(half) * plan.generators
+    moments = factors[:, n - 1]
+    for qubit in range(n - 2, -1, -1):  # qubit 0 is the least significant bit
+        size = 2 * moments.shape[-1]
+        moments = (moments[:, :, None, :, None] * factors[:, qubit, None, :, None, :]).reshape(
+            -1, size, size
+        )
     rows = np.eye(2**n, dtype=complex)
-    prefixes = [rows]
-    for op in ops:
-        if op.gate == "cnot":
-            rows = apply_cnot_array(rows, op.qubits[0], op.qubits[1], n)
-        elif op.param is None:
-            raise ValueError("every op after the encoding must be a cnot or bound to a parameter")
+    prefixes = []
+    for step in plan.steps:
+        if isinstance(step, int):
+            rows = rows @ moments[step].T
+            prefixes.append(rows)
         else:
-            matrix = _rotation_matrix(op.gate, op.scale * params[op.param])
-            rows = apply_1q_array(rows, matrix, op.qubits[0], n)
-        prefixes.append(rows)
-    return CompiledBlock(circuit, ops, tuple(prefixes))
+            rows = rows[:, step]
+    return CompiledBlock(circuit, plan, np.reshape(prefixes, (-1, 2**n, 2**n)), rows)
 
 
 def block_expectations(block: CompiledBlock, states: np.ndarray) -> np.ndarray:
@@ -368,23 +459,23 @@ def block_adjoint_grad(block: CompiledBlock, weights: np.ndarray) -> np.ndarray:
     is sum_{m,q} c[m, q] <Z_q>_m, and its gradient costs the same for any
     batch size.
 
-    With P the product of the ops before a rotation R(theta) and
-    dR/dtheta = R(theta + pi) / 2 = R(theta) R(pi) / 2, the rotation adds
+    With P the product of the ops through a rotation R(theta) and
+    dR/dtheta = R(pi) R(theta) / 2, the rotation adds
     Re tr(R(pi) P T P^dagger), where T = sum_q W_q U^dagger Z_q U is
     built once from the adjoint observables (Jones & Gacon,
-    arXiv:2009.02823). Only the qubit's 2 x 2 block of P T P^dagger enters.
+    arXiv:2009.02823). R(pi) commutes with the other rotations of its
+    moment, so P may run through the end of the moment: one P T P^dagger
+    per moment serves all its rotations, each reading its qubit's 2 x 2
+    block (the partial trace over the other qubits).
     """
-    n = block.circuit.num_qubits
+    plan = block.plan
     transfer = block.transfer
-    observables = (transfer.conj()[None] * z_eigenvalues(n).T[:, None, :]) @ transfer.T
-    product = np.einsum("qab,qbc->ac", weights, observables)  # T
-    generators = {gate: _rotation_matrix(gate, np.pi) for gate in ("ry", "rz")}
-    grads = np.zeros(block.circuit.num_params())
-    for op, prefix in zip(block.ops, block.prefixes):
-        if op.param is None:
-            continue
-        qubit = op.qubits[0]
-        high, low = 2 ** (n - 1 - qubit), 2**qubit
-        moved = (prefix.T @ product @ prefix.conj()).reshape(high, 2, low, high, 2, low)
-        grads[op.param] += op.scale * np.einsum("rc,hclhrl->", generators[op.gate], moved).real
+    z = z_eigenvalues(block.circuit.num_qubits)
+    observables = (transfer.conj()[None] * z.T[:, None, :]) @ transfer.T
+    product = (weights @ observables).sum(axis=0)  # T
+    moved = np.swapaxes(block.prefixes, 1, 2) @ product @ block.prefixes.conj()
+    blocks = moved.reshape(-1)[plan.block_entries].sum(axis=-1)  # (rotations, 2, 2)
+    parts = plan.scale * np.einsum("rab,rba->r", plan.generators, blocks).real
+    grads = np.zeros(plan.num_params)
+    np.add.at(grads, plan.param, parts)
     return grads

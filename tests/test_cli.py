@@ -499,6 +499,8 @@ BAD_INPUTS = [  # (case, documented exit code, argv template)
     ("binary test split with one class", 2,
      "eval --dataset toyset --archive {one_class} --checkpoint {checkpoint} --pca {pca}"),
     ("pca-report --k 0", 3, f"{PCA_REPORT} --k 0"),
+    ("pca-report --k 0 with a missing archive", 3,
+     "pca-report --dataset toyset --archive {missing_archive} --k 0"),
     ("pca-report --k above the pixel count", 3, f"{PCA_REPORT} --k 785"),
     ("missing fold metrics", 2, "stats --classical {nope} --dv {nope} --cv {nope}"),
     ("stats --alpha 1.5", 3, f"{STATS} --alpha 1.5"),
@@ -525,3 +527,14 @@ def test_bad_input_exits_with_documented_code(
     argv = [token.format(**files) for token in template.split()]
     assert run_cli(*argv, "--out", str(tmp_path / "out")) == expected
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expected, argv", [
+    (2, ["eval", "--checkpoint", "model.json", "--pca", "pca.json"]),
+    (3, ["pca-report", "--k", "0"]),
+], ids=["data error", "config error"])
+def test_failed_command_leaves_no_output_directory(tmp_path, expected, argv):
+    out = tmp_path / "o2"
+    missing = str(tmp_path / "missing.npz")
+    assert run_cli(*argv, "--dataset", "toyset", "--archive", missing, "--out", str(out)) == expected
+    assert not out.exists()

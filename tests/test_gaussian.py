@@ -140,6 +140,69 @@ class TestBeamsplitter:
             gaussian.apply_beamsplitter(gaussian.vacuum_state(2), 1, 1, 0.3, 0.0)
 
 
+class TestStageConstructors:
+    """A sequence of distinct modes builds the product of the scalar gates."""
+
+    def angles(self, rng, *shape):
+        return np.array([rng.uniform(-2, 2) for _ in range(int(np.prod(shape)))]).reshape(shape)
+
+    def test_each_equals_the_product_of_its_scalar_calls(self):
+        rng = Rng(9)
+        modes, pairs = [2, 0, 3], ([3, 0], [1, 2])
+        phi, r, amp = self.angles(rng, 3), self.angles(rng, 3), self.angles(rng, 3)
+        theta, bs_phi = self.angles(rng, 2), self.angles(rng, 2)
+        stages = [
+            (gaussian.rotation_symplectic(4, modes, phi),
+             [gaussian.rotation_symplectic(4, m, a) for m, a in zip(modes, phi)]),
+            (gaussian.squeeze_symplectic(4, modes, r),
+             [gaussian.squeeze_symplectic(4, m, a) for m, a in zip(modes, r)]),
+            (gaussian.beamsplitter_symplectic(4, *pairs, theta, bs_phi),
+             [gaussian.beamsplitter_symplectic(4, a, b, t, f)
+              for a, b, t, f in zip(*pairs, theta, bs_phi)]),
+        ]
+        for stage, gates in stages:
+            product = np.eye(8)
+            for gate in gates:
+                product = gate @ product
+            np.testing.assert_array_equal(stage, product)
+        shift = sum(gaussian.displacement_vector(4, m, a, 0.7) for m, a in zip(modes, amp))
+        np.testing.assert_array_equal(gaussian.displacement_vector(4, modes, amp, 0.7), shift)
+
+    def test_leading_axes_give_a_stack(self):
+        rng = Rng(10)
+        phi, theta, bs_phi = self.angles(rng, 2, 3, 4), self.angles(rng, 5, 2), self.angles(rng, 5, 2)
+        stack = gaussian.rotation_symplectic(4, range(4), phi)
+        assert stack.shape == (2, 3, 8, 8)
+        np.testing.assert_array_equal(stack[1, 2], gaussian.rotation_symplectic(4, range(4), phi[1, 2]))
+        stack = gaussian.beamsplitter_symplectic(4, (0, 2), (1, 3), theta, bs_phi)
+        assert stack.shape == (5, 8, 8)
+        np.testing.assert_array_equal(
+            stack[3], gaussian.beamsplitter_symplectic(4, (0, 2), (1, 3), theta[3], bs_phi[3])
+        )
+        shifts = gaussian.displacement_vector(4, range(4), phi[0], 0.0)
+        assert shifts.shape == (3, 8)
+
+    @pytest.mark.parametrize("r", [
+        [0.1, 20.5, -0.3],
+        [0.1, 0.2, -20.5],
+        [[0.1, 0.2, 0.3], [0.1, -21.0, 0.2]],
+    ])
+    def test_squeeze_guard_covers_every_entry(self, r):
+        with pytest.raises(ValueError, match="overflow guard"):
+            gaussian.squeeze_symplectic(4, [0, 1, 2], np.array(r))
+
+    def test_guard_limit_itself_is_allowed(self):
+        s = gaussian.squeeze_symplectic(4, [0, 1], np.array([gaussian.SQUEEZE_LIMIT, -1.0]))
+        assert s[0, 0] == np.exp(-gaussian.SQUEEZE_LIMIT)
+
+    @pytest.mark.parametrize("modes", [[1, 1], [0, 4], [-1, 2]])
+    def test_repeated_or_out_of_range_modes_rejected(self, modes):
+        with pytest.raises(ValueError, match="distinct modes"):
+            gaussian.rotation_symplectic(4, modes, np.zeros(2))
+        with pytest.raises(ValueError, match="distinct modes"):
+            gaussian.beamsplitter_symplectic(4, modes, [2, 3], np.zeros(2), np.zeros(2))
+
+
 class TestExpectX:
     def test_vacuum(self):
         assert gaussian.expect_x(gaussian.vacuum_state(2), 0) == 0.0

@@ -338,6 +338,60 @@ def old_cv_fd_grad(model, features, labels):
     return fd_loss_gradient(model, features, labels, eps=1e-4)[: models.NUM_CIRCUIT_PARAMS]
 
 
+def old_cv_circuit_grad(model, features, labels):
+    """The CV circuit gradient before the gates were fused into stages: a
+    reverse sweep through the 28 gates one at a time, each built by a
+    scalar constructor call, contracted with the output adjoint."""
+    n, params = 4, model.circuit_params
+    gates = []  # (kind, parameter index, mode, vector or symplectic matrix)
+    for base in (0, 16):
+        p = params[base : base + 16]
+        gates += [("displacement", base + m, m, gaussian.displacement_vector(n, m, p[m], 0.0))
+                  for m in range(n)]
+        gates += [("rotation", base + 4 + m, m, gaussian.rotation_symplectic(n, m, p[4 + m]))
+                  for m in range(n)]
+        gates += [("squeeze", base + 8 + m, m, gaussian.squeeze_symplectic(n, m, p[8 + m]))
+                  for m in range(n)]
+        gates += [("beamsplitter", base + j, m,
+                   gaussian.beamsplitter_symplectic(n, m, m + 1, p[j], p[j + 1]))
+                  for j, m in ((12, 0), (14, 2))]
+    s_total, d_total, steps = np.eye(2 * n), np.zeros(2 * n), []
+    for gate in gates:
+        steps.append((gate, s_total, d_total))
+        if gate[0] == "displacement":
+            d_total = d_total + gate[3]
+        else:
+            s_total, d_total = gate[3] @ s_total, gate[3] @ d_total
+    z = models.standardize(model, features)
+    d_outputs = output_adjoint(model, features, labels)
+    bar_s = np.zeros((2 * n, n))
+    bar_s[:n] = np.sqrt(2.0) * d_outputs.T @ z
+    bar_d = np.zeros(2 * n)
+    bar_d[:n] = d_outputs.sum(axis=0)
+    grad = np.zeros(models.NUM_CIRCUIT_PARAMS)
+    for (kind, index, mode, gate), s_before, d_before in reversed(steps):
+        if kind == "displacement":
+            grad[index] = np.sqrt(2.0) * bar_d[mode]
+            continue
+        bar_gate = bar_s @ s_before[:, :n].T + bar_d[:, None] * d_before
+        x, p = mode, n + mode
+        if kind == "squeeze":
+            grad[index] = gate[p, p] * bar_gate[p, p] - gate[x, x] * bar_gate[x, x]
+        elif kind == "rotation":
+            cos, sin = gate[x, x], gate[p, x]
+            grad[index] = (cos * (bar_gate[p, x] - bar_gate[x, p])
+                           - sin * (bar_gate[x, x] + bar_gate[p, p]))
+        else:
+            theta, phi, h = params[index], params[index + 1], np.pi / 2.0
+            def bs(t, f):
+                return gaussian.beamsplitter_symplectic(n, mode, mode + 1, t, f)
+            grad[index] = np.vdot(bs(theta + h, phi) - bs(theta - h, phi), bar_gate) / 2.0
+            grad[index + 1] = np.vdot(bs(theta, phi + h) - bs(theta, phi - h), bar_gate) / 2.0
+        bar_s = gate.T @ bar_s
+        bar_d = gate.T @ bar_d
+    return grad
+
+
 def richardson_cv_grad(model, features, labels, eps=1e-3):
     """Central differences at eps and eps / 2 combined to cancel their
     eps^2 error term, leaving O(eps^4)."""
@@ -357,6 +411,11 @@ class TestCompiledPathOracles:
         _, grad, _ = models.loss_and_grad(model, features, labels)
         oracle = old_dv_circuit_grad(model, features, labels)
         np.testing.assert_allclose(grad[: models.NUM_CIRCUIT_PARAMS], oracle, rtol=0, atol=1e-12)
+
+    def test_dv_block_is_ten_moments(self):
+        # per layer: RY, RZ, RY, RZ on all four qubits, then the CNOT pair
+        plan = models.build_dv_circuit().block_plan
+        assert len(plan.steps) == 10 and plan.num_moments == 8
 
     @pytest.mark.parametrize("num_classes, rows", COMPILED_CASES)
     def test_dv_predictions_match_gate_by_gate_circuit(self, num_classes, rows):
@@ -397,6 +456,14 @@ class TestCompiledPathOracles:
         old_error = np.abs(old_cv_fd_grad(model, features, labels) - reference).max() / scale
         assert new_error < 1e-7
         assert new_error < old_error
+
+    @pytest.mark.parametrize("num_classes, rows", COMPILED_CASES)
+    def test_cv_stage_sweep_matches_gate_by_gate_sweep(self, num_classes, rows):
+        model = random_model("cv", num_classes, seed=rows + num_classes)
+        features, labels = random_batch(model, rows, seed=rows)
+        _, grad, _ = models.loss_and_grad(model, features, labels)
+        oracle = old_cv_circuit_grad(model, features, labels)
+        np.testing.assert_allclose(grad[: models.NUM_CIRCUIT_PARAMS], oracle, rtol=0, atol=1e-12)
 
     def test_cv_squeeze_past_the_guard_is_a_numeric_error(self):
         model = random_model("cv", 2, seed=0)

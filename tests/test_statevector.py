@@ -367,6 +367,45 @@ class TestCompiledBlock:
                 oracle = np.einsum("jmq,mq->j", shifted, weights_per_row)
                 np.testing.assert_allclose(exact, oracle, atol=1e-12)
 
+    def test_moment_mixing_gates_with_a_repeated_parameter(self):
+        ops = [sv.Op("ry", (q,), input_slot=q, scale=np.pi) for q in range(3)]
+        ops += [
+            sv.Op("ry", (0,), param=0, scale=1.3),  # moment 0: RY and RZ, parameter 0 twice
+            sv.Op("rz", (1,), param=0, scale=-0.7),
+            sv.Op("ry", (2,), param=1),
+            sv.Op("cnot", (0, 1)),  # one CNOT run
+            sv.Op("cnot", (1, 2)),
+            sv.Op("rz", (2,), param=2),  # moment 1
+            sv.Op("ry", (0,), param=2, scale=0.5),
+            sv.Op("rz", (1,), param=1),
+            sv.Op("rz", (2,), param=0),  # qubit 2 again: moment 2
+        ]
+        circuit = sv.Circuit(num_qubits=3, ops=tuple(ops))
+        plan = circuit.block_plan
+        assert plan.num_moments == 3 and len(plan.steps) == 4
+        assert plan.moment.tolist() == [0, 0, 0, 1, 1, 1, 2]
+        rng = Rng(13)
+        params = np.array([rng.uniform(-np.pi, np.pi) for _ in range(3)])
+        inputs = np.array([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(4)])
+        weights_per_row = np.array([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(4)])
+        states = sv.ry_product_state(np.pi * inputs)
+        block = sv.compile_block(circuit, params)
+        np.testing.assert_allclose(
+            states @ block.transfer, sv.run_circuit(circuit, params, inputs), atol=1e-13
+        )
+        weights = np.einsum("mq,mi,mj->qij", weights_per_row, states, states)
+        exact = sv.block_adjoint_grad(block, weights)
+        shifted = sv.param_shift_grad_all(circuit, params, inputs)
+        np.testing.assert_allclose(
+            exact, np.einsum("jmq,mq->j", shifted, weights_per_row), rtol=0, atol=1e-12
+        )
+
+    def test_plan_is_built_once_per_circuit(self):
+        circuit = encoded_random_circuit(Rng(14), 3, 10)
+        assert circuit.block_plan is circuit.block_plan
+        assert sv.z_eigenvalues(3) is sv.z_eigenvalues(3)
+        assert not sv.z_eigenvalues(3).flags.writeable
+
     def test_block_must_follow_the_encoding(self):
         circuit = sv.Circuit(
             num_qubits=2,
