@@ -18,9 +18,12 @@ byte-identical result files (manifests differ only in timestamps).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import itertools
 import json
 import os
+import shutil
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -39,6 +42,7 @@ _CONFIG_DEFAULTS = {
     "pca_components": 4,  # pca-report --k; train always fits models.NUM_MODES
 }
 
+# stats' model order, which fixes its pair order: C-DV, C-CV, DV-CV
 _MODEL_LABELS = {"classical": "C", "dv": "DV", "cv": "CV"}
 
 
@@ -98,29 +102,14 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_manifest(
-    out_dir: Path,
-    args_list: list[str],
-    config: dict,
-    checksums: dict,
-    artifacts: list[Path],
-    started: str,
-    metrics_summary: dict,
-) -> None:
-    manifest = {
-        "command": args_list,
-        "config": config,
-        "seed": config.get("seed"),
-        "dataset_checksums": checksums,
-        "artifacts": sorted(str(p.relative_to(out_dir)) for p in artifacts),
-        "started_at": started,
-        "finished_at": datetime.now(timezone.utc).isoformat(),
-        "metrics": metrics_summary,
-    }
-    target = out_dir / "manifest.json"
-    tmp = out_dir / "manifest.json.tmp"
-    _write_json(tmp, manifest)
-    os.replace(tmp, target)
+def _write_csv(path: Path, header: list[str], rows) -> Path:
+    """csv writes a float as its repr: pass Python floats, since from numpy
+    2 on a numpy scalar's repr names its type."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 def _load_verified_archive(args) -> tuple:
@@ -136,38 +125,58 @@ def _load_verified_archive(args) -> tuple:
 def _run(args, argv: list[str]) -> int:
     """The steps every command shares, around its body ``args.func``.
 
-    A body takes (args, config, out, splits), where splits is None for a
-    command without ``--archive``, and returns (artifacts, summary). A
+    A body takes (args, config, out, splits), where splits maps "train",
+    "val" and "test" to the archive's datasets (None for a command without
+    ``--archive``), and returns (artifacts, summary). A
     command may also set ``args.check``, which validates the resolved
     config before the archive is read. The output directory is created
-    only once the config and the archive have passed.
+    only once the config and the archive have passed. If the body or the
+    manifest fails, it is removed again, with each directory above it that
+    the call created and that is still empty; nothing older is removed.
     """
     config = _resolve_config(args)
     if hasattr(args, "check"):
         args.check(config)  # a bad config exits 3 before any input is read
     started = datetime.now(timezone.utc).isoformat()
     takes_archive = hasattr(args, "archive")
-    splits = _load_verified_archive(args) if takes_archive else None
+    splits = {d.split: d for d in _load_verified_archive(args)} if takes_archive else None
     out = Path(args.out)
+    new_dirs = [d for d in (out, *out.parents) if not d.exists()]  # out first, if it is new
     out.mkdir(parents=True, exist_ok=True)
-    artifacts, summary = args.func(args, config, out, splits)
-    checksums = {args.dataset: data.sha256_of_file(args.archive)} if takes_archive else {}
-    _write_manifest(out, argv, config, checksums, artifacts, started, summary)
+    try:
+        artifacts, summary = args.func(args, config, out, splits)
+        checksums = {args.dataset: data.sha256_of_file(args.archive)} if takes_archive else {}
+        manifest = {
+            "command": argv,
+            "config": config,
+            "seed": config.get("seed"),
+            "dataset_checksums": checksums,
+            "artifacts": sorted(str(p.relative_to(out)) for p in artifacts),
+            "started_at": started,
+            "finished_at": datetime.now(timezone.utc).isoformat(),
+            "metrics": summary,
+        }
+        _write_json(out / "manifest.json.tmp", manifest)  # last, and atomically
+        os.replace(out / "manifest.json.tmp", out / "manifest.json")
+    except BaseException:
+        if new_dirs:  # out is new; the new directories above it go only while empty
+            shutil.rmtree(out, ignore_errors=True)
+            with contextlib.suppress(OSError):  # stop at one another process wrote into
+                for parent in new_dirs[1:]:
+                    parent.rmdir()
+        raise
     return 0
 
 
-def _split_by_name(splits: tuple, name: str):
-    return {"train": splits[0], "val": splits[1], "test": splits[2]}[name]
-
-
-def _write_curve_csv(path: Path, curve: metrics.Curve) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["x", "y", "threshold"])
-        for (x, y), thr in zip(curve.points, curve.thresholds):
-            writer.writerow(
-                [repr(float(x)), repr(float(y)), "inf" if np.isinf(thr) else repr(float(thr))]
-            )
+def _load_model(checkpoint: str, pca_path: str) -> tuple[models.HybridModel, pca.PcaModel]:
+    """A checkpoint and the PCA that feeds it, which must map pixels to model inputs."""
+    model, pca_model = models.load_checkpoint(checkpoint), pca.load(pca_path)
+    if (pca_model.input_dim, pca_model.k) != (data.NUM_PIXELS, models.NUM_MODES):
+        raise DataError(
+            f"{pca_path} maps {pca_model.input_dim} pixels to {pca_model.k} features;"
+            f" the models take {data.NUM_PIXELS} pixels to {models.NUM_MODES}"
+        )
+    return model, pca_model
 
 
 def _evaluate_model(model, pca_model, dataset) -> tuple[dict, dict[str, metrics.Curve]]:
@@ -210,7 +219,7 @@ def _train_config(config: dict) -> training.TrainConfig:
 
 
 def cmd_train(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
-    train_split = splits[0]
+    train_split = splits["train"]
     log(
         f"training {args.model} on {args.dataset} "
         f"(m={len(train_split)}, classes={train_split.num_classes}, seed={config['seed']})"
@@ -229,29 +238,24 @@ def cmd_train(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
         pca_path = out / f"pca_fold{fold.fold_index}.json"
         models.save_checkpoint(fold.model, model_path)
         pca.save(fold.pca_model, pca_path)
-        curve_path = out / f"curves_fold{fold.fold_index}.csv"
-        with open(curve_path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["epoch", "split", "loss", "acc", "p", "r", "f1"])
-            for rec in fold.curves:
-                writer.writerow(
-                    [rec.epoch, rec.split]
-                    + [f"{v!r}" for v in (rec.loss, rec.acc, rec.precision, rec.recall, rec.f1)]
-                )
+        curve_path = _write_csv(
+            out / f"curves_fold{fold.fold_index}.csv",
+            ["epoch", "split", "loss", "acc", "p", "r", "f1"],
+            ([r.epoch, r.split, r.loss, r.acc, r.precision, r.recall, r.f1] for r in fold.curves),
+        )
         artifacts += [model_path, pca_path, curve_path]
         log(f"fold {fold.fold_index}: val f1 {fold.val_metrics['f1']:.4f}")
 
-    fold_metrics_path = out / "fold_metrics.csv"
-    with open(fold_metrics_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["fold", "split", "acc", "p", "r", "f1"])
-        for fold in result.folds:
-            for split_name, values in (("train", fold.train_metrics), ("val", fold.val_metrics)):
-                writer.writerow(
-                    [fold.fold_index, split_name]
-                    + [f"{values[k]!r}" for k in ("acc", "precision", "recall", "f1")]
-                )
-    artifacts.append(fold_metrics_path)
+    artifacts.append(_write_csv(
+        out / "fold_metrics.csv",
+        ["fold", "split", "acc", "p", "r", "f1"],
+        (
+            [fold.fold_index, split_name]
+            + [values[k] for k in ("acc", "precision", "recall", "f1")]
+            for fold in result.folds
+            for split_name, values in (("train", fold.train_metrics), ("val", fold.val_metrics))
+        ),
+    ))
 
     metrics_payload = {
         "dataset": args.dataset,
@@ -275,17 +279,15 @@ def cmd_train(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
 # --- eval --------------------------------------------------------------------
 
 def cmd_eval(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
-    dataset = _split_by_name(splits, args.split)
-    model = models.load_checkpoint(args.checkpoint)
-    pca_model = pca.load(args.pca)
+    dataset = splits[args.split]
+    model, pca_model = _load_model(args.checkpoint, args.pca)
     log(f"evaluating {model.kind} checkpoint on {args.dataset}/{args.split} (m={len(dataset)})")
 
     row, curves = _evaluate_model(model, pca_model, dataset)
     artifacts = []
     for name, curve in curves.items():
-        curve_path = out / f"curve_{name}.csv"
-        _write_curve_csv(curve_path, curve)
-        artifacts.append(curve_path)
+        rows = np.column_stack([curve.points, curve.thresholds]).tolist()
+        artifacts.append(_write_csv(out / f"curve_{name}.csv", ["x", "y", "threshold"], rows))
     eval_path = out / "eval.json"
     _write_json(eval_path, row)
     artifacts.append(eval_path)
@@ -313,18 +315,14 @@ def cmd_eval(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
 # --- noise sweep ---------------------------------------------------------
 
 def cmd_noise_sweep(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
-    test = _split_by_name(splits, "test")
-    entries = [
-        ("cv", args.cv_checkpoint, args.cv_pca),
-        ("dv", args.dv_checkpoint, args.dv_pca),
-        ("classical", args.classical_checkpoint, args.classical_pca),
-    ]
+    test = splits["test"]
     loaded = []
-    for kind, checkpoint, pca_path in entries:
-        model = models.load_checkpoint(checkpoint)
+    for kind in models.KINDS:
+        checkpoint = getattr(args, f"{kind}_checkpoint")
+        model, pca_model = _load_model(checkpoint, getattr(args, f"{kind}_pca"))
         if model.kind != kind:
             raise DataError(f"{checkpoint} holds a {model.kind!r} model, expected {kind!r}")
-        loaded.append((kind, model, pca.load(pca_path)))
+        loaded.append((kind, model, pca_model))
 
     # One draw serves every sigma: the field depends on the seed only.
     noise = data.unit_noise_field(test, config["seed"])
@@ -341,12 +339,7 @@ def cmd_noise_sweep(args, config: dict, out: Path, splits) -> tuple[list[Path], 
             rows.append((sigma, kind, f1))
         log(f"sigma {sigma:.2f} done")
 
-    sweep_path = out / "noise_sweep.csv"
-    with open(sweep_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["sigma", "model_kind", "f1"])
-        for sigma, kind, f1 in rows:
-            writer.writerow([f"{sigma!r}", kind, f"{f1!r}"])
+    sweep_path = _write_csv(out / "noise_sweep.csv", ["sigma", "model_kind", "f1"], rows)
     baseline = {kind: f1 for sigma, kind, f1 in rows if sigma == 0.0}
     return [sweep_path], {"f1_at_sigma0": baseline}
 
@@ -354,9 +347,8 @@ def cmd_noise_sweep(args, config: dict, out: Path, splits) -> tuple[list[Path], 
 # --- saliency ------------------------------------------------------------
 
 def cmd_saliency(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
-    dataset = _split_by_name(splits, args.split)
-    model = models.load_checkpoint(args.checkpoint)
-    pca_model = pca.load(args.pca)
+    dataset = splits[args.split]
+    model, pca_model = _load_model(args.checkpoint, args.pca)
 
     try:
         indices = [int(v) for v in args.indices.split(",") if v.strip() != ""]
@@ -419,16 +411,10 @@ def _read_fold_metrics(path: str) -> dict[str, list[float]]:
 def cmd_stats(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
     if not 0.0 < args.alpha < 1.0:  # also rejects nan
         raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha}")
-    sources = {
-        "classical": _read_fold_metrics(args.classical),
-        "dv": _read_fold_metrics(args.dv),
-        "cv": _read_fold_metrics(args.cv),
-    }
+    sources = {kind: _read_fold_metrics(getattr(args, kind)) for kind in _MODEL_LABELS}
     report = {"alpha": args.alpha, "metrics": {}}
     for metric in ("acc", "p", "r", "f1"):
-        scores = {
-            _MODEL_LABELS[kind]: np.array(sources[kind][metric]) for kind in ("classical", "dv", "cv")
-        }
+        scores = {label: np.array(sources[kind][metric]) for kind, label in _MODEL_LABELS.items()}
         comparison = stats.compare_models(scores, alpha=args.alpha)
         entry = {
             "models": {
@@ -436,7 +422,7 @@ def cmd_stats(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
                     "mean": float(np.mean(sources[kind][metric])),
                     "std": float(np.std(sources[kind][metric], ddof=1)),
                 }
-                for kind in ("classical", "dv", "cv")
+                for kind in _MODEL_LABELS
             },
             "friedman_chi2": comparison.friedman_chi2,
             "friedman_p": comparison.friedman_p,
@@ -468,7 +454,7 @@ def _pca_report_config(config: dict) -> None:
 
 
 def cmd_pca_report(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
-    train_split = splits[0]
+    train_split = splits["train"]
     images = train_split.flat_images()
     if config["pca_components"] > images.shape[1]:
         raise ConfigError(f"--k must lie in [1, {images.shape[1]}], got {config['pca_components']}")
@@ -484,14 +470,9 @@ def cmd_pca_report(args, config: dict, out: Path, splits) -> tuple[list[Path], d
     }
     report_path = out / "pca_report.json"
     _write_json(report_path, report)
-    csv_path = out / "pca_report.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["component", "ratio", "cumulative"])
-        running = 0.0
-        for i, ratio in enumerate(ratios):
-            running += float(ratio)
-            writer.writerow([i + 1, f"{float(ratio)!r}", f"{running!r}"])
+    ratios = ratios.tolist()
+    rows = zip(itertools.count(1), ratios, itertools.accumulate(ratios))
+    csv_path = _write_csv(out / "pca_report.csv", ["component", "ratio", "cumulative"], rows)
     log(f"{args.dataset}: cumulative variance at k={model.k} is {report['cumulative_variance']:.4f}")
     return [report_path, csv_path], report
 
@@ -531,12 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = subs.add_parser("noise-sweep", help="test-set F1 over the noise grid")
     _add_common(p_sweep)
-    p_sweep.add_argument("--cv-checkpoint", required=True)
-    p_sweep.add_argument("--cv-pca", required=True)
-    p_sweep.add_argument("--dv-checkpoint", required=True)
-    p_sweep.add_argument("--dv-pca", required=True)
-    p_sweep.add_argument("--classical-checkpoint", required=True)
-    p_sweep.add_argument("--classical-pca", required=True)
+    for kind in models.KINDS:  # the order of each sigma's rows
+        p_sweep.add_argument(f"--{kind}-checkpoint", required=True)
+        p_sweep.add_argument(f"--{kind}-pca", required=True)
     p_sweep.add_argument("--clip", action="store_true", help="clip noisy pixels back to [0, 1]")
     p_sweep.add_argument("--seed", type=int, default=None, help="seed of the noise field")
     p_sweep.set_defaults(func=cmd_noise_sweep)
@@ -552,9 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = subs.add_parser("stats", help="Friedman / Wilcoxon comparison of three models")
     _add_common(p_stats, archive=False)
-    p_stats.add_argument("--classical", required=True, help="fold_metrics.csv of the classical run")
-    p_stats.add_argument("--dv", required=True, help="fold_metrics.csv of the DV run")
-    p_stats.add_argument("--cv", required=True, help="fold_metrics.csv of the CV run")
+    for kind in _MODEL_LABELS:
+        p_stats.add_argument(f"--{kind}", required=True, help=f"fold_metrics.csv of the {kind} run")
     p_stats.add_argument("--alpha", type=float, default=0.05)
     p_stats.set_defaults(func=cmd_stats)
 

@@ -1,10 +1,9 @@
 """MedMNIST-style archive loading and noise injection.
 
-Archives are zip files of .npy members named train_images, train_labels,
-val_images, val_labels, test_images, test_labels with unsigned-byte
-pixels. The reader below parses exactly that subset of the format (v1/v2
-headers, C order, 1-3 dimensional u1 arrays, stored or deflated members)
-so no array-serialization library is needed at load time.
+Archives are .npz files (zip files of .npy members) named train_images,
+train_labels, val_images, val_labels, test_images, test_labels with
+unsigned-byte pixels. numpy's own reader loads them with pickles refused;
+every way it can fail on a damaged or foreign file becomes a DataError.
 
 Noise injection adds independent N(0, sigma^2) draws on the [0, 1] pixel
 scale and intentionally does not clip: clipping would censor the noise
@@ -16,10 +15,12 @@ independent of sigma and two sigmas under one seed differ only by scale.
 
 from __future__ import annotations
 
-import ast
 import hashlib
+import lzma
+import tokenize
 import warnings
 import zipfile
+import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -40,6 +41,11 @@ KNOWN_DATASETS = {
 }
 
 _SPLITS = ("train", "val", "test")
+_MEMBERS = tuple(f"{split}_{part}" for split in _SPLITS for part in ("images", "labels"))
+# np.load and zipfile on a damaged file, e.g. flipped zip flags (RuntimeError), corrupt
+# deflate or lzma data, an npy header with an unclosed bracket (tokenize)
+_READ_ERRORS = (OSError, EOFError, ValueError, TypeError, MemoryError, RuntimeError,
+                zipfile.BadZipFile, zlib.error, lzma.LZMAError, tokenize.TokenError)
 
 
 @dataclass(frozen=True)
@@ -57,49 +63,18 @@ class ImageDataset:
         return self.images.reshape(len(self.labels), -1)
 
 
-def _parse_npy(raw: bytes, member: str) -> np.ndarray:
-    if raw[:6] != b"\x93NUMPY":
-        raise DataError(f"{member}: not an npy array")
-    major = raw[6]
-    if major == 1:
-        header_len = int.from_bytes(raw[8:10], "little")
-        header_start = 10
-    elif major in (2, 3):
-        header_len = int.from_bytes(raw[8:12], "little")
-        header_start = 12
-    else:
-        raise DataError(f"{member}: unsupported npy version {major}")
-    header = raw[header_start : header_start + header_len].decode("latin1")
-    try:
-        meta = ast.literal_eval(header)
-    except (ValueError, SyntaxError) as exc:
-        raise DataError(f"{member}: malformed npy header") from exc
-    descr, fortran, shape = meta["descr"], meta["fortran_order"], meta["shape"]
-    if descr not in ("|u1", "u1", "<u1"):
-        raise DataError(f"{member}: expected unsigned-byte data, got {descr!r}")
-    if fortran:
-        raise DataError(f"{member}: fortran-order arrays not supported")
-    if not 1 <= len(shape) <= 3:
-        raise DataError(f"{member}: expected 1-3 dimensions, got {shape}")
-    count = int(np.prod(shape)) if shape else 1
-    data = raw[header_start + header_len :]
-    if len(data) < count:
-        raise DataError(f"{member}: truncated data ({len(data)} < {count} bytes)")
-    return np.frombuffer(data[:count], dtype=np.uint8).reshape(shape).copy()
-
-
 def _read_members(path: str | Path) -> dict[str, np.ndarray]:
     try:
-        archive = zipfile.ZipFile(path)
-    except (OSError, zipfile.BadZipFile) as exc:
-        raise DataError(f"cannot open archive {path}: {exc}") from exc
-    arrays = {}
-    with archive:
-        for info in archive.infolist():
-            name = info.filename
-            if not name.endswith(".npy"):
-                continue
-            arrays[name[:-4]] = _parse_npy(archive.read(info), name)
+        archive = np.load(path, allow_pickle=False)  # refuses pickles and object arrays
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise DataError(f"{path} holds a single array, not an npz archive")
+        with archive:
+            arrays = {name: archive[name] for name in archive.files if name in _MEMBERS}
+    except _READ_ERRORS as exc:
+        raise DataError(f"cannot read archive {path}: {exc!r}") from exc
+    for name, array in arrays.items():
+        if not isinstance(array, np.ndarray) or array.dtype != np.uint8:  # bytes: no .npy magic
+            raise DataError(f"{path}: {name} is not unsigned-byte data")
     return arrays
 
 
@@ -107,8 +82,7 @@ def load_archive(path: str | Path, dataset_name: str) -> tuple[ImageDataset, Ima
     """Load (train, val, test) from an archive, normalizing pixels to [0, 1]."""
     arrays = _read_members(path)
     name = dataset_name.lower()
-    datasets = []
-    labels_by_split = {}
+    splits = {}
     for split in _SPLITS:
         try:
             images = arrays[f"{split}_images"]
@@ -122,10 +96,12 @@ def load_archive(path: str | Path, dataset_name: str) -> tuple[ImageDataset, Ima
         labels = labels.reshape(-1).astype(int)
         if len(labels) != len(images):
             raise DataError(f"{path}: {split} image/label count mismatch")
-        labels_by_split[split] = labels
-        datasets.append((split, images.astype(float) / 255.0, labels))
+        if len(labels) == 0:
+            raise DataError(f"{path}: {split} split is empty")
+        splits[split] = (images.astype(float) / 255.0, labels)
 
-    num_classes = int(max(lbl.max() for lbl in labels_by_split.values())) + 1
+    num_classes = int(max(labels.max() for _, labels in splits.values())) + 1
+    train_count = len(splits["train"][1])
     expected = KNOWN_DATASETS.get(name)
     if expected is None:
         warnings.warn(f"unknown dataset {dataset_name!r}; loading without count validation")
@@ -134,14 +110,14 @@ def load_archive(path: str | Path, dataset_name: str) -> tuple[ImageDataset, Ima
             raise DataError(
                 f"{dataset_name}: found {num_classes} classes, expected {expected['num_classes']}"
             )
-        if "train" in expected and len(labels_by_split["train"]) != expected["train"]:
+        if "train" in expected and train_count != expected["train"]:
             raise DataError(
-                f"{dataset_name}: train split has {len(labels_by_split['train'])} samples,"
+                f"{dataset_name}: train split has {train_count} samples,"
                 f" expected {expected['train']}"
             )
     return tuple(
         ImageDataset(name=name, images=images, labels=labels, num_classes=num_classes, split=split)
-        for split, images, labels in datasets
+        for split, (images, labels) in splits.items()
     )
 
 

@@ -1,10 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the array check of its file readers.
 
 Precondition violations (bad indices, wrong shapes, out-of-range labels)
 raise plain ValueError. The classes below exist so the CLI can map failure
 modes onto its exit-code contract: data problems exit 2, config problems
 exit 3, numeric blowups exit 4.
 """
+
+import numpy as np
 
 
 class DataError(Exception):
@@ -21,3 +23,15 @@ class NumericError(Exception):
 
 class UndefinedMetric(ValueError):
     """Metric requested on degenerate input (empty matrix, single-class truth)."""
+
+
+def checked_arrays(fields: dict) -> dict:
+    """Each ``name: (raw, shape)`` as a finite float array of that shape, else ValueError."""
+    values = {}
+    for name, (raw, shape) in fields.items():
+        values[name] = np.array(raw, dtype=float)
+        if values[name].shape != shape:
+            raise ValueError(f"{name} has shape {values[name].shape}, expected {shape}")
+        if not np.all(np.isfinite(values[name])):
+            raise ValueError(f"{name} holds non-finite values")
+    return values

@@ -17,9 +17,11 @@ Feature extractors, layer by layer (two layers, 16 parameters each):
 * Classical: two bias-free 4x4 dense maps with tanh after each.
 
 Every kind runs through one forward function that returns the outputs
-and a backward closure; ``predict_batch`` (training, evaluation and
-saliency) and ``loss_and_grad`` both use it. ``cv_final_state`` and
-``dv_final_state`` expose one sample's full circuit state for dumps.
+and two backward closures, to the circuit parameters and to the inputs z;
+``predict_batch`` (training, evaluation and saliency), ``loss_and_grad``
+and ``logit_input_jacobian`` all use it. The input-side closure works
+only when called, so training pays nothing for it. ``cv_final_state``
+and ``dv_final_state`` expose one sample's full circuit state for dumps.
 Neither circuit's variational block depends on the batch, so each is
 compiled once per call and all gradients are exact:
 
@@ -35,6 +37,8 @@ compiled once per call and all gradients are exact:
   (per layer four rotation stages, then the CNOT pair), and one adjoint
   sweep over them gives every parameter gradient for the whole batch.
 * Head: softmax cross-entropy in closed form; classical net: backprop.
+* Inputs: CV's Jacobian is constant (its outputs are affine in z), DV's
+  chains through the product state, the classical net's is backprop.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gaussian, statevector
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, checked_arrays
 from .rng import Rng
 
 NUM_MODES = 4
@@ -191,7 +195,7 @@ def _mode_blocks(matrices: np.ndarray) -> np.ndarray:
 
 
 def _cv_forward(circuit_params: np.ndarray, z: np.ndarray):
-    """<x_i> for standardized inputs z of shape (m, 4), and the backward pass.
+    """<x_i> for standardized inputs z of shape (m, 4), and the backward passes.
 
     The encoded means sqrt(2) z live on x only, so the outputs are
     sqrt(2) z A^T + b with A = S[:4, :4], b = d[:4]; only those entries
@@ -229,7 +233,10 @@ def _cv_forward(circuit_params: np.ndarray, z: np.ndarray):
         grad[:, 12:16] = (rows[..., _BS_A] + rows[..., _BS_B]).swapaxes(1, 2).reshape(NUM_LAYERS, 4)
         return grad.reshape(-1)
 
-    return outputs, backward
+    def input_backward(d_outputs: np.ndarray) -> np.ndarray:
+        return np.sqrt(2.0) * d_outputs @ s_total[:NUM_MODES, :NUM_MODES]
+
+    return outputs, backward, input_backward
 
 
 def cv_final_state(model: HybridModel, features: np.ndarray) -> gaussian.GaussianState:
@@ -265,21 +272,18 @@ def build_dv_circuit() -> statevector.Circuit:
 _DV_CIRCUIT = build_dv_circuit()
 
 
-def _dv_encoding(z: np.ndarray) -> np.ndarray:
-    return np.clip(z, -1.0, 1.0)
-
-
-def _dv_states(z: np.ndarray) -> np.ndarray:
-    return statevector.ry_product_state(np.pi * _dv_encoding(z))
+def _dv_angles(z: np.ndarray) -> np.ndarray:
+    return np.pi * np.clip(z, -1.0, 1.0)
 
 
 def _dv_forward(circuit_params: np.ndarray, z: np.ndarray):
-    """<Z_q> for standardized inputs z of shape (m, 4), and the backward pass.
+    """<Z_q> for standardized inputs z of shape (m, 4), and the backward passes.
 
     The encoding ops of ``_DV_CIRCUIT`` make the real product state
     RY(pi * clip z)|0000>; the block after them is compiled once.
     """
-    states = _dv_states(z)
+    angles = _dv_angles(z)
+    states = statevector.ry_product_state(angles)
     block = statevector.compile_block(_DV_CIRCUIT, circuit_params)
     outputs = statevector.block_expectations(block, states)
 
@@ -288,38 +292,44 @@ def _dv_forward(circuit_params: np.ndarray, z: np.ndarray):
         weights = (states.T * d_outputs.T[:, None, :]) @ states
         return statevector.block_adjoint_grad(block, weights)
 
-    return outputs, backward
+    def input_backward(d_outputs: np.ndarray) -> np.ndarray:
+        # d<Z_q>/dpsi = 2 Re(conj(U psi) * z_q) U; the clamp passes no
+        # gradient where it saturates
+        amps = states @ block.transfer
+        d_amps = np.pi * statevector.ry_product_state_jacobian(angles) @ block.transfer
+        d_exp = 2.0 * (amps.conj()[:, None] * d_amps).real @ statevector.z_eigenvalues(NUM_MODES)
+        return (d_exp @ d_outputs[..., None])[..., 0] * (np.abs(z) < 1.0)
+
+    return outputs, backward, input_backward
 
 
 def dv_final_state(model: HybridModel, features: np.ndarray) -> statevector.QubitState:
     _require_kind(model, "dv")
     z = standardize(model, _check_features(features))
     block = statevector.compile_block(_DV_CIRCUIT, model.circuit_params)
-    return statevector.QubitState(NUM_MODES, _dv_states(z) @ block.transfer)
+    amplitudes = statevector.ry_product_state(_dv_angles(z)) @ block.transfer
+    return statevector.QubitState(NUM_MODES, amplitudes)
 
 
 # --- classical ----------------------------------------------------------------
 
-def _classical_hidden(circuit_params: np.ndarray, z: np.ndarray):
+def _classical_forward(circuit_params: np.ndarray, z: np.ndarray):
     w1 = circuit_params[:16].reshape(NUM_MODES, NUM_MODES)
     w2 = circuit_params[16:].reshape(NUM_MODES, NUM_MODES)
     h1 = np.tanh(z @ w1.T)
     h2 = np.tanh(h1 @ w2.T)
-    return h1, h2
-
-
-def _classical_forward(circuit_params: np.ndarray, z: np.ndarray):
-    h1, h2 = _classical_hidden(circuit_params, z)
 
     def backward(d_outputs: np.ndarray) -> np.ndarray:
-        w2 = circuit_params[16:].reshape(NUM_MODES, NUM_MODES)
         d_pre2 = d_outputs * (1.0 - h2**2)
         grad_w2 = d_pre2.T @ h1
         d_pre1 = (d_pre2 @ w2) * (1.0 - h1**2)
         grad_w1 = d_pre1.T @ z
         return np.concatenate([grad_w1.reshape(-1), grad_w2.reshape(-1)])
 
-    return h2, backward
+    def input_backward(d_outputs: np.ndarray) -> np.ndarray:
+        return ((d_outputs * (1.0 - h2**2)) @ w2 * (1.0 - h1**2)) @ w1
+
+    return h2, backward, input_backward
 
 
 # --- shared entry points --------------------------------------------------
@@ -334,7 +344,7 @@ _FORWARD_BY_KIND = {
 def predict_batch(model: HybridModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(logits, probabilities) for a (m, 4) feature matrix."""
     z = standardize(model, _check_features(features))
-    outputs, _ = _FORWARD_BY_KIND[model.kind](model.circuit_params, z)
+    outputs, _, _ = _FORWARD_BY_KIND[model.kind](model.circuit_params, z)
     logits = _head(model, outputs)
     return logits, softmax(logits)
 
@@ -359,7 +369,7 @@ def loss_and_grad(
     if labels.min() < 0 or labels.max() >= model.num_classes:
         raise ValueError("label out of range")
     z = standardize(model, features)
-    outputs, backward = _FORWARD_BY_KIND[model.kind](model.circuit_params, z)
+    outputs, backward, _ = _FORWARD_BY_KIND[model.kind](model.circuit_params, z)
     logits = _head(model, outputs)
     probs = softmax(logits)
     loss = batch_loss_from_logits(logits, labels)
@@ -378,36 +388,14 @@ def loss_and_grad(
 # --- input gradients (saliency support) -------------------------------------
 
 def logit_input_jacobian(model: HybridModel, features: np.ndarray) -> np.ndarray:
-    """d logits / d features, shape (num_classes, 4).
+    """d logits / d features at one sample's features, shape (num_classes, 4).
 
-    Analytic backprop for the classical net, the closed form of the CV
-    circuit's affine map, and for DV the chain through the product state:
-    d<Z_q>/dpsi = 2 Re(conj(U psi) * z_q) U, d psi / dz in closed form.
-    The clamp in the DV encoding contributes zero gradient where it
-    saturates.
+    A one-row forward, then the head weights pulled back through its
+    input-side closure and the z-scoring.
     """
-    features = _check_features(np.asarray(features, dtype=float))
-    z = standardize(model, features)
-    if model.kind == "classical":
-        w1 = model.circuit_params[:16].reshape(NUM_MODES, NUM_MODES)
-        w2 = model.circuit_params[16:].reshape(NUM_MODES, NUM_MODES)
-        h1, h2 = _classical_hidden(model.circuit_params, z)
-        jac_outputs = (w2 * (1.0 - h2**2)[:, None]) @ (w1 * (1.0 - h1**2)[:, None])
-        d_out_d_features = jac_outputs / model.feature_std[None, :]
-        return model.head_weights @ d_out_d_features
-    if model.kind == "dv":
-        angles = np.pi * _dv_encoding(z)
-        transfer = statevector.compile_block(_DV_CIRCUIT, model.circuit_params).transfer
-        amps = statevector.ry_product_state(angles) @ transfer
-        d_amps = np.pi * statevector.ry_product_state_jacobian(angles) @ transfer
-        # (4 features, 4 outputs)
-        d_exp = 2.0 * (amps.conj() * d_amps).real @ statevector.z_eigenvalues(NUM_MODES)
-        active = (np.abs(z) < 1.0).astype(float)
-        return model.head_weights @ (d_exp.T * active / model.feature_std)
-    # cv: the outputs sqrt(2) z S[:4, :4]^T + d are affine in the features
-    s_total, _, _ = _cv_transform(model.circuit_params)
-    block = s_total[:NUM_MODES, :NUM_MODES]
-    return model.head_weights @ (np.sqrt(2.0) * block / model.feature_std)
+    z = standardize(model, _check_features(features)).reshape(1, NUM_MODES)
+    _, _, input_backward = _FORWARD_BY_KIND[model.kind](model.circuit_params, z)
+    return input_backward(model.head_weights) / model.feature_std
 
 
 # --- persistence -------------------------------------------------------------
@@ -444,20 +432,13 @@ def load_checkpoint(path: str | Path) -> HybridModel:
         num_classes = payload["num_classes"]
         if not isinstance(num_classes, int) or num_classes < 2:
             raise ValueError(f"num_classes {num_classes!r} is not an integer >= 2")
-        arrays = {
+        values = checked_arrays({
             "circuit_params": (payload["circuit_params"], (NUM_CIRCUIT_PARAMS,)),
             "head_weights": (payload["head_weights"], (num_classes, NUM_MODES)),
             "head_bias": (payload["head_bias"], (num_classes,)),
             "feature_mean": (payload["feature_stats"]["mean"], (NUM_MODES,)),
             "feature_std": (payload["feature_stats"]["std"], (NUM_MODES,)),
-        }
-        values = {}
-        for name, (raw, shape) in arrays.items():
-            values[name] = np.array(raw, dtype=float)
-            if values[name].shape != shape:
-                raise ValueError(f"{name} has shape {values[name].shape}, expected {shape}")
-            if not np.all(np.isfinite(values[name])):
-                raise ValueError(f"{name} holds non-finite values")
+        })
         if np.any(values["feature_std"] <= 0):
             raise ValueError("feature_std must be positive")
     except (KeyError, TypeError, ValueError) as exc:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, checked_arrays
 
 # fit() sanity guard; noise-injected images can leave [0, 1] but only
 # clean training pixels ever reach fit.
@@ -107,16 +107,22 @@ def save(model: PcaModel, path: str | Path) -> None:
 
 
 def load(path: str | Path) -> PcaModel:
+    """Read a PCA file, checking every key, shape and value before use."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read PCA model from {path}: {exc}") from exc
-    if payload.get("magic") != MAGIC:
+    if not isinstance(payload, dict) or payload.get("magic") != MAGIC:
         raise DataError(f"{path} is not a {MAGIC} model file")
-    return PcaModel(
-        input_dim=int(payload["input_dim"]),
-        k=int(payload["k"]),
-        mean=np.array(payload["mean"], dtype=float),
-        components=np.array(payload["components"], dtype=float),
-        explained_variance_ratio=np.array(payload["explained_variance_ratio"], dtype=float),
-    )
+    try:
+        input_dim, k = payload["input_dim"], payload["k"]
+        if not (isinstance(input_dim, int) and isinstance(k, int) and 1 <= k <= input_dim):
+            raise ValueError(f"need integers 1 <= k <= input_dim, got {k!r} and {input_dim!r}")
+        values = checked_arrays({
+            "mean": (payload["mean"], (input_dim,)),
+            "components": (payload["components"], (k, input_dim)),
+            "explained_variance_ratio": (payload["explained_variance_ratio"], (k,)),
+        })
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed PCA file: {exc!r}") from exc
+    return PcaModel(input_dim=input_dim, k=k, **values)

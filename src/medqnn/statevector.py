@@ -295,32 +295,24 @@ def z_eigenvalues(num_qubits: int) -> np.ndarray:
     return table
 
 
-def _ry_halves(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Half angles, shape (..., 1, n), and where each amplitude has bit q set."""
-    half = np.asarray(angles, dtype=float)[..., None, :] / 2.0
-    return half, z_eigenvalues(half.shape[-1]) < 0
-
-
 def ry_product_state(angles: np.ndarray) -> np.ndarray:
     """RY(angles[..., q]) on every qubit q of |0...0>, shape (..., 2^n).
 
     The state is a product of (cos a_q/2, sin a_q/2) factors, so it is real.
     """
-    half, bits = _ry_halves(angles)
+    half = np.asarray(angles, dtype=float)[..., None, :] / 2.0
+    bits = z_eigenvalues(half.shape[-1]) < 0  # where each amplitude has bit q set
     return np.where(bits, np.sin(half), np.cos(half)).prod(axis=-1)
 
 
 def ry_product_state_jacobian(angles: np.ndarray) -> np.ndarray:
-    """d ``ry_product_state`` / d angles[..., q], shape (..., n, 2^n)."""
-    half, bits = _ry_halves(angles)
-    cos, sin = np.cos(half), np.sin(half)
-    factors, slopes = np.where(bits, sin, cos), 0.5 * np.where(bits, cos, -sin)
-    columns = []
-    for qubit in range(factors.shape[-1]):
-        varied = factors.copy()
-        varied[..., qubit] = slopes[..., qubit]
-        columns.append(varied.prod(axis=-1))
-    return np.stack(columns, axis=-2)
+    """d ``ry_product_state`` / d angles[..., q], shape (..., n, 2^n).
+
+    d/da (cos a/2, sin a/2) = (cos (a + pi)/2, sin (a + pi)/2) / 2, so row q
+    is half the product state with angle q moved by pi.
+    """
+    angles = np.asarray(angles, dtype=float)
+    return 0.5 * ry_product_state(angles[..., None, :] + np.pi * np.eye(angles.shape[-1]))
 
 
 _GENERATORS = {"ry": [[0.0, -1.0], [1.0, 0.0]], "rz": [[-1j, 0.0], [0.0, 1j]]}  # R(pi)

@@ -2,21 +2,20 @@
 
 With only a handful of cross-validation folds per model the usual
 large-sample approximations are meaningless, so the Wilcoxon signed-rank
-p value is computed exactly by enumerating all 2^n sign assignments
-(n <= 25 after zero differences are dropped; here n is 3). The Friedman
-chi-square tail uses the closed form that the regularized upper gamma
-function has at integer degrees of freedom: a finite Poisson sum for
-even df, erfc plus a finite sum for odd df.
+p value is computed exactly over all 2^n sign assignments, counted by the
+rank sum they produce rather than listed one by one (here n is 3). The
+Friedman chi-square tail uses the closed form that the regularized
+upper gamma function has at integer degrees of freedom: a finite Poisson
+sum for even df, erfc plus a finite sum for odd df.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-_MAX_EXACT_N = 25
 
 
 @dataclass(frozen=True)
@@ -63,17 +62,14 @@ def chi2_sf(x: float, df: int) -> float:
 
 
 def _rank_with_ties(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n, ties replaced by the mean rank of the tied group."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """Ranks 1..n, ties replaced by the mean rank of the tied group.
+
+    A group of c equal values that ends at sorted position e holds ranks
+    e - c + 1 .. e, whose mean is e - (c - 1) / 2.
+    """
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2.0)[group]
 
 
 def friedman_test(scores: np.ndarray) -> tuple[float, float]:
@@ -113,21 +109,21 @@ def wilcoxon_signed_rank(a, b) -> tuple[float, float]:
     n = len(diffs)
     if n == 0:
         return 0.0, 1.0
-    if n > _MAX_EXACT_N:
-        raise ValueError(f"exact enumeration limited to n <= {_MAX_EXACT_N}, got {n}")
     ranks = _rank_with_ties(np.abs(diffs))
     w_plus = float(ranks[diffs > 0].sum())
     total = float(ranks.sum())
     w = min(w_plus, total - w_plus)
 
-    count = 0
-    for mask in range(1 << n):
-        t = 0.0
-        for i in range(n):
-            if mask >> i & 1:
-                t += ranks[i]
-        if min(t, total - t) <= w + 1e-12:
-            count += 1
+    # Mean ranks of ties are half-integers, so doubled rank sums are
+    # integers: ways[s] counts the sign assignments whose positive ranks
+    # sum to s / 2, built up one rank at a time (Python ints stay exact).
+    doubled = (2.0 * ranks).astype(int)
+    ways = np.zeros(int(doubled.sum()) + 1, dtype=object)
+    ways[0] = 1
+    for r in doubled:
+        ways[r:] += ways[:-r].copy()
+    sums = np.arange(len(ways))
+    count = ways[np.minimum(sums, sums[-1] - sums) <= 2.0 * w].sum()
     return w, count / (1 << n)
 
 
@@ -151,11 +147,8 @@ def compare_models(
     names = list(model_scores)
     matrix = np.vstack([np.asarray(model_scores[name], dtype=float) for name in names])
     chi2, chi2_p = friedman_test(matrix)
-    pairs = [
-        (i, j) for i in range(len(names)) for j in range(i + 1, len(names))
-    ]
     pairwise = []
-    for i, j in pairs:
+    for i, j in itertools.combinations(range(len(names)), 2):
         w, p = wilcoxon_signed_rank(matrix[i], matrix[j])
         pairwise.append(PairwiseResult(f"{names[i]}-{names[j]}", w, p))
     corrected, _ = bonferroni([r.p_value for r in pairwise], alpha)

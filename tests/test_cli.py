@@ -1,6 +1,7 @@
 import csv
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,8 +445,26 @@ def bad_input_files(tmp_path, archive, trained):
         damage(payload)
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    pca_damages = {
+        "pca_no_k": lambda d: d.pop("k"),
+        "pca_short_mean": lambda d: d["mean"].pop(),
+        "pca_k3": lambda d: d.__setitem__("k", 3),  # beside 4 components
+    }
+    for name, damage in pca_damages.items():
+        payload = json.loads(pca_path.read_text())
+        damage(payload)
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    files["pca_list"] = str(tmp_path / "pca_list.json")
+    (tmp_path / "pca_list.json").write_text(json.dumps([json.loads(pca_path.read_text())]))
+    rng = np.random.default_rng(9)
+    for name, shape, k in (("pca_k5", (40, 784), 5), ("pca_100px", (40, 100), 4)):
+        files[name] = str(tmp_path / f"{name}.json")
+        pca.save(pca.fit(rng.uniform(0, 1, shape), k), files[name])
     for kind in models.KINDS:
         files[f"{kind}_folds"] = str(trained[kind] / "fold_metrics.csv")
+        model_path, kind_pca = best_fold_paths(trained[kind])
+        files[f"{kind}_checkpoint"], files[f"{kind}_pca"] = str(model_path), str(kind_pca)
     configs = {
         "threads_cfg": "threads = 2\n",
         "nan_cfg": "learning_rate = nan\n",
@@ -473,6 +492,12 @@ def bad_input_files(tmp_path, archive, trained):
 TRAIN = "train --dataset toyset --archive {archive}"
 SALIENCY = "saliency --dataset toyset --archive {archive} --checkpoint {checkpoint} --pca {pca}"
 EVAL = "eval --dataset toyset --archive {archive} --pca {pca}"
+EVAL_WITH_PCA = "eval --dataset toyset --archive {archive} --checkpoint {checkpoint} --pca"
+SWEEP_WITH_CV_PCA = (
+    "noise-sweep --dataset toyset --archive {archive} --dv-checkpoint {dv_checkpoint}"
+    " --dv-pca {dv_pca} --classical-checkpoint {classical_checkpoint}"
+    " --classical-pca {classical_pca} --cv-checkpoint {cv_checkpoint} --cv-pca"
+)
 STATS = "stats --classical {classical_folds} --dv {dv_folds} --cv {cv_folds}"
 PCA_REPORT = "pca-report --dataset toyset --archive {archive}"
 BAD_INPUTS = [  # (case, documented exit code, argv template)
@@ -494,6 +519,20 @@ BAD_INPUTS = [  # (case, documented exit code, argv template)
     ("checkpoint without feature_stats", 2, f"{EVAL} --checkpoint {{no_stats}}"),
     ("checkpoint with 31 circuit params", 2, f"{EVAL} --checkpoint {{short_circuit}}"),
     ("checkpoint with a nan weight", 2, f"{EVAL} --checkpoint {{nan_weight}}"),
+    ("PCA file without k", 2, f"{EVAL_WITH_PCA} {{pca_no_k}}"),
+    ("PCA file with a short mean", 2, f"{EVAL_WITH_PCA} {{pca_short_mean}}"),
+    ("PCA file holding a JSON list", 2, f"{EVAL_WITH_PCA} {{pca_list}}"),
+    ("PCA file with k 3 beside 4 components", 2, f"{EVAL_WITH_PCA} {{pca_k3}}"),
+    ("eval with a 5-component PCA", 2, f"{EVAL_WITH_PCA} {{pca_k5}}"),
+    ("eval with a 100-pixel PCA", 2, f"{EVAL_WITH_PCA} {{pca_100px}}"),
+    ("saliency with a 5-component PCA", 2,
+     "saliency --dataset toyset --archive {archive} --checkpoint {checkpoint} --indices 0"
+     " --pca {pca_k5}"),
+    ("saliency with a 100-pixel PCA", 2,
+     "saliency --dataset toyset --archive {archive} --checkpoint {checkpoint} --indices 0"
+     " --pca {pca_100px}"),
+    ("noise-sweep with a 5-component PCA", 2, f"{SWEEP_WITH_CV_PCA} {{pca_k5}}"),
+    ("noise-sweep with a 100-pixel PCA", 2, f"{SWEEP_WITH_CV_PCA} {{pca_100px}}"),
     ("non-numeric --indices", 3, f"{SALIENCY} --indices 0,x"),
     ("out-of-range --indices", 2, f"{SALIENCY} --indices 0,9999"),
     ("binary test split with one class", 2,
@@ -529,12 +568,53 @@ def test_bad_input_exits_with_documented_code(
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("expected, argv", [
-    (2, ["eval", "--checkpoint", "model.json", "--pca", "pca.json"]),
-    (3, ["pca-report", "--k", "0"]),
-], ids=["data error", "config error"])
-def test_failed_command_leaves_no_output_directory(tmp_path, expected, argv):
-    out = tmp_path / "o2"
-    missing = str(tmp_path / "missing.npz")
-    assert run_cli(*argv, "--dataset", "toyset", "--archive", missing, "--out", str(out)) == expected
-    assert not out.exists()
+FAILING_COMMANDS = [  # (case, exit code, argv template); each fails after its arguments parse
+    ("data error", 2,
+     "eval --dataset toyset --archive {missing_archive} --checkpoint {checkpoint} --pca {pca}"),
+    ("config error", 3, "pca-report --dataset toyset --archive {missing_archive} --k 0"),
+    ("stats --alpha 1.5", 3, f"{STATS} --alpha 1.5"),
+    ("saliency with a missing checkpoint", 2,
+     "saliency --dataset toyset --archive {archive} --checkpoint {nope} --pca {pca} --indices 0"),
+    ("eval with a missing PCA file", 2,
+     "eval --dataset toyset --archive {archive} --checkpoint {checkpoint} --pca {nope}"),
+]
+
+
+@pytest.mark.parametrize(
+    "expected, template",
+    [case[1:] for case in FAILING_COMMANDS],
+    ids=[case[0] for case in FAILING_COMMANDS],
+)
+def test_failed_command_leaves_no_output_directory(
+    tmp_path, monkeypatch, archive, trained, expected, template
+):
+    files = bad_input_files(tmp_path, archive, trained)
+    argv = [token.format(**files) for token in template.split()]
+    fresh = tmp_path / "fresh"  # created by the command, with the --out below it
+    assert run_cli(*argv, "--out", str(fresh / "out")) == expected
+    assert not fresh.exists()
+
+    # a concurrent run writes its own --out under the same fresh parent
+    sibling, real_mkdir, made = fresh / "other" / "ckpt.json", Path.mkdir, []
+
+    def mkdir_then_sibling(self, *args, **kwargs):
+        real_mkdir(self, *args, **kwargs)
+        if self == fresh / "out" and not made:
+            real_mkdir(sibling.parent, parents=True)
+            sibling.write_text("theirs")
+            made.append(self)
+
+    monkeypatch.setattr(Path, "mkdir", mkdir_then_sibling)
+    assert run_cli(*argv, "--out", str(fresh / "out")) == expected
+    monkeypatch.undo()
+    assert not (fresh / "out").exists()
+    assert fresh.exists() == bool(made)
+    if made:
+        assert [path.name for path in fresh.iterdir()] == ["other"]
+        assert sibling.read_text() == "theirs"
+    kept = tmp_path / "kept"  # existed before the command: it and its contents stay
+    kept.mkdir()
+    (kept / "notes.txt").write_text("keep me")
+    assert run_cli(*argv, "--out", str(kept)) == expected
+    assert [path.name for path in kept.iterdir()] == ["notes.txt"]
+    assert (kept / "notes.txt").read_text() == "keep me"

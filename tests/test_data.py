@@ -1,10 +1,99 @@
+import io
+import pickle
+import warnings
+import zipfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from medqnn import data
+from medqnn import cli, data
 from medqnn.errors import DataError
 
 from conftest import stored_npz_bytes, write_archive
+
+
+def small_arrays(m, seed=3):
+    rng = np.random.default_rng(seed)
+    arrays = {}
+    for split in ("train", "val", "test"):
+        arrays[f"{split}_images"] = rng.integers(0, 255, (m, 28, 28), dtype=np.uint8)
+        arrays[f"{split}_labels"] = (np.arange(m, dtype=np.uint8) % 2).reshape(-1, 1)
+    return arrays
+
+
+def npy_bytes(array, allow_pickle=False):
+    buffer = io.BytesIO()
+    np.save(buffer, array, allow_pickle=allow_pickle)
+    return buffer.getvalue()
+
+
+def zip_bytes(members, compression=zipfile.ZIP_STORED):
+    """A zip of raw member bytes, so a member can hold anything."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", compression) as archive:
+        for name, raw in members.items():
+            archive.writestr(f"{name}.npy", raw)
+    return buffer.getvalue()
+
+
+def huge_header_archive(count):
+    """train_images whose header declares ``count`` bytes over a 100-byte payload."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": "|u1", "fortran_order": False, "shape": (count,)}
+    )
+    members = {name: npy_bytes(array) for name, array in small_arrays(2).items()}
+    members["train_images"] = header.getvalue() + bytes(100)
+    return zip_bytes(members)
+
+
+def unclosed_header_archive():
+    """train_images whose version-1 header dict never closes its shape tuple."""
+    header = b"{'descr': '|u1', 'fortran_order': False, 'shape': (2, 28, 28"
+    header = header.ljust(118) + b"\n"  # 10 magic and length bytes + 118 = 128
+    members = {name: npy_bytes(array) for name, array in small_arrays(2).items()}
+    members["train_images"] = b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header
+    return zip_bytes(members)
+
+
+def central_directory_patch(offset, value):
+    """A valid stored archive with one byte of its first central-directory entry set."""
+    raw = bytearray(stored_npz_bytes(**small_arrays(40)))
+    raw[raw.find(b"PK\x01\x02") + offset] = value
+    return bytes(raw)
+
+
+def corrupt_deflate():
+    """A deflated archive whose first member's data opens with a reserved block type."""
+    raw = bytearray(zip_bytes(
+        {name: npy_bytes(a) for name, a in small_arrays(2).items()}, zipfile.ZIP_DEFLATED
+    ))
+    name_len, extra_len = (int.from_bytes(raw[i : i + 2], "little") for i in (26, 28))
+    raw[30 + name_len + extra_len] = 0xFF
+    return bytes(raw)
+
+
+HOSTILE_FILES = {
+    "empty file": lambda: b"",
+    "text file": lambda: b"train_images,train_labels\n1,0\n",
+    "pickle": lambda: pickle.dumps(small_arrays(2)),
+    "bare npy": lambda: npy_bytes(small_arrays(2)["train_images"]),
+    "object member": lambda: zip_bytes(
+        {"train_images": npy_bytes(np.array([1, "a"], dtype=object), allow_pickle=True)}
+    ),
+    "4e9-byte header": lambda: huge_header_archive(4_000_000_000),
+    "1e11-byte header": lambda: huge_header_archive(100_000_000_000),
+    "unclosed npy header": unclosed_header_archive,
+    "member flagged encrypted": lambda: central_directory_patch(8, 0x01),
+    "unknown compression method": lambda: central_directory_patch(10, 99),
+    "lzma method over stored bytes": lambda: central_directory_patch(10, 14),
+    "corrupt deflate stream": corrupt_deflate,
+    "empty splits": lambda: stored_npz_bytes(**small_arrays(0)),
+}
+
+STORED = stored_npz_bytes(**small_arrays(2))
 
 
 class TestLoadArchive:
@@ -83,6 +172,40 @@ class TestLoadArchive:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             data.load_archive(tmp_path / "nothing.npz", "toyset")
+
+    @pytest.mark.parametrize("case", HOSTILE_FILES)
+    def test_hostile_file_is_a_data_error(self, tmp_path, case):
+        path = tmp_path / "hostile.npz"
+        path.write_bytes(HOSTILE_FILES[case]())
+        with pytest.raises(DataError):
+            data.load_archive(path, "toyset")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = cli.main([
+                "train", "--archive", str(path), "--dataset", "toyset", "--model", "classical",
+                "--out", str(tmp_path / "out"), "--epochs", "1",
+            ])
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cut=st.integers(0, len(STORED)),
+        flips=st.lists(st.tuples(st.integers(0, len(STORED) - 1), st.integers(1, 255)), max_size=4),
+    )
+    def test_damaged_archive_loads_or_is_a_data_error(self, tmp_path_factory, cut, flips):
+        raw = bytearray(STORED[:cut])
+        for position, mask in flips:
+            if raw:
+                raw[position % len(raw)] ^= mask
+        path = tmp_path_factory.getbasetemp() / "damaged.npz"
+        path.write_bytes(bytes(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                data.load_archive(path, "toyset")
+            except DataError:
+                pass
 
 
 class TestNoiseInjection:

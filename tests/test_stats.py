@@ -57,6 +57,21 @@ class TestChi2Tail:
             stats.chi2_sf(1.0, 0)
 
 
+class TestRankWithTies:
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.integers(-4, 4), min_size=1, max_size=12),
+        st.sampled_from([1.0, 0.1, 1e-3, 7.25]),
+    )
+    def test_matches_scipy_average_ranks(self, values, scale):
+        from scipy.stats import rankdata
+
+        values = np.array(values, dtype=float) * scale  # few distinct values: many ties
+        np.testing.assert_array_equal(
+            stats._rank_with_ties(values), rankdata(values, method="average")
+        )
+
+
 class TestFriedman:
     def test_identical_scores(self):
         scores = np.full((3, 3), 0.8)
@@ -144,6 +159,32 @@ class TestWilcoxon:
         else:
             multiple = p / 2.0 ** (1 - n)
             assert multiple == pytest.approx(round(multiple), abs=1e-9)
+
+    @pytest.mark.parametrize("n", range(21, 26))
+    def test_matches_scipy_exact_beyond_twenty(self, n):
+        from scipy.stats import wilcoxon
+
+        rng = np.random.default_rng(n)
+        diffs = rng.permutation(np.arange(1, n + 1)) * rng.choice([-1.0, 1.0], n) * 0.01
+        w, p = stats.wilcoxon_signed_rank(diffs, np.zeros(n))
+        reference = wilcoxon(diffs, method="exact")
+        assert w == reference.statistic
+        assert p == pytest.approx(reference.pvalue, abs=1e-12)
+
+    def test_ties_beyond_twenty_match_chunked_enumeration(self):
+        # 21 differences in 7 tied groups: all 2^21 sign rows, in chunks
+        rng = np.random.default_rng(7)
+        diffs = rng.integers(1, 8, size=21) * rng.choice([-1.0, 1.0], 21)
+        ranks = stats._rank_with_ties(np.abs(diffs))
+        total = ranks.sum()
+        w_plus = ranks[diffs > 0].sum()
+        observed = min(w_plus, total - w_plus)
+        count = 0
+        for start in range(0, 1 << 21, 1 << 16):
+            rows = np.arange(start, start + (1 << 16))[:, None] >> np.arange(21) & 1
+            t = rows @ ranks
+            count += int(np.count_nonzero(np.minimum(t, total - t) <= observed + 1e-12))
+        assert stats.wilcoxon_signed_rank(diffs, np.zeros(21)) == (observed, count / 2**21)
 
     def test_shape_errors(self):
         with pytest.raises(ValueError):
