@@ -64,7 +64,7 @@ def _load_config_file(path: str | None) -> dict:
     values = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for line_no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -142,7 +142,10 @@ def _run(args, argv: list[str]) -> int:
     splits = {d.split: d for d in _load_verified_archive(args)} if takes_archive else None
     out = Path(args.out)
     new_dirs = [d for d in (out, *out.parents) if not d.exists()]  # out first, if it is new
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # --out or a parent is a file
+        raise ConfigError(f"cannot create --out {out}: {exc}") from exc
     try:
         artifacts, summary = args.func(args, config, out, splits)
         checksums = {args.dataset: data.sha256_of_file(args.archive)} if takes_archive else {}
@@ -305,7 +308,10 @@ def cmd_eval(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
             logits, _ = models.predict_batch(model, features[None, :])  # 1-row batch
             dump = {"kind": "classical", "logits": logits[0].tolist()}
         dump_path = Path(args.dump_state)
-        _write_json(dump_path, dump)
+        try:
+            _write_json(dump_path, dump)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --dump-state {dump_path}: {exc}") from exc
         log(f"state dump written to {dump_path}")
 
     log(f"acc {row['acc']:.4f}, auroc {row['auroc']:.4f}, auprc {row['auprc']:.4f}")

@@ -161,8 +161,12 @@ def sha256_of_file(path: str | Path) -> str:
 
 def verify_checksums(manifest_path: str | Path, archives: dict[str, str | Path]) -> None:
     """Check archives against a text manifest of '<name> <sha256>' lines."""
+    try:
+        text = Path(manifest_path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read checksum manifest {manifest_path}: {exc}") from exc
     expected = {}
-    for line in Path(manifest_path).read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -1,16 +1,17 @@
 """Exact statevector simulation of small qubit circuits.
 
 Amplitudes are indexed little-endian: bit b of a basis index addresses
-qubit b, so |q3 q2 q1 q0> with q0 flipped lives at index 1. Gates update
-amplitude pairs in place of building full 2^n x 2^n matrices, which keeps
-a gate O(2^n). Global phase is never normalized away; only |amplitude|^2
-derived quantities are contractual.
+qubit b, so |q3 q2 q1 q0> with q0 flipped lives at index 1. Global phase is
+never normalized away; only |amplitude|^2 derived quantities are contractual.
 
-The gate helpers accept arrays of shape (..., 2^n) so a batch of states
-(one row per input sample) moves through a circuit in single numpy calls.
-``Circuit`` is a flat gate list whose rotation angles are bound either to
-a trainable parameter slot or to an input-vector slot; that split is what
-lets ``param_shift_grad_all`` shift exactly one source.
+Each gate has one definition that both paths below build on: ``rotation``
+(RY and RZ), ``cnot_permutation`` and ``z_eigenvalues`` (every <Z_q>).
+
+The reference path runs a circuit gate by gate on amplitude arrays of shape
+(..., 2^n), one row per input sample. ``Circuit`` is a flat gate list whose
+rotation angles are bound either to a trainable parameter slot or to an
+input-vector slot; that split is what lets ``param_shift_grad_all`` shift
+exactly one source.
 
 A circuit whose input-bound rotations all come first splits into an
 encoding and a variational block, the ops after it. The block does not
@@ -33,6 +34,58 @@ import numpy as np
 
 MAX_QUBITS = 20
 
+GENERATORS = {"ry": [[0.0, -1.0], [1.0, 0.0]], "rz": [[-1j, 0.0], [0.0, 1j]]}  # R(pi): -i Y, -i Z
+
+
+def _check_qubit(num_qubits: int, qubit: int) -> None:
+    if not 0 <= qubit < num_qubits:
+        raise ValueError(f"qubit {qubit} out of range for {num_qubits} qubits")
+
+
+# --- the gates --------------------------------------------------------------
+
+def rotation(generators, angles) -> np.ndarray:
+    """R(theta) = cos(theta/2) I + sin(theta/2) R(pi) for each angle, shape (..., 2, 2).
+
+    ``generators`` is a gate's R(pi), ``GENERATORS[gate]``, or one R(pi)
+    per angle, shape (..., 2, 2).
+    """
+    half = np.asarray(angles, dtype=float)[..., None, None] / 2.0
+    return np.cos(half) * np.eye(2) + np.sin(half) * generators
+
+
+def cnot_permutation(num_qubits: int, control: int, target: int) -> np.ndarray:
+    """CNOT as a basis permutation: ``amps[..., perm]`` applies it.
+
+    ValueError unless control and target are distinct qubits in [0, n).
+    """
+    _check_qubit(num_qubits, control)
+    _check_qubit(num_qubits, target)
+    if control == target:
+        raise ValueError("control and target must differ")
+    basis = np.arange(2**num_qubits)
+    return basis ^ (((basis >> control) & 1) << target)
+
+
+@functools.lru_cache(maxsize=None)
+def z_eigenvalues(num_qubits: int) -> np.ndarray:
+    """(2^n, n) table of Z_q on basis states: +1 where bit q is 0, else -1.
+
+    ``(|amps|**2) @ z_eigenvalues(n)`` is every <Z_q> at once. The table
+    is built once per qubit count and is read-only.
+    """
+    bits = (np.arange(2**num_qubits)[:, None] >> np.arange(num_qubits)) & 1
+    table = 1.0 - 2.0 * bits
+    table.flags.writeable = False
+    return table
+
+
+def _z_means(amps: np.ndarray, num_qubits: int) -> np.ndarray:
+    """<Z_q> per qubit, shape (..., n), of amplitudes (..., 2^n)."""
+    return (amps.real**2 + amps.imag**2) @ z_eigenvalues(num_qubits)
+
+
+# --- gate by gate -----------------------------------------------------------
 
 @dataclass(frozen=True)
 class QubitState:
@@ -51,87 +104,33 @@ def zero_state(num_qubits: int) -> QubitState:
     return QubitState(num_qubits, amps)
 
 
-def _check_qubit(num_qubits: int, qubit: int) -> None:
-    if not 0 <= qubit < num_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {num_qubits} qubits")
-
-
-def _qubit_axis(ndim: int, qubit: int) -> int:
-    # After reshaping the last axis to [2]*n (C order), the least significant
-    # bit (qubit 0) is the last axis.
-    return ndim - 1 - qubit
-
-
 def apply_1q_array(amps: np.ndarray, mat: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
-    # Index = (lead and higher bits, bit of ``qubit``, lower bits).
-    pairs = amps.reshape(-1, 2, 2**qubit)
-    out = np.empty(pairs.shape, dtype=np.result_type(amps, mat))
-    out[:, 0] = mat[0, 0] * pairs[:, 0] + mat[0, 1] * pairs[:, 1]
-    out[:, 1] = mat[1, 0] * pairs[:, 0] + mat[1, 1] * pairs[:, 1]
-    return out.reshape(amps.shape)
-
-
-def apply_cnot_array(amps: np.ndarray, control: int, target: int, num_qubits: int) -> np.ndarray:
-    lead = amps.shape[:-1]
-    arr = amps.reshape(*lead, *([2] * num_qubits)).copy()
-    c_axis = len(lead) + _qubit_axis(num_qubits, control)
-    t_axis = len(lead) + _qubit_axis(num_qubits, target)
-    idx10 = [slice(None)] * arr.ndim
-    idx11 = [slice(None)] * arr.ndim
-    idx10[c_axis], idx10[t_axis] = 1, 0
-    idx11[c_axis], idx11[t_axis] = 1, 1
-    arr[tuple(idx10)], arr[tuple(idx11)] = (
-        arr[tuple(idx11)].copy(),
-        arr[tuple(idx10)].copy(),
-    )
-    return arr.reshape(*lead, 2**num_qubits)
-
-
-def ry_matrix(phi: float) -> np.ndarray:
-    c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def rz_matrix(phi: float) -> np.ndarray:
-    return np.array([[np.exp(-0.5j * phi), 0.0], [0.0, np.exp(0.5j * phi)]], dtype=complex)
+    """``mat`` on ``qubit`` of amplitudes (..., 2^n): one 2 x 2, or one per row, (..., 2, 2)."""
+    # Index = (lead, higher bits, bit of ``qubit``, lower bits).
+    pairs = amps.reshape(amps.shape[:-1] + (-1, 2, 2**qubit))
+    return (np.asarray(mat)[..., None, :, :] @ pairs).reshape(amps.shape)
 
 
 def apply_ry(state: QubitState, qubit: int, phi: float) -> QubitState:
     _check_qubit(state.num_qubits, qubit)
-    return QubitState(
-        state.num_qubits, apply_1q_array(state.amplitudes, ry_matrix(phi), qubit, state.num_qubits)
-    )
+    mat = rotation(GENERATORS["ry"], phi)
+    return QubitState(state.num_qubits, apply_1q_array(state.amplitudes, mat, qubit, state.num_qubits))
 
 
 def apply_rz(state: QubitState, qubit: int, phi: float) -> QubitState:
     _check_qubit(state.num_qubits, qubit)
-    return QubitState(
-        state.num_qubits, apply_1q_array(state.amplitudes, rz_matrix(phi), qubit, state.num_qubits)
-    )
+    mat = rotation(GENERATORS["rz"], phi)
+    return QubitState(state.num_qubits, apply_1q_array(state.amplitudes, mat, qubit, state.num_qubits))
 
 
 def apply_cnot(state: QubitState, control: int, target: int) -> QubitState:
-    _check_qubit(state.num_qubits, control)
-    _check_qubit(state.num_qubits, target)
-    if control == target:
-        raise ValueError("control and target must differ")
-    return QubitState(
-        state.num_qubits, apply_cnot_array(state.amplitudes, control, target, state.num_qubits)
-    )
-
-
-def expect_z_array(amps: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
-    lead = amps.shape[:-1]
-    probs = (amps.real**2 + amps.imag**2).reshape(*lead, *([2] * num_qubits))
-    axis = len(lead) + _qubit_axis(num_qubits, qubit)
-    reduce_axes = tuple(a for a in range(len(lead), probs.ndim) if a != axis)
-    marginal = probs.sum(axis=reduce_axes)  # (..., 2)
-    return marginal[..., 0] - marginal[..., 1]
+    perm = cnot_permutation(state.num_qubits, control, target)
+    return QubitState(state.num_qubits, state.amplitudes[perm])
 
 
 def expect_z(state: QubitState, qubit: int) -> float:
     _check_qubit(state.num_qubits, qubit)
-    return float(expect_z_array(state.amplitudes, qubit, state.num_qubits))
+    return float(_z_means(state.amplitudes, state.num_qubits)[qubit])
 
 
 # --- parameterized circuits -------------------------------------------------
@@ -164,12 +163,6 @@ class Circuit:
         return _plan_block(self)
 
 
-def _op_angle(op: Op, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    if op.param is not None:
-        return op.scale * params[op.param] * np.ones(inputs.shape[:-1])
-    return op.scale * inputs[..., op.input_slot]
-
-
 def run_circuit(
     circuit: Circuit,
     params: np.ndarray,
@@ -184,47 +177,18 @@ def run_circuit(
     one stacked evaluation.
     """
     inputs = np.asarray(inputs, dtype=float)
-    lead = inputs.shape[:-1]
     n = circuit.num_qubits
-    amps = np.zeros(lead + (2**n,), dtype=complex)
+    shifts = angle_override or {}
+    amps = np.zeros(inputs.shape[:-1] + (2**n,), dtype=complex)
     amps[..., 0] = 1.0
     for pos, op in enumerate(circuit.ops):
         if op.gate == "cnot":
-            amps = apply_cnot_array(amps, op.qubits[0], op.qubits[1], n)
+            amps = amps[..., cnot_permutation(n, *op.qubits)]
             continue
-        angle = _op_angle(op, params, inputs)
-        if angle_override and pos in angle_override:
-            angle = angle + angle_override[pos]
-        if np.ndim(angle) == 0 or angle.size == 1 or np.ptp(angle) == 0.0:
-            scalar = float(np.reshape(angle, -1)[0]) if np.ndim(angle) else float(angle)
-            mat = ry_matrix(scalar) if op.gate == "ry" else rz_matrix(scalar)
-            amps = apply_1q_array(amps, mat, op.qubits[0], n)
-        else:
-            amps = _apply_rotation_batched(amps, op.gate, op.qubits[0], angle, n)
+        source = params[op.param] if op.param is not None else inputs[..., op.input_slot]
+        angle = op.scale * source + shifts.get(pos, 0.0)
+        amps = apply_1q_array(amps, rotation(GENERATORS[op.gate], angle), op.qubits[0], n)
     return amps
-
-
-def _apply_rotation_batched(
-    amps: np.ndarray, gate: str, qubit: int, angles: np.ndarray, num_qubits: int
-) -> np.ndarray:
-    """Rotation with a per-row angle (encoding gates on batched inputs)."""
-    lead = amps.shape[:-1]
-    arr = amps.reshape(*lead, *([2] * num_qubits))
-    axis = len(lead) + _qubit_axis(num_qubits, qubit)
-    arr = np.moveaxis(arr, axis, -1)
-    a0, a1 = arr[..., 0], arr[..., 1]
-    shape = angles.shape + (1,) * (a0.ndim - angles.ndim)
-    half = (angles / 2.0).reshape(shape)
-    new = np.empty_like(arr)
-    if gate == "ry":
-        c, s = np.cos(half), np.sin(half)
-        new[..., 0] = c * a0 - s * a1
-        new[..., 1] = s * a0 + c * a1
-    else:
-        new[..., 0] = np.exp(-1j * half) * a0
-        new[..., 1] = np.exp(1j * half) * a1
-    arr = np.moveaxis(new, -1, axis)
-    return arr.reshape(*lead, 2**num_qubits)
 
 
 def circuit_expectations(
@@ -234,9 +198,7 @@ def circuit_expectations(
     angle_override: dict[int, float | np.ndarray] | None = None,
 ) -> np.ndarray:
     """<Z_q> per qubit, shape (..., num_qubits); see ``run_circuit``."""
-    amps = run_circuit(circuit, params, inputs, angle_override)
-    cols = [expect_z_array(amps, q, circuit.num_qubits) for q in range(circuit.num_qubits)]
-    return np.stack(cols, axis=-1)
+    return _z_means(run_circuit(circuit, params, inputs, angle_override), circuit.num_qubits)
 
 
 def param_shift_grad_all(
@@ -267,13 +229,10 @@ def param_shift_grad_all(
     grads = np.zeros((count,) + lead + (circuit.num_qubits,))
     variants = 2 * len(occurrences)
     stacked = np.broadcast_to(inputs, (variants,) + inputs.shape)
-    override: dict[int, np.ndarray] = {}
+    # row occ shifts variant 2 occ by +pi/2 and variant 2 occ + 1 by -pi/2
+    shifts = np.pi / 2.0 * np.kron(np.eye(len(occurrences)), [1.0, -1.0])
     column = (variants,) + (1,) * len(lead)
-    for occ, (pos, _, _) in enumerate(occurrences):
-        shifts = np.zeros(column)
-        shifts[2 * occ] = np.pi / 2.0
-        shifts[2 * occ + 1] = -np.pi / 2.0
-        override[pos] = shifts
+    override = {pos: shifts[occ].reshape(column) for occ, (pos, _, _) in enumerate(occurrences)}
     expectations = circuit_expectations(circuit, params, stacked, override)  # (variants, *lead, n)
     for occ, (_, index, scale) in enumerate(occurrences):
         grads[index] += scale * 0.5 * (expectations[2 * occ] - expectations[2 * occ + 1])
@@ -281,19 +240,6 @@ def param_shift_grad_all(
 
 
 # --- compiled variational blocks ---------------------------------------------
-
-@functools.lru_cache(maxsize=None)
-def z_eigenvalues(num_qubits: int) -> np.ndarray:
-    """(2^n, n) table of Z_q on basis states: +1 where bit q is 0, else -1.
-
-    ``(|amps|**2) @ z_eigenvalues(n)`` is every ``expect_z_array`` at once.
-    The table is built once per qubit count and is read-only.
-    """
-    bits = (np.arange(2**num_qubits)[:, None] >> np.arange(num_qubits)) & 1
-    table = 1.0 - 2.0 * bits
-    table.flags.writeable = False
-    return table
-
 
 def ry_product_state(angles: np.ndarray) -> np.ndarray:
     """RY(angles[..., q]) on every qubit q of |0...0>, shape (..., 2^n).
@@ -315,9 +261,6 @@ def ry_product_state_jacobian(angles: np.ndarray) -> np.ndarray:
     return 0.5 * ry_product_state(angles[..., None, :] + np.pi * np.eye(angles.shape[-1]))
 
 
-_GENERATORS = {"ry": [[0.0, -1.0], [1.0, 0.0]], "rz": [[-1j, 0.0], [0.0, 1j]]}  # R(pi)
-
-
 @dataclass(frozen=True)
 class BlockPlan:
     """A circuit's variational block grouped into moments.
@@ -327,10 +270,9 @@ class BlockPlan:
     moment k, an index array ``perm`` maps amplitudes ``psi -> psi[perm]``
     for a CNOT run. The remaining arrays list the block's rotations in
     order: their moment, qubit, parameter and scale; their gate's R(pi),
-    -i Y or -i Z, so that R(theta) = cos(theta/2) I + sin(theta/2) R(pi);
-    and ``block_entries``, where entry (a, b) of the rotation's qubit block
-    lies in its moment's stacked 2^n x 2^n matrices, once per state of the
-    other qubits.
+    which ``rotation`` takes; and ``block_entries``, where entry (a, b) of
+    the rotation's qubit block lies in its moment's stacked 2^n x 2^n
+    matrices, once per state of the other qubits.
     """
 
     steps: tuple[int | np.ndarray, ...]
@@ -355,8 +297,7 @@ def _plan_block(circuit: Circuit) -> BlockPlan:
     busy: set[int] | None = None  # qubits of the open rotation moment
     for op in circuit.ops[start:]:
         if op.gate == "cnot":
-            control, target = op.qubits
-            flip = basis ^ (((basis >> control) & 1) << target)
+            flip = cnot_permutation(circuit.num_qubits, *op.qubits)
             if busy is None and steps:
                 steps[-1] = steps[-1][flip]  # extend the open CNOT run
             else:
@@ -371,7 +312,7 @@ def _plan_block(circuit: Circuit) -> BlockPlan:
             busy = set()
         busy.add(op.qubits[0])
         rotations.append((num_moments - 1, op))
-    generators = np.array([_GENERATORS[op.gate] for _, op in rotations], dtype=complex)
+    generators = np.array([GENERATORS[op.gate] for _, op in rotations], dtype=complex)
     moment = np.array([moment for moment, _ in rotations], dtype=int)
     qubit = np.array([op.qubits[0] for _, op in rotations], dtype=int)
     clear = np.array([basis[(basis >> q) & 1 == 0] for q in range(circuit.num_qubits)])
@@ -410,16 +351,16 @@ class CompiledBlock:
 def compile_block(circuit: Circuit, params: np.ndarray) -> CompiledBlock:
     """Build each moment as one 2^n x 2^n matrix and multiply them out once.
 
-    Every rotation's 2 x 2 comes from one vectorized expression; a
+    Every rotation's 2 x 2 comes from one ``rotation`` call; a
     rotation moment is the Kronecker product of its qubits' 2 x 2s
     (identity on the qubits it leaves alone), and a CNOT run is a column
     permutation.
     """
     plan = circuit.block_plan
     n = circuit.num_qubits
-    half = (plan.scale * np.asarray(params, dtype=float)[plan.param] / 2.0)[:, None, None]
+    angles = plan.scale * np.asarray(params, dtype=float)[plan.param]
     factors = np.broadcast_to(np.eye(2, dtype=complex), (plan.num_moments, n, 2, 2)).copy()
-    factors[plan.moment, plan.qubit] = np.cos(half) * np.eye(2) + np.sin(half) * plan.generators
+    factors[plan.moment, plan.qubit] = rotation(plan.generators, angles)
     moments = factors[:, n - 1]
     for qubit in range(n - 2, -1, -1):  # qubit 0 is the least significant bit
         size = 2 * moments.shape[-1]
@@ -439,8 +380,7 @@ def compile_block(circuit: Circuit, params: np.ndarray) -> CompiledBlock:
 
 def block_expectations(block: CompiledBlock, states: np.ndarray) -> np.ndarray:
     """<Z_q> per qubit after the block, shape (..., n), for states (..., 2^n)."""
-    amps = states @ block.transfer
-    return (amps.real**2 + amps.imag**2) @ z_eigenvalues(block.circuit.num_qubits)
+    return _z_means(states @ block.transfer, block.circuit.num_qubits)
 
 
 def block_adjoint_grad(block: CompiledBlock, weights: np.ndarray) -> np.ndarray:

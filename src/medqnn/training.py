@@ -62,8 +62,6 @@ class FoldResult:
     pca_model: pca.PcaModel
     train_metrics: dict[str, float]
     val_metrics: dict[str, float]
-    train_indices: np.ndarray
-    val_indices: np.ndarray
 
 
 @dataclass
@@ -229,8 +227,6 @@ def _train_one_fold(
         pca_model=pca_model,
         train_metrics=metrics.metric_set(train_cm),
         val_metrics=metrics.metric_set(val_cm),
-        train_indices=train_idx,
-        val_indices=val_idx,
     )
 
 

@@ -196,16 +196,32 @@ class TestCriterion6Properties:
             for _ in range(12):
                 kind = rng.integer(3)
                 if kind == 0:
-                    amps = sv.apply_1q_array(amps, sv.ry_matrix(rng.uniform(-np.pi, np.pi)), rng.integer(4), 4)
+                    mat = sv.rotation(sv.GENERATORS["ry"], rng.uniform(-np.pi, np.pi))
+                    amps = sv.apply_1q_array(amps, mat, rng.integer(4), 4)
                 elif kind == 1:
-                    amps = sv.apply_1q_array(amps, sv.rz_matrix(rng.uniform(-np.pi, np.pi)), rng.integer(4), 4)
+                    mat = sv.rotation(sv.GENERATORS["rz"], rng.uniform(-np.pi, np.pi))
+                    amps = sv.apply_1q_array(amps, mat, rng.integer(4), 4)
                 else:
                     c = rng.integer(4)
                     t = (c + 1 + rng.integer(3)) % 4
-                    amps = sv.apply_cnot_array(amps, c, t, 4)
+                    amps = amps[sv.cnot_permutation(4, c, t)]
             worst = max(worst, abs(np.sum(np.abs(amps) ** 2) - 1.0))
         assert worst < 1e-12
         report(f"criterion 6b, norm drift over 1000 circuits (max {worst:.2e})")
+
+    def test_compiled_block_unitary_over_1000_circuits(self):
+        # the block the CLI runs, compiled from random encoded circuits
+        from test_statevector import encoded_random_circuit
+
+        rng = Rng(65)
+        worst = 0.0
+        for _ in range(1000):
+            circuit = encoded_random_circuit(rng, 4, 12)
+            params = np.array([rng.uniform(-np.pi, np.pi) for _ in range(circuit.num_params())])
+            u = sv.compile_block(circuit, params).transfer
+            worst = max(worst, np.abs(u @ u.conj().T - np.eye(16)).max())
+        assert worst < 1e-12
+        report(f"criterion 6b, compiled block unitary over 1000 circuits (max dev {worst:.2e})")
 
     def test_parameter_shift_vs_finite_difference_100_points(self):
         # every trainable parameter of the production circuit, at 100
@@ -230,6 +246,37 @@ class TestCriterion6Properties:
         assert worst < 1e-6
         report(
             f"criterion 6c, shift rule vs finite differences at 100 parameter points "
+            f"(max dev {worst:.2e})"
+        )
+
+    def test_adjoint_grad_vs_finite_difference_100_points(self):
+        # the production circuit's compiled block, at 100 random parameter
+        # points, each with its own inputs and per-row output weights
+        circuit = models.build_dv_circuit()
+        rng = Rng(66)
+        eps = 1e-5
+        worst = 0.0
+        for _ in range(100):
+            params = np.array([rng.uniform(-np.pi, np.pi) for _ in range(32)])
+            inputs = np.array([[rng.uniform(-1, 1) for _ in range(4)] for _ in range(3)])
+            c = np.array([[rng.uniform(-1, 1) for _ in range(4)] for _ in range(3)])
+            states = sv.ry_product_state(np.pi * inputs)
+            weights = np.einsum("mq,mi,mj->qij", c, states, states)
+            exact = sv.block_adjoint_grad(sv.compile_block(circuit, params), weights)
+            for index in range(32):
+                up, down = params.copy(), params.copy()
+                up[index] += eps
+                down[index] -= eps
+                fd = np.sum(
+                    c * (
+                        sv.block_expectations(sv.compile_block(circuit, up), states)
+                        - sv.block_expectations(sv.compile_block(circuit, down), states)
+                    )
+                ) / (2 * eps)
+                worst = max(worst, abs(exact[index] - fd))
+        assert worst < 1e-6
+        report(
+            f"criterion 6c, adjoint gradient vs finite differences at 100 parameter points "
             f"(max dev {worst:.2e})"
         )
 

@@ -477,7 +477,10 @@ def bad_input_files(tmp_path, archive, trained):
         (tmp_path / f"{name}.cfg").write_text(text)
     files["corrupt"] = str(tmp_path / "corrupt.npz")
     (tmp_path / "corrupt.npz").write_bytes(b"PK\x03\x04 this is not a zip archive")
+    files["latin1_cfg"] = str(tmp_path / "latin1.cfg")
+    (tmp_path / "latin1.cfg").write_bytes("seed = 7  # \u00e9\n".encode("latin-1"))
     files["nope"] = str(tmp_path / "nope.csv")
+    files["a_dir"] = str(tmp_path)
     files["missing_archive"] = str(tmp_path / "missing.npz")
     rng = np.random.default_rng(8)
     arrays = {}
@@ -553,6 +556,14 @@ BAD_INPUTS = [  # (case, documented exit code, argv template)
     ("seed in saliency config file", 3, f"{SALIENCY} --indices 0 --config {{seed_cfg}}"),
     ("seed in stats config file", 3, f"{STATS} --config {{seed_cfg}}"),
     ("seed in pca-report config file", 3, f"{PCA_REPORT} --config {{seed_cfg}}"),
+    ("--out naming a file", 3, f"{STATS} --out {{seed_cfg}}"),
+    ("--out under a file", 3, f"{PCA_REPORT} --out {{seed_cfg}}/out"),
+    ("--dump-state in a missing directory", 3,
+     f"{EVAL} --checkpoint {{checkpoint}} --dump-state {{nope}}/state.json"),
+    ("non-UTF-8 config file", 3, f"{TRAIN} --model dv --config {{latin1_cfg}}"),
+    ("missing --checksums manifest", 2, f"{TRAIN} --model dv --checksums {{nope}}"),
+    ("--checksums naming a directory", 2, f"{TRAIN} --model dv --checksums {{a_dir}}"),
+    ("non-UTF-8 --checksums manifest", 2, f"{TRAIN} --model dv --checksums {{latin1_cfg}}"),
 ]
 
 
@@ -564,7 +575,9 @@ def test_bad_input_exits_with_documented_code(
 ):
     files = bad_input_files(tmp_path, archive, trained)
     argv = [token.format(**files) for token in template.split()]
-    assert run_cli(*argv, "--out", str(tmp_path / "out")) == expected
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    assert run_cli(*argv) == expected
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -422,8 +422,7 @@ class TestCompiledPathOracles:
         model = random_model("dv", num_classes, seed=rows + num_classes)
         features, _ = random_batch(model, rows, seed=rows)
         z = np.clip(models.standardize(model, features), -1.0, 1.0)
-        amps = statevector.run_circuit(models.build_dv_circuit(), model.circuit_params, z)
-        outputs = np.stack([statevector.expect_z_array(amps, q, 4) for q in range(4)], axis=-1)
+        outputs = statevector.circuit_expectations(models.build_dv_circuit(), model.circuit_params, z)
         logits, _ = models.predict_batch(model, features)
         expected = outputs @ model.head_weights.T + model.head_bias
         np.testing.assert_allclose(logits, expected, rtol=0, atol=1e-12)

@@ -406,6 +406,17 @@ class TestCompiledBlock:
         assert sv.z_eigenvalues(3) is sv.z_eigenvalues(3)
         assert not sv.z_eigenvalues(3).flags.writeable
 
+    @pytest.mark.parametrize("qubits", [(1, 1), (0, 3), (3, 0), (-1, 0)])
+    def test_bad_cnot_rejected(self, qubits):
+        circuit = sv.Circuit(
+            num_qubits=3,
+            ops=(sv.Op("ry", (0,), input_slot=0), sv.Op("ry", (1,), param=0), sv.Op("cnot", qubits)),
+        )
+        with pytest.raises(ValueError):
+            sv.compile_block(circuit, np.zeros(1))
+        with pytest.raises(ValueError):
+            sv.run_circuit(circuit, np.zeros(1), np.zeros((2, 1)))
+
     def test_block_must_follow_the_encoding(self):
         circuit = sv.Circuit(
             num_qubits=2,
