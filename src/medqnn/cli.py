@@ -30,7 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data, metrics, models, pca, saliency, stats, training
+# training, saliency and stats are imported by the commands that use them,
+# so no command loads (and, without cached bytecode, compiles) the others.
+from . import data, metrics, models, pca
 from .errors import ConfigError, DataError, NumericError, UndefinedMetric
 
 _CONFIG_DEFAULTS = {
@@ -211,7 +213,9 @@ def _evaluate_model(model, pca_model, dataset) -> tuple[dict, dict[str, metrics.
 
 # --- train -------------------------------------------------------------------
 
-def _train_config(config: dict) -> training.TrainConfig:
+def _train_config(config: dict):
+    from . import training
+
     return training.TrainConfig(
         batch_size=config["batch_size"],
         learning_rate=config["learning_rate"],
@@ -222,6 +226,8 @@ def _train_config(config: dict) -> training.TrainConfig:
 
 
 def cmd_train(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
+    from . import training
+
     train_split = splits["train"]
     log(
         f"training {args.model} on {args.dataset} "
@@ -332,15 +338,21 @@ def cmd_noise_sweep(args, config: dict, out: Path, splits) -> tuple[list[Path], 
 
     # One draw serves every sigma: the field depends on the seed only.
     noise = data.unit_noise_field(test, config["seed"])
+    if not args.clip:
+        # Unclipped, the features are affine in sigma: (x + sigma n - mean) C^T
+        # = base + sigma proj, so each model projects the split and the field once.
+        noise_flat = noise.reshape(len(test), -1)
+        parts = [(pca.transform(p, test.flat_images()), noise_flat @ p.components.T) for _, _, p in loaded]
     rows = []
     for sigma in data.noise_sweep_grid():
-        noisy = data.inject_gaussian_noise(test, sigma, noise, clip=args.clip)
-        for kind, model, pca_model in loaded:
-            features = pca.transform(pca_model, noisy.flat_images())
-            logits, _ = models.predict_batch(model, features)
-            cm = metrics.confusion_matrix(
-                noisy.labels, logits.argmax(axis=1), noisy.num_classes
-            )
+        if args.clip:
+            noisy = data.inject_gaussian_noise(test, sigma, noise, clip=True).flat_images()
+            features = [pca.transform(p, noisy) for _, _, p in loaded]
+        else:
+            features = [base + sigma * proj for base, proj in parts]
+        for (kind, model, _), x in zip(loaded, features):
+            logits, _ = models.predict_batch(model, x)
+            cm = metrics.confusion_matrix(test.labels, logits.argmax(axis=1), test.num_classes)
             _, _, _, f1 = metrics.micro_metrics(cm)
             rows.append((sigma, kind, f1))
         log(f"sigma {sigma:.2f} done")
@@ -353,6 +365,8 @@ def cmd_noise_sweep(args, config: dict, out: Path, splits) -> tuple[list[Path], 
 # --- saliency ------------------------------------------------------------
 
 def cmd_saliency(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
+    from . import saliency
+
     dataset = splits[args.split]
     model, pca_model = _load_model(args.checkpoint, args.pca)
 
@@ -415,6 +429,8 @@ def _read_fold_metrics(path: str) -> dict[str, list[float]]:
 
 
 def cmd_stats(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
+    from . import stats
+
     if not 0.0 < args.alpha < 1.0:  # also rejects nan
         raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha}")
     sources = {kind: _read_fold_metrics(getattr(args, kind)) for kind in _MODEL_LABELS}

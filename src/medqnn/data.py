@@ -4,6 +4,10 @@ Archives are .npz files (zip files of .npy members) named train_images,
 train_labels, val_images, val_labels, test_images, test_labels with
 unsigned-byte pixels. numpy's own reader loads them with pickles refused;
 every way it can fail on a damaged or foreign file becomes a DataError.
+Every member is read and checked on load, but a split keeps its bytes
+and becomes floats on [0, 1] (``astype(float) / 255.0``) only when a
+command first reads its ``images``, so a command that reads only the
+test split never converts the training images.
 
 Noise injection adds independent N(0, sigma^2) draws on the [0, 1] pixel
 scale and intentionally does not clip: clipping would censor the noise
@@ -15,6 +19,7 @@ independent of sigma and two sigmas under one seed differ only by scale.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import lzma
 import tokenize
@@ -51,13 +56,20 @@ _READ_ERRORS = (OSError, EOFError, ValueError, TypeError, MemoryError, RuntimeEr
 @dataclass(frozen=True)
 class ImageDataset:
     name: str
-    images: np.ndarray  # (m, 28, 28) floats, [0, 1] until noise is injected
+    pixels: np.ndarray  # (m, 28, 28) unsigned bytes as stored, or floats once noise is injected
     labels: np.ndarray  # (m,) ints
     num_classes: int
     split: str
 
     def __len__(self) -> int:
         return len(self.labels)
+
+    @functools.cached_property
+    def images(self) -> np.ndarray:
+        """(m, 28, 28) floats, [0, 1] until noise is injected; converted on first use."""
+        if self.pixels.dtype == np.uint8:
+            return self.pixels.astype(float) / 255.0
+        return self.pixels
 
     def flat_images(self) -> np.ndarray:
         return self.images.reshape(len(self.labels), -1)
@@ -79,7 +91,7 @@ def _read_members(path: str | Path) -> dict[str, np.ndarray]:
 
 
 def load_archive(path: str | Path, dataset_name: str) -> tuple[ImageDataset, ImageDataset, ImageDataset]:
-    """Load (train, val, test) from an archive, normalizing pixels to [0, 1]."""
+    """Load (train, val, test) from an archive; each split's ``images`` lie on [0, 1]."""
     arrays = _read_members(path)
     name = dataset_name.lower()
     splits = {}
@@ -98,7 +110,7 @@ def load_archive(path: str | Path, dataset_name: str) -> tuple[ImageDataset, Ima
             raise DataError(f"{path}: {split} image/label count mismatch")
         if len(labels) == 0:
             raise DataError(f"{path}: {split} split is empty")
-        splits[split] = (images.astype(float) / 255.0, labels)
+        splits[split] = (images, labels)
 
     num_classes = int(max(labels.max() for _, labels in splits.values())) + 1
     train_count = len(splits["train"][1])
@@ -116,8 +128,8 @@ def load_archive(path: str | Path, dataset_name: str) -> tuple[ImageDataset, Ima
                 f" expected {expected['train']}"
             )
     return tuple(
-        ImageDataset(name=name, images=images, labels=labels, num_classes=num_classes, split=split)
-        for split, (images, labels) in splits.items()
+        ImageDataset(name=name, pixels=pixels, labels=labels, num_classes=num_classes, split=split)
+        for split, (pixels, labels) in splits.items()
     )
 
 
@@ -132,11 +144,11 @@ def inject_gaussian_noise(
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0.0:
-        return replace(dataset, images=dataset.images.copy())
+        return replace(dataset, pixels=dataset.images.copy())
     noisy = dataset.images + sigma * noise
     if clip:
         noisy = np.clip(noisy, 0.0, 1.0)
-    return replace(dataset, images=noisy)
+    return replace(dataset, pixels=noisy)
 
 
 def unit_noise_field(dataset: ImageDataset, seed: int) -> np.ndarray:

@@ -104,7 +104,7 @@ def zero_state(num_qubits: int) -> QubitState:
     return QubitState(num_qubits, amps)
 
 
-def apply_1q_array(amps: np.ndarray, mat: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
+def apply_1q_array(amps: np.ndarray, mat: np.ndarray, qubit: int) -> np.ndarray:
     """``mat`` on ``qubit`` of amplitudes (..., 2^n): one 2 x 2, or one per row, (..., 2, 2)."""
     # Index = (lead, higher bits, bit of ``qubit``, lower bits).
     pairs = amps.reshape(amps.shape[:-1] + (-1, 2, 2**qubit))
@@ -114,13 +114,13 @@ def apply_1q_array(amps: np.ndarray, mat: np.ndarray, qubit: int, num_qubits: in
 def apply_ry(state: QubitState, qubit: int, phi: float) -> QubitState:
     _check_qubit(state.num_qubits, qubit)
     mat = rotation(GENERATORS["ry"], phi)
-    return QubitState(state.num_qubits, apply_1q_array(state.amplitudes, mat, qubit, state.num_qubits))
+    return QubitState(state.num_qubits, apply_1q_array(state.amplitudes, mat, qubit))
 
 
 def apply_rz(state: QubitState, qubit: int, phi: float) -> QubitState:
     _check_qubit(state.num_qubits, qubit)
     mat = rotation(GENERATORS["rz"], phi)
-    return QubitState(state.num_qubits, apply_1q_array(state.amplitudes, mat, qubit, state.num_qubits))
+    return QubitState(state.num_qubits, apply_1q_array(state.amplitudes, mat, qubit))
 
 
 def apply_cnot(state: QubitState, control: int, target: int) -> QubitState:
@@ -185,9 +185,10 @@ def run_circuit(
         if op.gate == "cnot":
             amps = amps[..., cnot_permutation(n, *op.qubits)]
             continue
+        _check_qubit(n, op.qubits[0])
         source = params[op.param] if op.param is not None else inputs[..., op.input_slot]
         angle = op.scale * source + shifts.get(pos, 0.0)
-        amps = apply_1q_array(amps, rotation(GENERATORS[op.gate], angle), op.qubits[0], n)
+        amps = apply_1q_array(amps, rotation(GENERATORS[op.gate], angle), op.qubits[0])
     return amps
 
 
@@ -306,6 +307,7 @@ def _plan_block(circuit: Circuit) -> BlockPlan:
             continue
         if op.param is None:
             raise ValueError("every op after the encoding must be a cnot or bound to a parameter")
+        _check_qubit(circuit.num_qubits, op.qubits[0])
         if busy is None or op.qubits[0] in busy:
             steps.append(num_moments)
             num_moments += 1

@@ -202,8 +202,10 @@ def _train_one_fold(
     num_classes: int,
     config: TrainConfig,
 ) -> FoldResult:
-    pca_model = pca.fit(images[train_idx], models.NUM_MODES)
-    train_features = pca.transform(pca_model, images[train_idx])
+    train_images = images[train_idx]
+    pca_model = pca.fit(train_images, models.NUM_MODES)
+    train_features = pca.transform(pca_model, train_images)
+    del train_images  # training needs only the features; free the gathered pixels before it runs
     val_features = pca.transform(pca_model, images[val_idx])
     rng = Rng(substream_seed(config.seed, fold_index))
     model, curves = train_model(

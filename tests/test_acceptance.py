@@ -197,10 +197,10 @@ class TestCriterion6Properties:
                 kind = rng.integer(3)
                 if kind == 0:
                     mat = sv.rotation(sv.GENERATORS["ry"], rng.uniform(-np.pi, np.pi))
-                    amps = sv.apply_1q_array(amps, mat, rng.integer(4), 4)
+                    amps = sv.apply_1q_array(amps, mat, rng.integer(4))
                 elif kind == 1:
                     mat = sv.rotation(sv.GENERATORS["rz"], rng.uniform(-np.pi, np.pi))
-                    amps = sv.apply_1q_array(amps, mat, rng.integer(4), 4)
+                    amps = sv.apply_1q_array(amps, mat, rng.integer(4))
                 else:
                     c = rng.integer(4)
                     t = (c + 1 + rng.integer(3)) % 4

@@ -1,12 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from medqnn import cli, models, pca
+from medqnn import cli, data, metrics, models, pca
 from medqnn.rng import Rng
 
 from conftest import make_class_images, write_archive
@@ -347,6 +350,50 @@ class TestNoiseSweep:
             argv += [f"--{kind}-checkpoint", str(model_path), f"--{kind}-pca", str(pca_path)]
         assert run_cli(*argv) == 0
         assert (repeat / "noise_sweep.csv").read_bytes() == (out_dir / "noise_sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("clip", [False, True])
+    def test_rows_match_per_sigma_projection(self, tmp_path, trained, clip):
+        """The F1 rows of a loop that injects the noise and projects every noisy copy."""
+        # a larger test split than the shared archive's, for finer F1 values
+        archive = str(write_archive(tmp_path / "toyset.npz", m_train=20, m_val=6, m_test=300, seed=9))
+        out = tmp_path / "sweep"
+        argv = ["noise-sweep", "--archive", archive, "--dataset", "toyset",
+                "--out", str(out), "--seed", "21"] + (["--clip"] if clip else [])
+        loaded = []
+        for kind in models.KINDS:
+            model_path, pca_path = best_fold_paths(trained[kind])
+            argv += [f"--{kind}-checkpoint", str(model_path), f"--{kind}-pca", str(pca_path)]
+            loaded.append((kind, models.load_checkpoint(model_path), pca.load(pca_path)))
+        assert run_cli(*argv) == 0
+        with open(out / "noise_sweep.csv", newline="") as handle:
+            rows = [(float(r["sigma"]), r["model_kind"], float(r["f1"])) for r in csv.DictReader(handle)]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, _, test = data.load_archive(archive, "toyset")
+        noise = data.unit_noise_field(test, 21)
+        expected = []
+        for sigma in data.noise_sweep_grid():
+            noisy = data.inject_gaussian_noise(test, sigma, noise, clip=clip)
+            for kind, model, pca_model in loaded:
+                logits, _ = models.predict_batch(model, pca.transform(pca_model, noisy.flat_images()))
+                cm = metrics.confusion_matrix(test.labels, logits.argmax(axis=1), test.num_classes)
+                expected.append((sigma, kind, metrics.micro_metrics(cm)[3]))
+        assert rows == expected
+
+
+def test_cli_import_leaves_command_modules_unloaded():
+    """training, saliency and stats load only inside the commands that use them."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, medqnn.cli\n"
+        "print(sorted(m for m in ('medqnn.training', 'medqnn.saliency', 'medqnn.stats')"
+        " if m in sys.modules))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestSaliencyCommand:

@@ -127,6 +127,19 @@ class TestLoadArchive:
         assert train.images.dtype == float
         assert train.images.max() <= 1.0
 
+    def test_images_bit_identical_to_float_conversion(self, tmp_path):
+        path = write_archive(tmp_path / "toy.npz", m_train=30, m_val=8, m_test=9, seed=4)
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        with pytest.warns(UserWarning):
+            splits = data.load_archive(path, "toyset")
+        for dataset in splits:
+            assert "images" not in vars(dataset)  # converted on first use, not on load
+            expected = arrays[f"{dataset.split}_images"].astype(float) / 255.0
+            assert dataset.images.dtype == expected.dtype
+            assert dataset.images.tobytes() == expected.tobytes()
+            assert dataset.images is dataset.images
+
     def test_missing_member_is_format_error(self, tmp_path):
         rng = np.random.default_rng(1)
         arrays = {

@@ -417,6 +417,17 @@ class TestCompiledBlock:
         with pytest.raises(ValueError):
             sv.run_circuit(circuit, np.zeros(1), np.zeros((2, 1)))
 
+    @pytest.mark.parametrize("qubit", [-1, 3, 5])
+    def test_bad_rotation_qubit_rejected(self, qubit):
+        circuit = sv.Circuit(
+            num_qubits=3,
+            ops=(sv.Op("ry", (0,), input_slot=0), sv.Op("ry", (qubit,), param=0)),
+        )
+        with pytest.raises(ValueError):
+            sv.compile_block(circuit, np.zeros(1))
+        with pytest.raises(ValueError):
+            sv.run_circuit(circuit, np.zeros(1), np.zeros((2, 1)))
+
     def test_block_must_follow_the_encoding(self):
         circuit = sv.Circuit(
             num_qubits=2,
