@@ -114,14 +114,19 @@ def _write_csv(path: Path, header: list[str], rows) -> Path:
     return path
 
 
-def _load_verified_archive(args) -> tuple:
+def _load_verified_archive(args) -> tuple[dict, dict]:
+    """The archive's splits by name, and its sha256 by dataset name (hashed once)."""
     archive = Path(args.archive)
     if not archive.exists():
         raise DataError(f"archive not found: {archive}")
-    if getattr(args, "checksums", None):
-        data.verify_checksums(args.checksums, {args.dataset: archive})
+    try:
+        digest = data.sha256_of_file(archive)
+    except OSError as exc:
+        raise DataError(f"cannot read archive {archive}: {exc}") from exc
+    if args.checksums:
+        data.verify_checksums(args.checksums, {args.dataset: digest})
         log(f"checksum ok for {archive}")
-    return data.load_archive(archive, args.dataset)
+    return {d.split: d for d in data.load_archive(archive, args.dataset)}, {args.dataset: digest}
 
 
 def _run(args, argv: list[str]) -> int:
@@ -140,8 +145,7 @@ def _run(args, argv: list[str]) -> int:
     if hasattr(args, "check"):
         args.check(config)  # a bad config exits 3 before any input is read
     started = datetime.now(timezone.utc).isoformat()
-    takes_archive = hasattr(args, "archive")
-    splits = {d.split: d for d in _load_verified_archive(args)} if takes_archive else None
+    splits, checksums = _load_verified_archive(args) if hasattr(args, "archive") else (None, {})
     out = Path(args.out)
     new_dirs = [d for d in (out, *out.parents) if not d.exists()]  # out first, if it is new
     try:
@@ -150,7 +154,6 @@ def _run(args, argv: list[str]) -> int:
         raise ConfigError(f"cannot create --out {out}: {exc}") from exc
     try:
         artifacts, summary = args.func(args, config, out, splits)
-        checksums = {args.dataset: data.sha256_of_file(args.archive)} if takes_archive else {}
         manifest = {
             "command": argv,
             "config": config,
@@ -370,16 +373,12 @@ def cmd_saliency(args, config: dict, out: Path, splits) -> tuple[list[Path], dic
     dataset = splits[args.split]
     model, pca_model = _load_model(args.checkpoint, args.pca)
 
-    try:
-        indices = [int(v) for v in args.indices.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"bad --indices: {exc}") from exc
-    for index in indices:
+    for index in args.indices:
         if not 0 <= index < len(dataset):
             raise DataError(f"sample index {index} out of range for {len(dataset)} samples")
     images = dataset.flat_images()
     artifacts = []
-    for index in indices:
+    for index in args.indices:
         image = images[index]
         result = saliency.input_gradient_map(model, pca_model, image)
         recon = pca.inverse_transform(pca_model, pca.transform(pca_model, image))
@@ -471,16 +470,13 @@ def cmd_stats(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
 # --- pca report ------------------------------------------------------------
 
 def _pca_report_config(config: dict) -> None:
-    if config["pca_components"] < 1:
-        raise ConfigError(f"--k must be >= 1, got {config['pca_components']}")
+    if not 1 <= config["pca_components"] <= data.NUM_PIXELS:
+        raise ConfigError(f"--k must lie in [1, {data.NUM_PIXELS}], got {config['pca_components']}")
 
 
 def cmd_pca_report(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
     train_split = splits["train"]
-    images = train_split.flat_images()
-    if config["pca_components"] > images.shape[1]:
-        raise ConfigError(f"--k must lie in [1, {images.shape[1]}], got {config['pca_components']}")
-    model = pca.fit(images, config["pca_components"])
+    model = pca.fit(train_split.flat_images(), config["pca_components"])
     ratios = model.explained_variance_ratio
     report = {
         "dataset": args.dataset,
@@ -500,6 +496,14 @@ def cmd_pca_report(args, config: dict, out: Path, splits) -> tuple[list[Path], d
 
 
 # --- parser ----------------------------------------------------------------
+
+def _sample_indices(text: str) -> list[int]:
+    """saliency --indices: comma-separated integers; empty entries are skipped."""
+    try:
+        return [int(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError as exc:  # argparse reports it through _Parser.error: exit 3
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {exc}") from exc
+
 
 def _add_common(sub, archive: bool = True) -> None:
     sub.add_argument("--out", required=True, help="output directory")
@@ -546,7 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sal.add_argument("--checkpoint", required=True)
     p_sal.add_argument("--pca", required=True)
     p_sal.add_argument("--split", default="test", choices=("train", "val", "test"))
-    p_sal.add_argument("--indices", required=True, help="comma-separated sample indices")
+    p_sal.add_argument("--indices", required=True, type=_sample_indices,
+                       help="comma-separated sample indices")
     p_sal.add_argument("--signed", action="store_true", help="also write signed maps")
     p_sal.set_defaults(func=cmd_saliency)
 

@@ -171,8 +171,8 @@ def sha256_of_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def verify_checksums(manifest_path: str | Path, archives: dict[str, str | Path]) -> None:
-    """Check archives against a text manifest of '<name> <sha256>' lines."""
+def verify_checksums(manifest_path: str | Path, digests: dict[str, str]) -> None:
+    """Check sha256 digests, by archive name, against a manifest of '<name> <sha256>' lines."""
     try:
         text = Path(manifest_path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -184,10 +184,9 @@ def verify_checksums(manifest_path: str | Path, archives: dict[str, str | Path])
             continue
         name, _, digest = line.partition(" ")
         expected[name] = digest.strip()
-    for name, path in archives.items():
+    for name, actual in digests.items():
         if name not in expected:
             raise DataError(f"checksum manifest has no entry for {name}")
-        actual = sha256_of_file(path)
         if actual != expected[name]:
             raise DataError(
                 f"{name}: sha256 mismatch (archive {actual}, manifest {expected[name]})"

@@ -11,9 +11,10 @@ the stream is simple enough to replicate in any language:
 * floats: 53-bit mantissa, ``(word >> 11) * 2**-53`` in [0, 1),
 * normals: Box-Muller on two uniforms, with ``u1`` shifted into (0, 1].
 
-``Rng`` is the scalar stream (pure-int arithmetic). ``normal_field`` runs
-many independent substreams at once with vectorized uint64 numpy ops; a
-substream seeded with ``s`` produces exactly the same draws as ``Rng(s)``.
+One implementation serves an int seed (one stream) and a 1-d uint64 array
+of seeds (one stream each, as ``normal_field`` uses): ``& _MASK64`` keeps
+ints to 64 bits and leaves wrapping uint64 arrays as they are. A numpy scalar
+state would warn on wraparound, and numpy 1.x makes uint64 scalar + int float64.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def _rotl(x: int, k: int) -> int:
 
 
 class Rng:
-    """Scalar xoshiro256** stream seeded via splitmix64."""
+    """xoshiro256** stream seeded via splitmix64; one per element of an array seed."""
 
     def __init__(self, seed: int):
         s = seed & _MASK64
@@ -77,8 +78,8 @@ class Rng:
         u1 = ((self.next_uint64() >> 11) + 1) * 2.0**-53  # in (0, 1]
         u2 = (self.next_uint64() >> 11) * 2.0**-53
         radius = np.sqrt(-2.0 * np.log(u1))
-        self._spare_normal = float(radius * np.sin(2.0 * np.pi * u2))
-        return float(radius * np.cos(2.0 * np.pi * u2))
+        self._spare_normal = radius * np.sin(2.0 * np.pi * u2)
+        return radius * np.cos(2.0 * np.pi * u2)
 
     def integer(self, n: int) -> int:
         """Integer in [0, n) from one float draw (bias is ~2^-53, irrelevant here)."""
@@ -96,62 +97,17 @@ class Rng:
         return np.array([self.uniform(low, high) for _ in range(size)])
 
 
-def _splitmix64_vec(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    state = state + np.uint64(0x9E3779B97F4A7C15)
-    z = state.copy()
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z = z ^ (z >> np.uint64(31))
-    return state, z
-
-
-def _rotl_vec(x: np.ndarray, k: int) -> np.ndarray:
-    return (x << np.uint64(k)) | (x >> np.uint64(64 - k))
-
-
-class _VecXoshiro:
-    """xoshiro256** over a vector of independent substreams."""
-
-    def __init__(self, seeds: np.ndarray):
-        s = seeds.astype(np.uint64)
-        state = []
-        for _ in range(4):
-            s, word = _splitmix64_vec(s)
-            state.append(word)
-        self._s = state
-
-    def next_uint64(self) -> np.ndarray:
-        s = self._s
-        result = _rotl_vec(s[1] * np.uint64(5), 7) * np.uint64(9)
-        t = s[1] << np.uint64(17)
-        s[2] = s[2] ^ s[0]
-        s[3] = s[3] ^ s[1]
-        s[1] = s[1] ^ s[2]
-        s[0] = s[0] ^ s[3]
-        s[2] = s[2] ^ t
-        s[3] = _rotl_vec(s[3], 45)
-        return result
-
-    def random(self) -> np.ndarray:
-        return (self.next_uint64() >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
 def normal_field(seeds: np.ndarray, draws: int) -> np.ndarray:
     """Standard-normal matrix of shape (len(seeds), draws).
 
     Row i is the first ``draws`` normals of the stream seeded with
     ``seeds[i]``, identical to ``[Rng(seeds[i]).normal() for _ in ...]``.
     """
-    gen = _VecXoshiro(np.asarray(seeds, dtype=np.uint64))
-    pairs = (draws + 1) // 2
-    out = np.empty((len(seeds), 2 * pairs))
-    for p in range(pairs):
-        u1 = ((gen.next_uint64() >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (gen.next_uint64() >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        radius = np.sqrt(-2.0 * np.log(u1))
-        out[:, 2 * p] = radius * np.cos(2.0 * np.pi * u2)
-        out[:, 2 * p + 1] = radius * np.sin(2.0 * np.pi * u2)
-    return out[:, :draws]
+    gen = Rng(np.asarray(seeds, dtype=np.uint64))
+    out = np.empty((len(seeds), draws))
+    for j in range(draws):
+        out[:, j] = gen.normal()
+    return out
 
 
 def substream_seed(seed: int, index: int) -> int:

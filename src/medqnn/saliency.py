@@ -30,7 +30,6 @@ class SaliencyMap:
     heat: np.ndarray  # (28, 28) in [0, 1], max entry 1 unless identically zero
     predicted_class: int
     confidence: float
-    target_class: int
     signed: np.ndarray  # (28, 28) raw signed gradient, unnormalized
 
 
@@ -62,7 +61,6 @@ def input_gradient_map(
         heat=heat,
         predicted_class=predicted,
         confidence=float(probabilities[0, predicted]),
-        target_class=int(target_class),
         signed=signed,
     )
 

@@ -477,6 +477,26 @@ class TestPcaReport:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 4
 
+    def test_checksums_hash_the_archive_once(self, tmp_path, archive, monkeypatch):
+        digest = data.sha256_of_file(archive)
+        manifest = tmp_path / "checksums.txt"
+        manifest.write_text(f"toyset {digest}\n")
+        calls = []
+
+        def counting_sha256(path):
+            calls.append(path)
+            return digest
+
+        monkeypatch.setattr(data, "sha256_of_file", counting_sha256)
+        out = tmp_path / "pca_report"
+        assert run_cli(
+            "pca-report", "--archive", archive, "--dataset", "toyset",
+            "--checksums", str(manifest), "--out", str(out),
+        ) == 0
+        assert len(calls) == 1
+        recorded = json.loads((out / "manifest.json").read_text())["dataset_checksums"]
+        assert recorded == {"toyset": digest}
+
 
 def bad_input_files(tmp_path, archive, trained):
     """Every file the bad-input table names, keyed by its placeholder."""
@@ -564,6 +584,7 @@ BAD_INPUTS = [  # (case, documented exit code, argv template)
     ("pca_components in train config file", 3, f"{TRAIN} --model dv --config {{pca_cfg}}"),
     ("epochs in eval config file", 3, f"{EVAL} --checkpoint {{checkpoint}} --config {{epochs_cfg}}"),
     ("corrupt archive", 2, "train --dataset toyset --archive {corrupt} --model dv"),
+    ("directory as --archive", 2, "pca-report --dataset toyset --archive {a_dir}"),
     ("classical overflow", 4, f"{TRAIN} --model classical --learning-rate 1e308 --epochs 1"),
     ("squeeze overflow", 4, f"{TRAIN} --model cv --learning-rate 1e308 --epochs 1"),
     ("checkpoint without feature_stats", 2, f"{EVAL} --checkpoint {{no_stats}}"),
@@ -584,6 +605,9 @@ BAD_INPUTS = [  # (case, documented exit code, argv template)
     ("noise-sweep with a 5-component PCA", 2, f"{SWEEP_WITH_CV_PCA} {{pca_k5}}"),
     ("noise-sweep with a 100-pixel PCA", 2, f"{SWEEP_WITH_CV_PCA} {{pca_100px}}"),
     ("non-numeric --indices", 3, f"{SALIENCY} --indices 0,x"),
+    ("non-numeric --indices with a missing archive", 3,
+     "saliency --dataset toyset --archive {missing_archive} --checkpoint {checkpoint}"
+     " --pca {pca} --indices a,b"),
     ("out-of-range --indices", 2, f"{SALIENCY} --indices 0,9999"),
     ("binary test split with one class", 2,
      "eval --dataset toyset --archive {one_class} --checkpoint {checkpoint} --pca {pca}"),
@@ -591,6 +615,8 @@ BAD_INPUTS = [  # (case, documented exit code, argv template)
     ("pca-report --k 0 with a missing archive", 3,
      "pca-report --dataset toyset --archive {missing_archive} --k 0"),
     ("pca-report --k above the pixel count", 3, f"{PCA_REPORT} --k 785"),
+    ("pca-report --k above the pixel count with a missing archive", 3,
+     "pca-report --dataset toyset --archive {missing_archive} --k 785"),
     ("missing fold metrics", 2, "stats --classical {nope} --dv {nope} --cv {nope}"),
     ("stats --alpha 1.5", 3, f"{STATS} --alpha 1.5"),
     ("stats --alpha 0", 3, f"{STATS} --alpha 0"),

@@ -296,18 +296,18 @@ class TestChecksums:
         digest = data.sha256_of_file(path)
         manifest = tmp_path / "checksums.txt"
         manifest.write_text(f"# archives\ntoyset {digest}\n")
-        data.verify_checksums(manifest, {"toyset": path})
+        data.verify_checksums(manifest, {"toyset": digest})
 
     def test_mismatch_raises(self, tmp_path):
         path = write_archive(tmp_path / "c.npz", m_train=10, m_val=4, m_test=4)
         manifest = tmp_path / "checksums.txt"
         manifest.write_text("toyset " + "0" * 64 + "\n")
         with pytest.raises(DataError, match="mismatch"):
-            data.verify_checksums(manifest, {"toyset": path})
+            data.verify_checksums(manifest, {"toyset": data.sha256_of_file(path)})
 
     def test_missing_entry_raises(self, tmp_path):
         path = write_archive(tmp_path / "c.npz", m_train=10, m_val=4, m_test=4)
         manifest = tmp_path / "checksums.txt"
         manifest.write_text("# empty\n")
         with pytest.raises(DataError, match="no entry"):
-            data.verify_checksums(manifest, {"toyset": path})
+            data.verify_checksums(manifest, {"toyset": data.sha256_of_file(path)})

@@ -63,3 +63,41 @@ def test_integer_bounds():
 def test_substream_seed_is_xor():
     assert substream_seed(0b1100, 0b1010) == 0b0110
     assert substream_seed(5, 0) == 5
+
+
+def test_splitmix64_reference_outputs():
+    # the first outputs of the reference splitmix64.c from state 0
+    state, words = 0, []
+    for _ in range(4):
+        state, word = splitmix64(state)
+        words.append(word)
+    assert words == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC]
+
+
+def test_xoshiro_outputs_pinned():
+    r = Rng(0)
+    assert [r.next_uint64() for _ in range(3)] == [
+        0x99EC5F36CB75F2B4, 0xBF6E1F784956452A, 0x1A5F849D4933E6E0,
+    ]
+
+
+def test_normal_field_pinned():
+    field = normal_field(np.array([0, 1, 2**64 - 1], dtype=np.uint64), 5)
+    expected = [
+        [-0.01410679738124918, -1.0085864725210538, -1.845895087695827,
+         1.0669282078900473, 0.7881791614487657],
+        [-0.8327414344656706, -0.10752148995724745, -0.8173209811151113,
+         0.6647329691750302, 0.5265847839360694],
+        [0.11775181095091963, -1.0705861656393871, -0.017250642598140967,
+         -1.1649124540286773, -0.12190288029025144],
+    ]
+    np.testing.assert_array_equal(field, expected)
+
+
+@pytest.mark.parametrize("seeds, draws", [([3], 4), ([3, 2**63 + 1], 7), ([3, 4], 0), ([], 3)])
+def test_normal_field_shape_and_scalar_draws(seeds, draws):
+    field = normal_field(np.array(seeds, dtype=np.uint64), draws)
+    assert field.shape == (len(seeds), draws)
+    for row, seed in zip(field, seeds):
+        scalar = Rng(seed)
+        np.testing.assert_array_equal(row, [scalar.normal() for _ in range(draws)])
