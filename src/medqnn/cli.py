@@ -134,18 +134,18 @@ def _run(args, argv: list[str]) -> int:
 
     A body takes (args, config, out, splits), where splits maps "train",
     "val" and "test" to the archive's datasets (None for a command without
-    ``--archive``), and returns (artifacts, summary). A
-    command may also set ``args.check``, which validates the resolved
-    config before the archive is read. The output directory is created
-    only once the config and the archive have passed. If the body or the
-    manifest fails, it is removed again, with each directory above it that
-    the call created and that is still empty; nothing older is removed.
+    ``--archive``), and returns (artifacts, summary). A command may also
+    set ``args.check(args, config)``, which validates its flags and the
+    resolved config. Both happen, and the output directory is created,
+    before any input is read, so a bad value exits 3 even when an input is
+    missing. If reading the archive, the body or the manifest fails, the
+    directory is removed again, with each directory above it that the call
+    created and that is still empty; nothing older is removed.
     """
     config = _resolve_config(args)
     if hasattr(args, "check"):
-        args.check(config)  # a bad config exits 3 before any input is read
+        args.check(args, config)
     started = datetime.now(timezone.utc).isoformat()
-    splits, checksums = _load_verified_archive(args) if hasattr(args, "archive") else (None, {})
     out = Path(args.out)
     new_dirs = [d for d in (out, *out.parents) if not d.exists()]  # out first, if it is new
     try:
@@ -153,6 +153,7 @@ def _run(args, argv: list[str]) -> int:
     except OSError as exc:  # --out or a parent is a file
         raise ConfigError(f"cannot create --out {out}: {exc}") from exc
     try:
+        splits, checksums = _load_verified_archive(args) if hasattr(args, "archive") else (None, {})
         artifacts, summary = args.func(args, config, out, splits)
         manifest = {
             "command": argv,
@@ -176,9 +177,16 @@ def _run(args, argv: list[str]) -> int:
     return 0
 
 
-def _load_model(checkpoint: str, pca_path: str) -> tuple[models.HybridModel, pca.PcaModel]:
-    """A checkpoint and the PCA that feeds it, which must map pixels to model inputs."""
+def _load_model(
+    checkpoint: str, pca_path: str, num_classes: int
+) -> tuple[models.HybridModel, pca.PcaModel]:
+    """A checkpoint for the archive's ``num_classes`` and the PCA that feeds
+    it, which must map pixels to model inputs."""
     model, pca_model = models.load_checkpoint(checkpoint), pca.load(pca_path)
+    if model.num_classes != num_classes:
+        raise DataError(
+            f"{checkpoint} holds a {model.num_classes}-class model, the archive {num_classes} classes"
+        )
     if (pca_model.input_dim, pca_model.k) != (data.NUM_PIXELS, models.NUM_MODES):
         raise DataError(
             f"{pca_path} maps {pca_model.input_dim} pixels to {pca_model.k} features;"
@@ -216,7 +224,7 @@ def _evaluate_model(model, pca_model, dataset) -> tuple[dict, dict[str, metrics.
 
 # --- train -------------------------------------------------------------------
 
-def _train_config(config: dict):
+def _train_config(args, config: dict):
     from . import training
 
     return training.TrainConfig(
@@ -241,7 +249,7 @@ def cmd_train(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
         train_split.flat_images(),
         train_split.labels,
         train_split.num_classes,
-        _train_config(config),
+        _train_config(args, config),
     )
 
     artifacts = []
@@ -290,9 +298,17 @@ def cmd_train(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
 
 # --- eval --------------------------------------------------------------------
 
+def _eval_config(args, config: dict) -> None:
+    if not args.dump_state:
+        return
+    folder = Path(os.path.abspath(args.dump_state)).parent
+    if not (folder.is_dir() or folder == Path(os.path.abspath(args.out))):  # _run makes --out
+        raise ConfigError(f"--dump-state {args.dump_state}: no such directory")
+
+
 def cmd_eval(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
     dataset = splits[args.split]
-    model, pca_model = _load_model(args.checkpoint, args.pca)
+    model, pca_model = _load_model(args.checkpoint, args.pca, dataset.num_classes)
     log(f"evaluating {model.kind} checkpoint on {args.dataset}/{args.split} (m={len(dataset)})")
 
     row, curves = _evaluate_model(model, pca_model, dataset)
@@ -309,10 +325,8 @@ def cmd_eval(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
         if model.kind == "cv":
             dump = {"kind": "cv"} | models.cv_final_state(model, features).to_json_dict()
         elif model.kind == "dv":
-            dump = {
-                "kind": "dv",
-                "amplitudes": models.dv_final_state(model, features).to_json_list(),
-            }
+            amplitudes = models.dv_final_state(model, features)
+            dump = {"kind": "dv", "amplitudes": [[float(a.real), float(a.imag)] for a in amplitudes]}
         else:
             logits, _ = models.predict_batch(model, features[None, :])  # 1-row batch
             dump = {"kind": "classical", "logits": logits[0].tolist()}
@@ -334,7 +348,7 @@ def cmd_noise_sweep(args, config: dict, out: Path, splits) -> tuple[list[Path], 
     loaded = []
     for kind in models.KINDS:
         checkpoint = getattr(args, f"{kind}_checkpoint")
-        model, pca_model = _load_model(checkpoint, getattr(args, f"{kind}_pca"))
+        model, pca_model = _load_model(checkpoint, getattr(args, f"{kind}_pca"), test.num_classes)
         if model.kind != kind:
             raise DataError(f"{checkpoint} holds a {model.kind!r} model, expected {kind!r}")
         loaded.append((kind, model, pca_model))
@@ -371,7 +385,7 @@ def cmd_saliency(args, config: dict, out: Path, splits) -> tuple[list[Path], dic
     from . import saliency
 
     dataset = splits[args.split]
-    model, pca_model = _load_model(args.checkpoint, args.pca)
+    model, pca_model = _load_model(args.checkpoint, args.pca, dataset.num_classes)
 
     for index in args.indices:
         if not 0 <= index < len(dataset):
@@ -422,8 +436,8 @@ def _read_fold_metrics(path: str) -> dict[str, list[float]]:
                     columns[key].append(float(row[key]))
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"cannot parse fold metrics from {path}: {exc}") from exc
-    if not columns["f1"]:
-        raise DataError(f"{path}: no validation rows")
+    if not np.isfinite(list(columns.values())).all():
+        raise DataError(f"{path}: a validation score is not finite")
     return columns
 
 
@@ -433,6 +447,9 @@ def cmd_stats(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
     if not 0.0 < args.alpha < 1.0:  # also rejects nan
         raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha}")
     sources = {kind: _read_fold_metrics(getattr(args, kind)) for kind in _MODEL_LABELS}
+    folds = {len(columns["f1"]) for columns in sources.values()}
+    if len(folds) != 1 or min(folds) < 2:
+        raise DataError(f"the three files need one count (>= 2) of validation rows, got {sorted(folds)}")
     report = {"alpha": args.alpha, "metrics": {}}
     for metric in ("acc", "p", "r", "f1"):
         scores = {label: np.array(sources[kind][metric]) for kind, label in _MODEL_LABELS.items()}
@@ -469,7 +486,7 @@ def cmd_stats(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
 
 # --- pca report ------------------------------------------------------------
 
-def _pca_report_config(config: dict) -> None:
+def _pca_report_config(args, config: dict) -> None:
     if not 1 <= config["pca_components"] <= data.NUM_PIXELS:
         raise ConfigError(f"--k must lie in [1, {data.NUM_PIXELS}], got {config['pca_components']}")
 
@@ -534,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--pca", required=True)
     p_eval.add_argument("--split", default="test", choices=("train", "val", "test"))
     p_eval.add_argument("--dump-state", dest="dump_state", help="write a debug state dump here")
-    p_eval.set_defaults(func=cmd_eval)
+    p_eval.set_defaults(func=cmd_eval, check=_eval_config)
 
     p_sweep = subs.add_parser("noise-sweep", help="test-set F1 over the noise grid")
     _add_common(p_sweep)

@@ -303,12 +303,12 @@ def _dv_forward(circuit_params: np.ndarray, z: np.ndarray):
     return outputs, backward, input_backward
 
 
-def dv_final_state(model: HybridModel, features: np.ndarray) -> statevector.QubitState:
+def dv_final_state(model: HybridModel, features: np.ndarray) -> np.ndarray:
+    """The circuit's 16 amplitudes for one sample's features."""
     _require_kind(model, "dv")
     z = standardize(model, _check_features(features))
     block = statevector.compile_block(_DV_CIRCUIT, model.circuit_params)
-    amplitudes = statevector.ry_product_state(_dv_angles(z)) @ block.transfer
-    return statevector.QubitState(NUM_MODES, amplitudes)
+    return statevector.ry_product_state(_dv_angles(z)) @ block.transfer
 
 
 # --- classical ----------------------------------------------------------------
@@ -424,7 +424,7 @@ def load_checkpoint(path: str | Path) -> HybridModel:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     if (
         not isinstance(payload, dict)
-        or payload.get("version") != CHECKPOINT_VERSION
+        or (type(payload.get("version")), payload.get("version")) != (int, CHECKPOINT_VERSION)
         or payload.get("kind") not in KINDS
     ):
         raise DataError(f"{path} is not a version-{CHECKPOINT_VERSION} model checkpoint")

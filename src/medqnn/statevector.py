@@ -7,11 +7,11 @@ never normalized away; only |amplitude|^2 derived quantities are contractual.
 Each gate has one definition that both paths below build on: ``rotation``
 (RY and RZ), ``cnot_permutation`` and ``z_eigenvalues`` (every <Z_q>).
 
-The reference path runs a circuit gate by gate on amplitude arrays of shape
-(..., 2^n), one row per input sample. ``Circuit`` is a flat gate list whose
-rotation angles are bound either to a trainable parameter slot or to an
-input-vector slot; that split is what lets ``param_shift_grad_all`` shift
-exactly one source.
+The reference path, ``run_circuit`` alone, runs a circuit gate by gate
+from |0...0> on amplitudes (..., 2^n), one row per input sample.
+``Circuit`` is a flat gate list whose rotation angles are bound either to
+a trainable parameter slot or to an input-vector slot; that split is what
+lets ``param_shift_grad_all`` shift exactly one source.
 
 A circuit whose input-bound rotations all come first splits into an
 encoding and a variational block, the ops after it. The block does not
@@ -31,8 +31,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-
-MAX_QUBITS = 20
 
 GENERATORS = {"ry": [[0.0, -1.0], [1.0, 0.0]], "rz": [[-1j, 0.0], [0.0, 1j]]}  # R(pi): -i Y, -i Z
 
@@ -85,25 +83,6 @@ def _z_means(amps: np.ndarray, num_qubits: int) -> np.ndarray:
     return (amps.real**2 + amps.imag**2) @ z_eigenvalues(num_qubits)
 
 
-# --- gate by gate -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class QubitState:
-    num_qubits: int
-    amplitudes: np.ndarray  # complex, shape (2**num_qubits,)
-
-    def to_json_list(self) -> list[list[float]]:
-        return [[float(a.real), float(a.imag)] for a in self.amplitudes]
-
-
-def zero_state(num_qubits: int) -> QubitState:
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}")
-    amps = np.zeros(2**num_qubits, dtype=complex)
-    amps[0] = 1.0
-    return QubitState(num_qubits, amps)
-
-
 def apply_1q_array(amps: np.ndarray, mat: np.ndarray, qubit: int) -> np.ndarray:
     """``mat`` on ``qubit`` of amplitudes (..., 2^n): one 2 x 2, or one per row, (..., 2, 2)."""
     # Index = (lead, higher bits, bit of ``qubit``, lower bits).
@@ -111,29 +90,7 @@ def apply_1q_array(amps: np.ndarray, mat: np.ndarray, qubit: int) -> np.ndarray:
     return (np.asarray(mat)[..., None, :, :] @ pairs).reshape(amps.shape)
 
 
-def apply_ry(state: QubitState, qubit: int, phi: float) -> QubitState:
-    _check_qubit(state.num_qubits, qubit)
-    mat = rotation(GENERATORS["ry"], phi)
-    return QubitState(state.num_qubits, apply_1q_array(state.amplitudes, mat, qubit))
-
-
-def apply_rz(state: QubitState, qubit: int, phi: float) -> QubitState:
-    _check_qubit(state.num_qubits, qubit)
-    mat = rotation(GENERATORS["rz"], phi)
-    return QubitState(state.num_qubits, apply_1q_array(state.amplitudes, mat, qubit))
-
-
-def apply_cnot(state: QubitState, control: int, target: int) -> QubitState:
-    perm = cnot_permutation(state.num_qubits, control, target)
-    return QubitState(state.num_qubits, state.amplitudes[perm])
-
-
-def expect_z(state: QubitState, qubit: int) -> float:
-    _check_qubit(state.num_qubits, qubit)
-    return float(_z_means(state.amplitudes, state.num_qubits)[qubit])
-
-
-# --- parameterized circuits -------------------------------------------------
+# --- gate by gate -----------------------------------------------------------
 
 @dataclass(frozen=True)
 class Op:

@@ -192,7 +192,7 @@ class TestCriterion6Properties:
         rng = Rng(61)
         worst = 0.0
         for _ in range(1000):
-            amps = sv.zero_state(4).amplitudes
+            amps = sv.run_circuit(sv.Circuit(4), np.zeros(0), np.zeros(0))
             for _ in range(12):
                 kind = rng.integer(3)
                 if kind == 0:

@@ -1,13 +1,19 @@
+import contextlib
 import csv
+import functools
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medqnn import cli, data, metrics, models, pca
 from medqnn.rng import Rng
@@ -506,6 +512,7 @@ def bad_input_files(tmp_path, archive, trained):
         "no_stats": lambda d: d.pop("feature_stats"),
         "short_circuit": lambda d: d["circuit_params"].pop(),
         "nan_weight": lambda d: d["head_weights"][1].__setitem__(2, float("nan")),
+        "version_true": lambda d: d.__setitem__("version", True),  # True == 1 in Python
     }
     for name, damage in damages.items():
         payload = json.loads(checkpoint.read_text())
@@ -556,6 +563,23 @@ def bad_input_files(tmp_path, archive, trained):
         arrays[f"{split}_images"], arrays[f"{split}_labels"] = images, labels.reshape(-1, 1)
     files["one_class"] = str(tmp_path / "one_class.npz")
     np.savez(files["one_class"], **arrays)
+    files["eleven_class"] = str(write_archive(
+        tmp_path / "eleven_class.npz", m_train=22, m_val=11, m_test=11, num_classes=11, balanced=True
+    ))
+    files["eleven_checkpoint"] = str(tmp_path / "eleven_checkpoint.json")
+    models.save_checkpoint(models.init_model("classical", 11, Rng(4)), files["eleven_checkpoint"])
+    folds_text = Path(files["classical_folds"]).read_text().splitlines()
+    val_rows = [row for row in csv.reader(folds_text) if row[1] == "val"]
+    fold_files = {  # name: (validation rows, the score put in the first row's f1)
+        "folds2": (val_rows[:2], None), "folds1": (val_rows[:1], None), "nan_folds": (val_rows, "nan"),
+    }
+    for name, (rows, score) in fold_files.items():
+        rows = [list(row) for row in rows]
+        if score is not None:
+            rows[0][-1] = score
+        files[name] = str(tmp_path / f"{name}.csv")
+        with open(files[name], "w", newline="") as handle:
+            csv.writer(handle).writerows([["fold", "split", "acc", "p", "r", "f1"], *rows])
     return files
 
 
@@ -590,6 +614,7 @@ BAD_INPUTS = [  # (case, documented exit code, argv template)
     ("checkpoint without feature_stats", 2, f"{EVAL} --checkpoint {{no_stats}}"),
     ("checkpoint with 31 circuit params", 2, f"{EVAL} --checkpoint {{short_circuit}}"),
     ("checkpoint with a nan weight", 2, f"{EVAL} --checkpoint {{nan_weight}}"),
+    ("checkpoint with version true", 2, f"{EVAL} --checkpoint {{version_true}}"),
     ("PCA file without k", 2, f"{EVAL_WITH_PCA} {{pca_no_k}}"),
     ("PCA file with a short mean", 2, f"{EVAL_WITH_PCA} {{pca_short_mean}}"),
     ("PCA file holding a JSON list", 2, f"{EVAL_WITH_PCA} {{pca_list}}"),
@@ -633,6 +658,25 @@ BAD_INPUTS = [  # (case, documented exit code, argv template)
     ("--out under a file", 3, f"{PCA_REPORT} --out {{seed_cfg}}/out"),
     ("--dump-state in a missing directory", 3,
      f"{EVAL} --checkpoint {{checkpoint}} --dump-state {{nope}}/state.json"),
+    ("--out under a file with a missing archive", 3,
+     "pca-report --dataset toyset --archive {missing_archive} --out {seed_cfg}/out"),
+    ("--dump-state in a missing directory with a missing archive", 3,
+     "eval --dataset toyset --archive {missing_archive} --checkpoint {checkpoint} --pca {pca}"
+     " --dump-state {nope}/state.json"),
+    ("stats with different fold counts", 2, "stats --classical {folds2} --dv {dv_folds} --cv {cv_folds}"),
+    ("stats with one validation row per file", 2, "stats --classical {folds1} --dv {folds1} --cv {folds1}"),
+    ("stats with a nan score", 2, "stats --classical {nan_folds} --dv {dv_folds} --cv {cv_folds}"),
+    ("eval of a binary checkpoint on an 11-class archive", 2,
+     "eval --dataset toyset --archive {eleven_class} --checkpoint {checkpoint} --pca {pca}"),
+    ("eval of an 11-class checkpoint on a binary archive", 2,
+     f"{EVAL} --checkpoint {{eleven_checkpoint}}"),
+    ("saliency of an 11-class checkpoint on a binary archive", 2,
+     "saliency --dataset toyset --archive {archive} --checkpoint {eleven_checkpoint} --pca {pca}"
+     " --indices 0"),
+    ("noise-sweep with an 11-class checkpoint on a binary archive", 2,
+     "noise-sweep --dataset toyset --archive {archive} --cv-checkpoint {cv_checkpoint}"
+     " --cv-pca {cv_pca} --dv-checkpoint {dv_checkpoint} --dv-pca {dv_pca}"
+     " --classical-checkpoint {eleven_checkpoint} --classical-pca {classical_pca}"),
     ("non-UTF-8 config file", 3, f"{TRAIN} --model dv --config {{latin1_cfg}}"),
     ("missing --checksums manifest", 2, f"{TRAIN} --model dv --checksums {{nope}}"),
     ("--checksums naming a directory", 2, f"{TRAIN} --model dv --checksums {{a_dir}}"),
@@ -704,3 +748,204 @@ def test_failed_command_leaves_no_output_directory(
     assert run_cli(*argv, "--out", str(kept)) == expected
     assert [path.name for path in kept.iterdir()] == ["notes.txt"]
     assert (kept / "notes.txt").read_text() == "keep me"
+
+
+# --- the exit-code contract over generated bad inputs --------------------------
+
+TEXT = st.text(alphabet="abcxyz019_.+- ", max_size=12)  # no "=", "#", "," or braces
+
+
+def unparsable_by(kind):
+    """Text that ``kind`` (int or float) rejects."""
+
+    def rejects(text):
+        try:
+            kind(text)
+        except ValueError:
+            return True
+        return False
+
+    return TEXT.filter(rejects)
+
+
+def flag_case(command, flag, values):
+    """A command whose ``flag`` gets each drawn value: exit 3 before the missing archive is read."""
+    return values.map(lambda value: (3, [*command.split(), f"{flag}={value}"], {}))
+
+
+TRAIN_ON_MISSING = "train --dataset toyset --archive {missing_archive} --model classical"
+MISSING_ARCHIVE = "--dataset toyset --archive {missing_archive}"
+BAD_FLAGS = st.one_of(
+    flag_case(TRAIN_ON_MISSING, "--batch-size", st.integers(max_value=0) | unparsable_by(int)),
+    flag_case(TRAIN_ON_MISSING, "--folds", st.integers(max_value=1) | unparsable_by(int)),
+    flag_case(TRAIN_ON_MISSING, "--epochs", st.integers(max_value=-1) | unparsable_by(int)),
+    flag_case(
+        TRAIN_ON_MISSING, "--learning-rate",
+        st.floats(min_value=5e-324).map(lambda x: repr(-x))
+        | st.sampled_from(["nan", "inf", "-inf"]) | unparsable_by(float),
+    ),
+    flag_case(TRAIN_ON_MISSING, "--model", TEXT.filter(lambda t: t not in models.KINDS)),
+    flag_case(TRAIN_ON_MISSING, "--threads", st.integers()),
+    flag_case(
+        f"pca-report {MISSING_ARCHIVE}", "--k",
+        st.integers().filter(lambda k: not 1 <= k <= data.NUM_PIXELS) | unparsable_by(int),
+    ),
+    flag_case(
+        f"saliency {MISSING_ARCHIVE} --checkpoint {{checkpoint}} --pca {{pca}}", "--indices",
+        st.tuples(st.lists(st.integers(0, 9).map(str)), unparsable_by(int).filter(str.strip))
+        .map(lambda parts: ",".join([*parts[0], parts[1]])),
+    ),
+    flag_case(
+        f"eval {MISSING_ARCHIVE} --checkpoint {{checkpoint}} --pca {{pca}}", "--split",
+        TEXT.filter(lambda t: t not in ("train", "val", "test")),
+    ),
+    flag_case(
+        "stats --classical {nope} --dv {nope} --cv {nope}", "--alpha",
+        st.floats().filter(lambda a: not 0 < a < 1).map(repr) | unparsable_by(float),
+    ),
+)
+
+TRAIN_KEYS = {"seed": int, "epochs": int, "batch_size": int, "learning_rate": float, "folds": int}
+BAD_CONFIG_LINE = st.one_of(
+    TEXT.filter(lambda t: t.strip()),  # no "=": not a "key = value" line
+    st.tuples(TEXT.filter(lambda k: k.strip().replace("-", "_") not in TRAIN_KEYS), TEXT)
+    .map(" = ".join),
+    st.sampled_from(sorted(TRAIN_KEYS))
+    .flatmap(lambda key: unparsable_by(TRAIN_KEYS[key]).map(lambda value: f"{key} = {value}")),
+    st.one_of(
+        st.integers(max_value=0).map("batch_size = {}".format),
+        st.integers(max_value=1).map("folds = {}".format),
+        st.integers(max_value=-1).map("epochs = {}".format),
+        st.sampled_from(["nan", "inf", "-1e-3"]).map("learning_rate = {}".format),
+    ),
+)
+# comments and blank lines only: a later line with the bad line's key would replace it
+NEUTRAL_LINES = st.lists(st.sampled_from(["", "  ", "# epochs = 1", "#seed=3"]), max_size=3)
+
+
+def config_case(blob):
+    return 3, [*TRAIN_ON_MISSING.split(), "--config", "{config}"], {"config": lambda base: blob}
+
+
+def undecodable(blob):
+    try:
+        blob.decode("utf-8")
+    except UnicodeDecodeError:
+        return True
+    return False
+
+
+BAD_CONFIGS = st.one_of(
+    st.tuples(NEUTRAL_LINES, BAD_CONFIG_LINE, NEUTRAL_LINES)
+    .map(lambda parts: "\n".join([*parts[0], parts[1], *parts[2]]).encode()),
+    st.binary(min_size=1, max_size=16).filter(undecodable),
+).map(config_case)
+
+
+EVAL_ARGV = "eval --dataset toyset --archive {archive} --checkpoint {checkpoint} --pca {pca}".split()
+
+
+def truncated(offset, base):
+    blob = Path(base["archive"]).read_bytes()
+    return blob[: offset % len(blob)]
+
+
+TRUNCATED_ARCHIVES = st.tuples(
+    st.sampled_from([EVAL_ARGV, "pca-report --dataset toyset --archive {archive}".split()]),
+    st.integers(min_value=0),
+).map(lambda case: (2, case[0], {"archive": functools.partial(truncated, case[1])}))
+
+FILE_KEYS = {
+    "checkpoint": ("version", "kind", "num_classes", "circuit_params", "head_weights", "head_bias",
+                   "feature_stats"),
+    "pca": ("magic", "input_dim", "k", "mean", "components", "explained_variance_ratio"),
+}
+BAD_VALUES = [None, True, False, "x", [], {}, -1, 0.5, [float("nan")]]
+
+
+def damaged(which, key, *value, base):
+    """The checkpoint or PCA file with ``key`` dropped, or set to ``value``."""
+    payload = json.loads(Path(base[which]).read_text())
+    del payload[key]
+    if value:
+        payload[key] = value[0]
+    return json.dumps(payload).encode()
+
+
+DAMAGED_FILES = st.sampled_from(sorted(FILE_KEYS)).flatmap(
+    lambda which: st.tuples(
+        st.just(which),
+        st.sampled_from(FILE_KEYS[which]),
+        st.lists(st.sampled_from(BAD_VALUES), max_size=1),  # empty: the key is dropped
+    )
+).map(lambda case: (2, EVAL_ARGV, {case[0]: functools.partial(damaged, case[0], case[1], *case[2])}))
+
+FOLD_HEADER = ["fold", "split", "acc", "p", "r", "f1"]
+
+
+def fold_csv(rows, header=FOLD_HEADER):
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows([header, *rows])
+    return buffer.getvalue().encode()
+
+
+def val_rows(count):
+    return [[fold, "val", 0.5, 0.4 + fold / 10, 0.5, 0.6 - fold / 20] for fold in range(count)]
+
+
+def stats_case(blobs):
+    """stats over three drawn fold_metrics.csv files."""
+    names = ("classical", "dv", "cv")
+    argv = ["stats"] + [token for name in names for token in (f"--{name}", f"{{{name}_csv}}")]
+    return 2, argv, {f"{name}_csv": (lambda base, blob=blob: blob) for name, blob in zip(names, blobs)}
+
+
+def with_cell(count, file, row, column, value):
+    """Three files of ``count`` validation rows, one cell of one file replaced."""
+    blobs = []
+    for index in range(3):
+        rows = val_rows(count)
+        if index == file:
+            rows[row % count][column] = value
+        blobs.append(fold_csv(rows))
+    return blobs
+
+
+BAD_FOLD_METRICS = st.one_of(
+    st.lists(st.integers(0, 4), min_size=3, max_size=3)  # counts that differ, or below 2
+    .filter(lambda counts: len(set(counts)) > 1 or counts[0] < 2)
+    .map(lambda counts: [fold_csv(val_rows(count)) for count in counts]),
+    st.builds(
+        with_cell, st.integers(2, 4), st.integers(0, 2), st.integers(0, 3), st.integers(2, 5),
+        st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity"]) | unparsable_by(float),
+    ),
+    st.tuples(st.integers(0, 2), st.sampled_from(FOLD_HEADER[1:])).map(
+        lambda case: [
+            fold_csv(val_rows(3), [h for h in FOLD_HEADER if index != case[0] or h != case[1]])
+            for index in range(3)
+        ]
+    ),
+).map(stats_case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.one_of(BAD_FLAGS, BAD_CONFIGS, TRUNCATED_ARCHIVES, DAMAGED_FILES, BAD_FOLD_METRICS))
+def test_generated_bad_inputs_exit_with_documented_code(archive, trained, case):
+    """Inputs invalid by construction exit 2 or 3, with no traceback and no --out left behind.
+
+    Each case is (exit code, argv template, writers): a writer makes the
+    bytes of the file its name stands for from the valid files in ``base``.
+    """
+    expected, template, writers = case
+    checkpoint, pca_path = best_fold_paths(trained["classical"])
+    base = {"archive": archive, "checkpoint": str(checkpoint), "pca": str(pca_path)}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+        root = Path(tmp)
+        files = base | {"missing_archive": str(root / "missing.npz"), "nope": str(root / "nope.csv")}
+        for name, write in writers.items():
+            files[name] = str(root / name)
+            Path(files[name]).write_bytes(write(base=base))
+        argv = [token.format(**files) for token in template]
+        assert run_cli(*argv, "--out", str(root / "fresh" / "out")) == expected
+        assert not (root / "fresh").exists()
+    assert "Traceback" not in err.getvalue()

@@ -180,7 +180,7 @@ class TestForwardDv:
         logits, _ = models.predict_batch(model, features)
         for row in range(2):
             state = models.dv_final_state(model, features[row])
-            outputs = [statevector.expect_z(state, q) for q in range(4)]
+            outputs = np.abs(state) ** 2 @ statevector.z_eigenvalues(4)
             expected = model.head_weights @ outputs + model.head_bias
             np.testing.assert_allclose(logits[row], expected, atol=1e-12)
 

@@ -20,131 +20,142 @@ def random_circuit_ops(rng: Rng, num_qubits: int, depth: int):
     return ops
 
 
-def apply_ops(state, ops):
+def apply_ops(amps, ops):
+    """Run (gate, a, b) tuples on amplitudes from any state, with the gates run_circuit uses."""
+    num_qubits = amps.shape[-1].bit_length() - 1
     for gate, a, b in ops:
-        if gate == "ry":
-            state = sv.apply_ry(state, a, b)
-        elif gate == "rz":
-            state = sv.apply_rz(state, a, b)
+        if gate == "cnot":
+            amps = amps[..., sv.cnot_permutation(num_qubits, a, b)]
         else:
-            state = sv.apply_cnot(state, a, b)
-    return state
+            amps = sv.apply_1q_array(amps, sv.rotation(sv.GENERATORS[gate], b), a)
+    return amps
 
 
-def random_state(rng: Rng, num_qubits: int) -> sv.QubitState:
+def as_circuit(num_qubits: int, ops):
+    """(gate, a, b) tuples as a Circuit and its parameters, one per rotation."""
+    circuit_ops, params = [], []
+    for gate, a, b in ops:
+        if gate == "cnot":
+            circuit_ops.append(sv.Op("cnot", (a, b)))
+        else:
+            circuit_ops.append(sv.Op(gate, (a,), param=len(params)))
+            params.append(b)
+    return sv.Circuit(num_qubits, tuple(circuit_ops)), np.array(params)
+
+
+def run_ops(num_qubits: int, ops) -> np.ndarray:
+    """Amplitudes of (gate, a, b) tuples run from |0...0> by run_circuit."""
+    return sv.run_circuit(*as_circuit(num_qubits, ops), np.zeros(0))
+
+
+def z_means(amps: np.ndarray) -> np.ndarray:
+    return np.abs(amps) ** 2 @ sv.z_eigenvalues(amps.shape[-1].bit_length() - 1)
+
+
+def random_state(rng: Rng, num_qubits: int) -> np.ndarray:
     amps = np.array(
         [rng.normal() + 1j * rng.normal() for _ in range(2**num_qubits)]
     )
-    amps /= np.linalg.norm(amps)
-    return sv.QubitState(num_qubits, amps)
+    return amps / np.linalg.norm(amps)
 
 
 class TestZeroState:
     def test_single_qubit(self):
-        state = sv.zero_state(1)
-        np.testing.assert_array_equal(state.amplitudes, [1.0, 0.0])
+        np.testing.assert_array_equal(run_ops(1, []), [1.0, 0.0])
 
     def test_four_qubits(self):
-        state = sv.zero_state(4)
-        assert state.amplitudes.shape == (16,)
-        assert state.amplitudes[0] == 1.0
-        assert np.count_nonzero(state.amplitudes) == 1
-
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            sv.zero_state(0)
-        with pytest.raises(ValueError):
-            sv.zero_state(21)
+        amps = run_ops(4, [])
+        assert amps.shape == (16,)
+        assert amps[0] == 1.0
+        assert np.count_nonzero(amps) == 1
 
 
 class TestRy:
     def test_pi_flips(self):
-        state = sv.apply_ry(sv.zero_state(1), 0, np.pi)
-        np.testing.assert_allclose(np.abs(state.amplitudes), [0.0, 1.0], atol=1e-15)
-        assert sv.expect_z(state, 0) == pytest.approx(-1.0, abs=1e-15)
+        amps = run_ops(1, [("ry", 0, np.pi)])
+        np.testing.assert_allclose(np.abs(amps), [0.0, 1.0], atol=1e-15)
+        assert z_means(amps)[0] == pytest.approx(-1.0, abs=1e-15)
 
     def test_zero_is_identity(self):
         rng = Rng(1)
         state = random_state(rng, 3)
-        out = sv.apply_ry(state, 1, 0.0)
-        np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
+        out = apply_ops(state, [("ry", 1, 0.0)])
+        np.testing.assert_allclose(out, state, atol=1e-15)
 
     def test_half_pi_balances(self):
-        state = sv.apply_ry(sv.zero_state(1), 0, np.pi / 2)
-        np.testing.assert_allclose(
-            state.amplitudes, [np.cos(np.pi / 4), np.sin(np.pi / 4)], atol=1e-15
-        )
-        assert sv.expect_z(state, 0) == pytest.approx(0.0, abs=1e-15)
+        amps = run_ops(1, [("ry", 0, np.pi / 2)])
+        np.testing.assert_allclose(amps, [np.cos(np.pi / 4), np.sin(np.pi / 4)], atol=1e-15)
+        assert z_means(amps)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 class TestRz:
     def test_basis_state_invariant_up_to_phase(self):
-        state = sv.apply_rz(sv.zero_state(2), 0, 1.234)
-        assert abs(state.amplitudes[0]) == pytest.approx(1.0, abs=1e-15)
-        assert sv.expect_z(state, 0) == pytest.approx(1.0, abs=1e-15)
+        amps = run_ops(2, [("rz", 0, 1.234)])
+        assert abs(amps[0]) == pytest.approx(1.0, abs=1e-15)
+        assert z_means(amps)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_superposition_phases(self):
-        plus = sv.QubitState(1, np.array([1.0, 1.0], dtype=complex) / np.sqrt(2))
-        state = sv.apply_rz(plus, 0, np.pi)
+        plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
+        amps = apply_ops(plus, [("rz", 0, np.pi)])
         expected = np.array([np.exp(-0.5j * np.pi), np.exp(0.5j * np.pi)]) / np.sqrt(2)
-        np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
+        np.testing.assert_allclose(amps, expected, atol=1e-15)
 
     def test_z_expectation_invariant(self):
         rng = Rng(2)
         for _ in range(20):
             state = random_state(rng, 4)
             qubit = rng.integer(4)
-            before = sv.expect_z(state, qubit)
-            after = sv.expect_z(sv.apply_rz(state, qubit, rng.uniform(-4, 4)), qubit)
+            before = z_means(state)[qubit]
+            after = z_means(apply_ops(state, [("rz", qubit, rng.uniform(-4, 4))]))[qubit]
             assert after == pytest.approx(before, abs=1e-12)
 
 
 class TestCnot:
     def test_flips_target_when_control_set(self):
         # |10> with qubit 1 as control: amplitude index 2 -> index 3 (|11>)
-        state = sv.QubitState(2, np.array([0, 0, 1, 0], dtype=complex))
-        out = sv.apply_cnot(state, control=1, target=0)
-        np.testing.assert_array_equal(out.amplitudes, [0, 0, 0, 1])
+        state = np.array([0, 0, 1, 0], dtype=complex)
+        np.testing.assert_array_equal(apply_ops(state, [("cnot", 1, 0)]), [0, 0, 0, 1])
 
     def test_identity_on_zero(self):
-        out = sv.apply_cnot(sv.zero_state(2), 0, 1)
-        np.testing.assert_array_equal(out.amplitudes, sv.zero_state(2).amplitudes)
+        np.testing.assert_array_equal(run_ops(2, [("cnot", 0, 1)]), run_ops(2, []))
 
     def test_involution(self):
         rng = Rng(3)
         for _ in range(10):
             state = random_state(rng, 4)
-            twice = sv.apply_cnot(sv.apply_cnot(state, 2, 0), 2, 0)
-            np.testing.assert_allclose(twice.amplitudes, state.amplitudes, atol=1e-12)
+            twice = apply_ops(state, [("cnot", 2, 0), ("cnot", 2, 0)])
+            np.testing.assert_allclose(twice, state, atol=1e-12)
 
     def test_equal_indices_rejected(self):
         with pytest.raises(ValueError):
-            sv.apply_cnot(sv.zero_state(2), 1, 1)
+            run_ops(2, [("cnot", 1, 1)])
 
 
 class TestExpectZ:
     def test_zero_state(self):
-        assert sv.expect_z(sv.zero_state(3), 2) == 1.0
+        np.testing.assert_array_equal(z_means(run_ops(3, [])), [1.0, 1.0, 1.0])
 
     def test_range(self):
         rng = Rng(4)
         for _ in range(20):
-            state = random_state(rng, 3)
-            z = sv.expect_z(state, rng.integer(3))
+            z = z_means(random_state(rng, 3))[rng.integer(3)]
             assert -1.0 <= z <= 1.0
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            sv.expect_z(sv.zero_state(2), 2)
 
 
 class TestCircuitInvariants:
     def test_norm_preserved(self):
         rng = Rng(5)
         for _ in range(30):
-            state = apply_ops(sv.zero_state(4), random_circuit_ops(rng, 4, 15))
-            norm = np.sum(np.abs(state.amplitudes) ** 2)
+            amps = run_ops(4, random_circuit_ops(rng, 4, 15))
+            norm = np.sum(np.abs(amps) ** 2)
             assert abs(norm - 1.0) < 1e-12
+
+    def test_run_circuit_matches_the_gates_one_by_one(self):
+        rng = Rng(15)
+        zero = run_ops(4, [])
+        for _ in range(10):
+            ops = random_circuit_ops(rng, 4, 12)
+            np.testing.assert_allclose(run_ops(4, ops), apply_ops(zero, ops), atol=1e-14)
 
     def test_inverse_circuit_recovers_input(self):
         rng = Rng(6)
@@ -156,7 +167,7 @@ class TestCircuitInvariants:
                 (gate, a, -b if gate in ("ry", "rz") else b) for gate, a, b in reversed(ops)
             ]
             back = apply_ops(forward, inverse)
-            np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-10)
+            np.testing.assert_allclose(back, state, atol=1e-10)
 
 
 def shift_one_source(circuit, params, inputs, field, index):
