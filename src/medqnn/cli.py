@@ -246,7 +246,7 @@ def cmd_train(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
     )
     result = training.cross_validate(
         args.model,
-        train_split.flat_images(),
+        train_split.pixels.reshape(len(train_split), -1),  # as stored: converted part by part
         train_split.labels,
         train_split.num_classes,
         _train_config(args, config),
@@ -301,6 +301,8 @@ def cmd_train(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
 def _eval_config(args, config: dict) -> None:
     if not args.dump_state:
         return
+    if Path(args.dump_state).is_dir():
+        raise ConfigError(f"--dump-state {args.dump_state} is a directory, not a file")
     folder = Path(os.path.abspath(args.dump_state)).parent
     if not (folder.is_dir() or folder == Path(os.path.abspath(args.out))):  # _run makes --out
         raise ConfigError(f"--dump-state {args.dump_state}: no such directory")
@@ -321,7 +323,7 @@ def cmd_eval(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
     artifacts.append(eval_path)
 
     if args.dump_state:
-        features = pca.transform(pca_model, dataset.flat_images()[0])
+        features = pca.transform(pca_model, data.unit_floats(dataset.pixels[0]).reshape(-1))
         if model.kind == "cv":
             dump = {"kind": "cv"} | models.cv_final_state(model, features).to_json_dict()
         elif model.kind == "dv":

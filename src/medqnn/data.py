@@ -5,9 +5,10 @@ train_labels, val_images, val_labels, test_images, test_labels with
 unsigned-byte pixels. numpy's own reader loads them with pickles refused;
 every way it can fail on a damaged or foreign file becomes a DataError.
 Every member is read and checked on load, but a split keeps its bytes
-and becomes floats on [0, 1] (``astype(float) / 255.0``) only when a
-command first reads its ``images``, so a command that reads only the
-test split never converts the training images.
+and becomes floats on [0, 1] (``unit_floats``: ``astype(float) / 255.0``)
+only when a command first reads its ``images``, so a command that reads
+only the test split never converts the training images. Training
+converts its split's rows one block at a time with the same function.
 
 Noise injection adds independent N(0, sigma^2) draws on the [0, 1] pixel
 scale and intentionally does not clip: clipping would censor the noise
@@ -53,6 +54,13 @@ _READ_ERRORS = (OSError, EOFError, ValueError, TypeError, MemoryError, RuntimeEr
                 zipfile.BadZipFile, zlib.error, lzma.LZMAError, tokenize.TokenError)
 
 
+def unit_floats(pixels: np.ndarray) -> np.ndarray:
+    """Stored unsigned bytes as floats on [0, 1]; floats are returned as they are."""
+    if pixels.dtype == np.uint8:
+        return pixels.astype(float) / 255.0
+    return np.asarray(pixels, dtype=float)
+
+
 @dataclass(frozen=True)
 class ImageDataset:
     name: str
@@ -67,9 +75,7 @@ class ImageDataset:
     @functools.cached_property
     def images(self) -> np.ndarray:
         """(m, 28, 28) floats, [0, 1] until noise is injected; converted on first use."""
-        if self.pixels.dtype == np.uint8:
-            return self.pixels.astype(float) / 255.0
-        return self.pixels
+        return unit_floats(self.pixels)
 
     def flat_images(self) -> np.ndarray:
         return self.images.reshape(len(self.labels), -1)

@@ -1,9 +1,16 @@
 """Principal component analysis on flattened images.
 
-The top-k eigenpairs of the pixel covariance come from one symmetric
-eigendecomposition (``np.linalg.eigh``), accurate to rounding however
-close the eigenvalues lie, and a fit is a pure deterministic function of
-the input bytes. The covariance of 28 x 28 images is only 784 x 784.
+A fit is built from moments: a sample count, a mean and a scatter
+matrix, the sum of (x - mean)(x - mean)^T, which ``moments`` computes
+from one block of rows. ``pool`` combines the moments of disjoint blocks
+exactly (the pairwise formulae of Chan, Golub & LeVeque, 1979), so a
+cross-validation fold's covariance comes from the moments of the other
+folds' rows and no fold's rows are ever gathered into one array.
+``from_moments`` then takes the top-k eigenpairs of the covariance from
+one symmetric eigendecomposition (``np.linalg.eigh``), accurate to
+rounding however close the eigenvalues lie; the covariance of 28 x 28
+images is only 784 x 784. ``fit`` is the two steps on one block, and
+every result is a pure deterministic function of the input bytes.
 
 Component signs are fixed by making each row's largest-magnitude entry
 positive. Explained-variance ratios divide by the covariance trace, the
@@ -20,8 +27,8 @@ import numpy as np
 
 from .errors import DataError, checked_arrays
 
-# fit() sanity guard; noise-injected images can leave [0, 1] but only
-# clean training pixels ever reach fit.
+# moments() sanity guard; noise-injected images can leave [0, 1] but only
+# clean training pixels ever reach a fit.
 _PIXEL_LO, _PIXEL_HI = -0.5, 1.5
 
 MAGIC = "PCA1"
@@ -36,27 +43,56 @@ class PcaModel:
     explained_variance_ratio: np.ndarray  # (k,), non-increasing
 
 
-def fit(images: np.ndarray, k: int) -> PcaModel:
-    """Fit a top-k model on rows of ``images`` (m x input_dim)."""
+@dataclass(frozen=True)
+class Moments:
+    count: int
+    mean: np.ndarray     # (input_dim,)
+    scatter: np.ndarray  # (input_dim, input_dim), sum of (x - mean)(x - mean)^T
+
+
+def moments(images: np.ndarray) -> Moments:
+    """The moments of the rows of ``images`` (m x input_dim, m >= 1)."""
     images = np.asarray(images, dtype=float)
     if images.ndim != 2:
         raise ValueError(f"expected a 2-d sample matrix, got shape {images.shape}")
-    m, dim = images.shape
-    if not 1 <= k <= dim:
-        raise ValueError(f"k must lie in [1, {dim}], got {k}")
-    if m <= k:
-        raise DataError(f"need more than k={k} samples to fit, got {m}")
+    if len(images) == 0:
+        raise DataError("no samples to fit")
     if not np.all(np.isfinite(images)):
         raise DataError("non-finite pixel values in fit input")
     if images.min() < _PIXEL_LO or images.max() > _PIXEL_HI:
         raise DataError(
             f"pixel values outside [{_PIXEL_LO}, {_PIXEL_HI}]; normalize to [0, 1] before fit"
         )
-
     mean = images.mean(axis=0)
     centered = images - mean
-    cov = (centered.T @ centered) / (m - 1)
-    del centered  # eigh's workspace comes on top of the covariance
+    return Moments(count=len(images), mean=mean, scatter=centered.T @ centered)
+
+
+def pool(parts: list[Moments]) -> Moments:
+    """The moments of the union of disjoint blocks, from each block's moments.
+
+    Exact in exact arithmetic: each block's scatter about the pooled mean
+    is its own scatter plus count * (block mean - pooled mean) outer itself.
+    """
+    counts = np.array([part.count for part in parts], dtype=float)
+    means = np.stack([part.mean for part in parts])
+    count = int(counts.sum())
+    mean = counts @ means / count
+    offsets = means - mean
+    scatter = (offsets.T * counts) @ offsets
+    for part in parts:
+        scatter += part.scatter
+    return Moments(count=count, mean=mean, scatter=scatter)
+
+
+def from_moments(stats: Moments, k: int) -> PcaModel:
+    """The top-k model of the rows that ``stats`` describes."""
+    dim = len(stats.mean)
+    if not 1 <= k <= dim:
+        raise ValueError(f"k must lie in [1, {dim}], got {k}")
+    if stats.count <= k:
+        raise DataError(f"need more than k={k} samples to fit, got {stats.count}")
+    cov = stats.scatter / (stats.count - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)  # ascending
     eigvals = eigvals[::-1][:k]
     components = eigvecs[:, ::-1][:, :k].T.copy()  # (k, dim), descending
@@ -70,10 +106,15 @@ def fit(images: np.ndarray, k: int) -> PcaModel:
     return PcaModel(
         input_dim=dim,
         k=k,
-        mean=mean,
+        mean=stats.mean,
         components=components,
         explained_variance_ratio=ratios,
     )
+
+
+def fit(images: np.ndarray, k: int) -> PcaModel:
+    """Fit a top-k model on rows of ``images`` (m x input_dim)."""
+    return from_moments(moments(images), k)
 
 
 def transform(model: PcaModel, image: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics, models, pca
+from . import data, metrics, models, pca
 from .errors import ConfigError, DataError, NumericError
 from .rng import Rng, substream_seed
 
@@ -192,21 +192,31 @@ def train_model(
     return model, curves
 
 
+def _fold_pca(
+    images: np.ndarray, parts: list[np.ndarray], part_moments: list[pca.Moments], fold_index: int
+) -> tuple[pca.PcaModel, np.ndarray]:
+    """Fold ``fold_index``'s PCA, pooled from the other parts' moments, and
+    the features of every row under it, projected one part at a time."""
+    pooled = pca.pool([m for part, m in enumerate(part_moments) if part != fold_index])
+    pca_model = pca.from_moments(pooled, models.NUM_MODES)
+    features = np.empty((len(images), pca_model.k))
+    for rows in parts:
+        features[rows] = pca.transform(pca_model, data.unit_floats(images[rows]))
+    return pca_model, features
+
+
 def _train_one_fold(
     kind: str,
-    images: np.ndarray,
+    features: np.ndarray,
     labels: np.ndarray,
     fold_index: int,
     train_idx: np.ndarray,
     val_idx: np.ndarray,
+    pca_model: pca.PcaModel,
     num_classes: int,
     config: TrainConfig,
 ) -> FoldResult:
-    train_images = images[train_idx]
-    pca_model = pca.fit(train_images, models.NUM_MODES)
-    train_features = pca.transform(pca_model, train_images)
-    del train_images  # training needs only the features; free the gathered pixels before it runs
-    val_features = pca.transform(pca_model, images[val_idx])
+    train_features, val_features = features[train_idx], features[val_idx]
     rng = Rng(substream_seed(config.seed, fold_index))
     model, curves = train_model(
         kind,
@@ -239,20 +249,29 @@ def cross_validate(
     num_classes: int,
     config: TrainConfig,
 ) -> CrossValResult:
-    """Stratified k-fold training on flattened images (m x 784).
+    """Stratified k-fold training on flattened images (m x 784): stored
+    unsigned bytes, or floats on [0, 1].
 
     Each fold fits its own PCA and feature statistics on its training
-    split only. The best fold is the highest final validation F1 (ties
-    go to the lowest fold index); its model is the one a caller should
-    evaluate on the held-out test split.
+    split only. Rows become floats one validation part at a time: each
+    part's PCA moments are computed once, each fold's PCA is pooled from
+    the other k - 1 parts' moments and projects the split part by part,
+    so no fold's training pixels are ever copied into one float array.
+    The best fold is the highest final validation F1 (ties go to the
+    lowest fold index); its model is the one a caller should evaluate on
+    the held-out test split.
     """
-    images = np.asarray(images, dtype=float)
+    images = np.asarray(images)
     labels = np.asarray(labels, dtype=int)
     splits = stratified_kfold(labels, config.folds, config.seed)
-    folds = [
-        _train_one_fold(kind, images, labels, fold_index, train_idx, val_idx, num_classes, config)
-        for fold_index, (train_idx, val_idx) in enumerate(splits)
-    ]
+    parts = [val_idx for _, val_idx in splits]
+    part_moments = [pca.moments(data.unit_floats(images[rows])) for rows in parts]
+    folds = []
+    for fold_index, (train_idx, val_idx) in enumerate(splits):
+        pca_model, features = _fold_pca(images, parts, part_moments, fold_index)
+        folds.append(_train_one_fold(
+            kind, features, labels, fold_index, train_idx, val_idx, pca_model, num_classes, config
+        ))
 
     summary = {}
     for split_name in ("train", "val"):

@@ -29,6 +29,19 @@ def make_class_images(
     return np.clip(images, 0, 255).astype(np.uint8), labels.astype(np.uint8)
 
 
+def pixels_with_spectrum(rng: np.random.Generator, m: int, eigvals) -> np.ndarray:
+    """m samples around 0.5 whose sample covariance has exactly ``eigvals``.
+
+    The centered scores are orthonormal columns orthogonal to the ones
+    vector, scaled to each variance and rotated by a random orthogonal basis.
+    """
+    dim = len(eigvals)
+    q, _ = np.linalg.qr(np.column_stack([np.ones(m), rng.normal(size=(m, dim))]))
+    scores = q[:, 1:] * np.sqrt((m - 1) * np.asarray(eigvals))
+    basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    return 0.5 + scores @ basis.T
+
+
 def write_archive(
     path, m_train=90, m_val=30, m_test=30, num_classes=2, seed=0, compressed=False, balanced=False
 ):

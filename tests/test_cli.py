@@ -658,6 +658,10 @@ BAD_INPUTS = [  # (case, documented exit code, argv template)
     ("--out under a file", 3, f"{PCA_REPORT} --out {{seed_cfg}}/out"),
     ("--dump-state in a missing directory", 3,
      f"{EVAL} --checkpoint {{checkpoint}} --dump-state {{nope}}/state.json"),
+    ("--dump-state naming a directory", 3, f"{EVAL} --checkpoint {{checkpoint}} --dump-state {{a_dir}}"),
+    ("--dump-state naming a directory with a missing archive", 3,
+     "eval --dataset toyset --archive {missing_archive} --checkpoint {checkpoint} --pca {pca}"
+     " --dump-state {a_dir}"),
     ("--out under a file with a missing archive", 3,
      "pca-report --dataset toyset --archive {missing_archive} --out {seed_cfg}/out"),
     ("--dump-state in a missing directory with a missing archive", 3,

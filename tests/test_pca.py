@@ -1,25 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from medqnn import pca
 from medqnn.errors import DataError
 
+from conftest import pixels_with_spectrum
+
 
 def random_pixel_matrix(rng: np.random.Generator, m: int, dim: int) -> np.ndarray:
     return rng.uniform(0.0, 1.0, size=(m, dim))
-
-
-def pixels_with_spectrum(rng: np.random.Generator, m: int, eigvals) -> np.ndarray:
-    """m samples around 0.5 whose sample covariance has exactly ``eigvals``.
-
-    The centered scores are orthonormal columns orthogonal to the ones
-    vector, scaled to each variance and rotated by a random orthogonal basis.
-    """
-    dim = len(eigvals)
-    q, _ = np.linalg.qr(np.column_stack([np.ones(m), rng.normal(size=(m, dim))]))
-    scores = q[:, 1:] * np.sqrt((m - 1) * np.asarray(eigvals))
-    basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-    return 0.5 + scores @ basis.T
 
 
 def subspace_iteration_fit(images: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -133,6 +124,32 @@ class TestFit:
         data = np.full((10, 5), 7.0)
         with pytest.raises(DataError):
             pca.fit(data, 2)
+
+
+class TestMoments:
+    def test_pooling_uneven_parts_in_any_order_matches_the_concatenation(self):
+        rng = np.random.default_rng(13)
+        images = random_pixel_matrix(rng, 100, 12)
+        parts = np.split(np.arange(100), [1, 8, 38])  # 1, 7, 30 and 62 rows
+        for order in itertools.permutations(range(len(parts))):
+            rows = np.concatenate([parts[i] for i in order])
+            pooled = pca.pool([pca.moments(images[parts[i]]) for i in order])
+            whole = pca.moments(images[rows])
+            assert pooled.count == whole.count == 100
+            np.testing.assert_allclose(pooled.mean, whole.mean, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(pooled.scatter, whole.scatter, rtol=1e-12, atol=1e-13)
+
+    def test_sample_count_check_applies_to_the_pooled_count(self):
+        rng = np.random.default_rng(14)
+        images = random_pixel_matrix(rng, 5, 6)
+        with pytest.raises(DataError):
+            pca.from_moments(pca.pool([pca.moments(images[:2]), pca.moments(images[2:4])]), 4)
+        pooled = pca.from_moments(pca.pool([pca.moments(images[:2]), pca.moments(images[2:])]), 4)
+        np.testing.assert_allclose(pooled.components, pca.fit(images, 4).components, atol=1e-10)
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(DataError):
+            pca.moments(np.zeros((0, 5)))
 
 
 class TestTransform:

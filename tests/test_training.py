@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from medqnn import models, training
+from medqnn import data, models, pca, training
 from medqnn.errors import ConfigError, DataError
 from medqnn.rng import Rng
+
+from conftest import make_class_images, pixels_with_spectrum
 
 
 def separable_toy(m=48, seed=0):
@@ -220,3 +224,65 @@ class TestCrossValidate:
             for metric in ("acc", "precision", "recall", "f1"):
                 entry = result.summary[f"{split}_{metric}"]
                 assert set(entry) == {"mean", "std"}
+
+
+class TestFoldPca:
+    """Each fold's PCA is pooled from the moments of the other folds' parts."""
+
+    @pytest.mark.parametrize("folds", [3, 5])
+    def test_matches_a_fit_on_the_fold_training_rows(self, folds):
+        rng = np.random.default_rng(15)
+        images = pixels_with_spectrum(rng, 150, 0.01 * 0.5 ** np.arange(20))
+        labels = np.arange(150) % 2
+        config = training.TrainConfig(epochs=0, folds=folds, seed=3)
+        result = training.cross_validate("classical", images, labels, 2, config)
+        splits = training.stratified_kfold(labels, folds, config.seed)
+        for fold, (train_idx, _) in zip(result.folds, splits):
+            expected = pca.fit(images[train_idx], models.NUM_MODES)
+            got = fold.pca_model
+            np.testing.assert_allclose(got.mean, expected.mean, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                got.explained_variance_ratio, expected.explained_variance_ratio, rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(got.components, expected.components, rtol=0, atol=1e-10)
+
+    def test_a_validation_row_leaves_its_own_fold_pca_unchanged(self):
+        rng = np.random.default_rng(16)
+        images = rng.uniform(0.0, 1.0, size=(60, 30))
+        labels = np.arange(60) % 2
+        config = training.TrainConfig(epochs=0, seed=4)
+        before = training.cross_validate("classical", images, labels, 2, config)
+        val_row = training.stratified_kfold(labels, config.folds, config.seed)[0][1][0]
+        images[val_row] = 1.5  # the largest value a fit accepts
+        after = training.cross_validate("classical", images, labels, 2, config)
+        own, other = before.folds[0].pca_model, after.folds[0].pca_model
+        for name in ("mean", "components", "explained_variance_ratio"):
+            assert np.array_equal(getattr(own, name), getattr(other, name)), name
+        for index in (1, 2):  # the folds that train on the row do see it
+            assert not np.array_equal(before.folds[index].pca_model.mean, after.folds[index].pca_model.mean)
+
+    def test_stored_bytes_train_as_their_unit_floats(self):
+        images, labels = make_class_images(60, 2, np.random.default_rng(17), balanced=True)
+        flat = images.reshape(60, -1)
+        config = training.TrainConfig(batch_size=8, epochs=1, seed=5)
+        from_bytes = training.cross_validate("classical", flat, labels, 2, config)
+        from_floats = training.cross_validate("classical", data.unit_floats(flat), labels, 2, config)
+        for a, b in zip(from_bytes.folds, from_floats.folds):
+            assert np.array_equal(a.pca_model.components, b.pca_model.components)
+            assert np.array_equal(models.flat_params(a.model), models.flat_params(b.model))
+            assert a.curves == b.curves
+
+    def test_traced_memory_of_a_pneumonia_sized_split(self):
+        # The split's 4708 rows take 3.7 MB as bytes and 29.5 MB as floats, and
+        # a fold's 3139 training rows 19.7 MB as floats: converting the split,
+        # then gathering and centering a fold's rows, needs about 75 MB.
+        images, labels = make_class_images(4708, 2, np.random.default_rng(18))
+        flat = images.reshape(len(images), -1)
+        config = training.TrainConfig(epochs=0, seed=6)
+        tracemalloc.start()
+        try:
+            training.cross_validate("classical", flat, labels, 2, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
