@@ -246,7 +246,7 @@ def cmd_train(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
     )
     result = training.cross_validate(
         args.model,
-        train_split.pixels.reshape(len(train_split), -1),  # as stored: converted part by part
+        train_split.pixels.reshape(len(train_split), -1),  # as stored: converted a block at a time
         train_split.labels,
         train_split.num_classes,
         _train_config(args, config),
@@ -495,7 +495,7 @@ def _pca_report_config(args, config: dict) -> None:
 
 def cmd_pca_report(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
     train_split = splits["train"]
-    model = pca.fit(train_split.flat_images(), config["pca_components"])
+    model = pca.fit(train_split.pixels.reshape(len(train_split), -1), config["pca_components"])
     ratios = model.explained_variance_ratio
     report = {
         "dataset": args.dataset,

@@ -1,20 +1,23 @@
 """Principal component analysis on flattened images.
 
 A fit is built from moments: a sample count, a mean and a scatter
-matrix, the sum of (x - mean)(x - mean)^T, which ``moments`` computes
-from one block of rows. ``pool`` combines the moments of disjoint blocks
-exactly (the pairwise formulae of Chan, Golub & LeVeque, 1979), so a
-cross-validation fold's covariance comes from the moments of the other
-folds' rows and no fold's rows are ever gathered into one array.
-``from_moments`` then takes the top-k eigenpairs of the covariance from
-one symmetric eigendecomposition (``np.linalg.eigh``), accurate to
-rounding however close the eigenvalues lie; the covariance of 28 x 28
-images is only 784 x 784. ``fit`` is the two steps on one block, and
-every result is a pure deterministic function of the input bytes.
+matrix, the sum of (x - mean)(x - mean)^T. ``moments`` walks its rows in
+blocks of ``BLOCK_ROWS``, converting stored bytes one block at a time
+(``data.unit_floats``), and folds each block into a running total with
+``pool``, which combines the moments of disjoint blocks exactly (the
+pairwise formulae of Chan, Golub & LeVeque, 1979). So a fit holds one
+block and one running scatter however many rows it sees, and a
+cross-validation fold's moments come from the other folds' moments
+without gathering its rows. ``from_moments`` then takes the top-k
+eigenpairs from one symmetric eigendecomposition (``np.linalg.eigh``) of
+the pooled scatter, accurate to rounding however close the eigenvalues
+lie; the scatter of 28 x 28 images is only 784 x 784. ``fit`` is the two
+steps on one matrix, and every result is a pure deterministic function
+of the input bytes.
 
 Component signs are fixed by making each row's largest-magnitude entry
-positive. Explained-variance ratios divide by the covariance trace, the
-sum of all eigenvalues.
+positive. Explained-variance ratios divide by the scatter's trace, the
+sum of all its eigenvalues.
 """
 
 from __future__ import annotations
@@ -25,11 +28,14 @@ from pathlib import Path
 
 import numpy as np
 
+from . import data
 from .errors import DataError, checked_arrays
 
 # moments() sanity guard; noise-injected images can leave [0, 1] but only
 # clean training pixels ever reach a fit.
 _PIXEL_LO, _PIXEL_HI = -0.5, 1.5
+# Rows that moments() converts and centers at once: 3.2 MB of floats at 784 columns.
+BLOCK_ROWS = 512
 
 MAGIC = "PCA1"
 
@@ -51,21 +57,27 @@ class Moments:
 
 
 def moments(images: np.ndarray) -> Moments:
-    """The moments of the rows of ``images`` (m x input_dim, m >= 1)."""
-    images = np.asarray(images, dtype=float)
+    """The moments of the rows of ``images`` (m x input_dim, m >= 1): stored
+    unsigned bytes, or floats."""
+    images = np.asarray(images)
     if images.ndim != 2:
         raise ValueError(f"expected a 2-d sample matrix, got shape {images.shape}")
     if len(images) == 0:
         raise DataError("no samples to fit")
-    if not np.all(np.isfinite(images)):
-        raise DataError("non-finite pixel values in fit input")
-    if images.min() < _PIXEL_LO or images.max() > _PIXEL_HI:
-        raise DataError(
-            f"pixel values outside [{_PIXEL_LO}, {_PIXEL_HI}]; normalize to [0, 1] before fit"
-        )
-    mean = images.mean(axis=0)
-    centered = images - mean
-    return Moments(count=len(images), mean=mean, scatter=centered.T @ centered)
+    total = None
+    for start in range(0, len(images), BLOCK_ROWS):
+        block = data.unit_floats(images[start : start + BLOCK_ROWS])
+        if not np.all(np.isfinite(block)):
+            raise DataError("non-finite pixel values in fit input")
+        if block.min() < _PIXEL_LO or block.max() > _PIXEL_HI:
+            raise DataError(
+                f"pixel values outside [{_PIXEL_LO}, {_PIXEL_HI}]; normalize to [0, 1] before fit"
+            )
+        mean = block.mean(axis=0)
+        centered = block - mean
+        part = Moments(count=len(block), mean=mean, scatter=centered.T @ centered)
+        total = part if total is None else pool([total, part])
+    return total
 
 
 def pool(parts: list[Moments]) -> Moments:
@@ -92,8 +104,8 @@ def from_moments(stats: Moments, k: int) -> PcaModel:
         raise ValueError(f"k must lie in [1, {dim}], got {k}")
     if stats.count <= k:
         raise DataError(f"need more than k={k} samples to fit, got {stats.count}")
-    cov = stats.scatter / (stats.count - 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)  # ascending
+    # The scatter is (count - 1) x the covariance: same eigenvectors, same ratios.
+    eigvals, eigvecs = np.linalg.eigh(stats.scatter)  # ascending
     eigvals = eigvals[::-1][:k]
     components = eigvecs[:, ::-1][:, :k].T.copy()  # (k, dim), descending
 
@@ -101,8 +113,7 @@ def from_moments(stats: Moments, k: int) -> PcaModel:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0
 
-    total_variance = np.trace(cov)
-    ratios = eigvals / total_variance
+    ratios = eigvals / np.trace(stats.scatter)
     return PcaModel(
         input_dim=dim,
         k=k,
@@ -113,7 +124,7 @@ def from_moments(stats: Moments, k: int) -> PcaModel:
 
 
 def fit(images: np.ndarray, k: int) -> PcaModel:
-    """Fit a top-k model on rows of ``images`` (m x input_dim)."""
+    """Fit a top-k model on rows of ``images`` (m x input_dim), bytes or floats."""
     return from_moments(moments(images), k)
 
 

@@ -84,25 +84,16 @@ def stratified_kfold(labels, folds: int, seed: int) -> list[tuple[np.ndarray, np
     """
     labels = np.asarray(labels, dtype=int)
     rng = Rng(seed)
-    fold_members: list[list[int]] = [[] for _ in range(folds)]
+    fold_of = np.empty(len(labels), dtype=int)
     for cls in np.unique(labels):
-        members = list(np.nonzero(labels == cls)[0])
+        members = np.flatnonzero(labels == cls).tolist()
         if len(members) < folds:
             raise DataError(
                 f"class {cls} has {len(members)} samples, cannot stratify into {folds} folds"
             )
         rng.shuffle(members)
-        for position, index in enumerate(members):
-            fold_members[position % folds].append(index)
-    splits = []
-    for fold in range(folds):
-        val = np.array(sorted(fold_members[fold]), dtype=int)
-        train = np.array(
-            sorted(i for other in range(folds) if other != fold for i in fold_members[other]),
-            dtype=int,
-        )
-        splits.append((train, val))
-    return splits
+        fold_of[members] = np.arange(len(members)) % folds
+    return [(np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)) for f in range(folds)]
 
 
 @dataclass
@@ -192,17 +183,24 @@ def train_model(
     return model, curves
 
 
-def _fold_pca(
-    images: np.ndarray, parts: list[np.ndarray], part_moments: list[pca.Moments], fold_index: int
-) -> tuple[pca.PcaModel, np.ndarray]:
-    """Fold ``fold_index``'s PCA, pooled from the other parts' moments, and
-    the features of every row under it, projected one part at a time."""
-    pooled = pca.pool([m for part, m in enumerate(part_moments) if part != fold_index])
-    pca_model = pca.from_moments(pooled, models.NUM_MODES)
-    features = np.empty((len(images), pca_model.k))
-    for rows in parts:
-        features[rows] = pca.transform(pca_model, data.unit_floats(images[rows]))
-    return pca_model, features
+def _fold_pcas(
+    images: np.ndarray, parts: list[np.ndarray]
+) -> tuple[list[pca.PcaModel], np.ndarray]:
+    """Each fold's PCA, pooled from the moments of the other parts, and the
+    (folds, m, k) features of every row under each fold's model, projected
+    in one pass over blocks of rows that are converted once each."""
+    part_moments = [pca.moments(images[rows]) for rows in parts]
+    pca_models = [
+        pca.from_moments(pca.pool(part_moments[:fold] + part_moments[fold + 1 :]), models.NUM_MODES)
+        for fold in range(len(parts))
+    ]
+    del part_moments
+    features = np.empty((len(parts), len(images), models.NUM_MODES))
+    for start in range(0, len(images), pca.BLOCK_ROWS):
+        block = data.unit_floats(images[start : start + pca.BLOCK_ROWS])
+        for fold, pca_model in enumerate(pca_models):
+            features[fold, start : start + len(block)] = pca.transform(pca_model, block)
+    return pca_models, features
 
 
 def _train_one_fold(
@@ -253,10 +251,12 @@ def cross_validate(
     unsigned bytes, or floats on [0, 1].
 
     Each fold fits its own PCA and feature statistics on its training
-    split only. Rows become floats one validation part at a time: each
-    part's PCA moments are computed once, each fold's PCA is pooled from
-    the other k - 1 parts' moments and projects the split part by part,
-    so no fold's training pixels are ever copied into one float array.
+    split only. A part is one fold's validation rows. Each part's PCA
+    moments are computed once, a block of rows at a time, and each fold's
+    PCA is pooled from the other k - 1 parts' moments. Every fold's PCA is
+    decomposed before any row is projected; then one pass converts each
+    block of the split once and projects it under every fold's model. So
+    the rows are floats only a block at a time, never a part or a fold.
     The best fold is the highest final validation F1 (ties go to the
     lowest fold index); its model is the one a caller should evaluate on
     the held-out test split.
@@ -264,13 +264,12 @@ def cross_validate(
     images = np.asarray(images)
     labels = np.asarray(labels, dtype=int)
     splits = stratified_kfold(labels, config.folds, config.seed)
-    parts = [val_idx for _, val_idx in splits]
-    part_moments = [pca.moments(data.unit_floats(images[rows])) for rows in parts]
+    pca_models, features = _fold_pcas(images, [val_idx for _, val_idx in splits])
     folds = []
     for fold_index, (train_idx, val_idx) in enumerate(splits):
-        pca_model, features = _fold_pca(images, parts, part_moments, fold_index)
         folds.append(_train_one_fold(
-            kind, features, labels, fold_index, train_idx, val_idx, pca_model, num_classes, config
+            kind, features[fold_index], labels, fold_index, train_idx, val_idx,
+            pca_models[fold_index], num_classes, config,
         ))
 
     summary = {}

@@ -1,12 +1,13 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from medqnn import pca
+from medqnn import data, pca
 from medqnn.errors import DataError
 
-from conftest import pixels_with_spectrum
+from conftest import make_class_images, pixels_with_spectrum
 
 
 def random_pixel_matrix(rng: np.random.Generator, m: int, dim: int) -> np.ndarray:
@@ -150,6 +151,45 @@ class TestMoments:
     def test_no_rows_rejected(self):
         with pytest.raises(DataError):
             pca.moments(np.zeros((0, 5)))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, pca.BLOCK_ROWS + 1])
+    def test_rows_across_block_boundaries_match_an_unblocked_two_pass_reference(self, offset):
+        m = pca.BLOCK_ROWS + offset
+        images = random_pixel_matrix(np.random.default_rng(30 + offset), m, 12)
+        got = pca.moments(images)
+        mean = images.mean(axis=0)
+        centered = images - mean
+        assert got.count == m
+        np.testing.assert_allclose(got.mean, mean, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(got.scatter, centered.T @ centered, rtol=1e-12, atol=1e-13)
+
+    def test_bytes_and_their_unit_floats_give_equal_moments_across_blocks(self):
+        stored = np.random.default_rng(31).integers(0, 256, size=(2 * pca.BLOCK_ROWS + 1, 12))
+        stored = stored.astype(np.uint8)
+        from_bytes, from_floats = pca.moments(stored), pca.moments(data.unit_floats(stored))
+        assert from_bytes.count == from_floats.count
+        assert np.array_equal(from_bytes.mean, from_floats.mean)
+        assert np.array_equal(from_bytes.scatter, from_floats.scatter)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.6])
+    def test_bad_value_past_the_first_block_rejected(self, bad):
+        images = random_pixel_matrix(np.random.default_rng(32), pca.BLOCK_ROWS + 5, 6)
+        images[pca.BLOCK_ROWS + 2, 3] = bad
+        with pytest.raises(DataError):
+            pca.moments(images)
+
+    def test_traced_memory_of_a_fit_on_stored_bytes(self):
+        # As floats, the 4708 x 784 split alone takes 29.5 MB and a centered
+        # copy as much again; a fit on its bytes holds one block of floats.
+        images, _ = make_class_images(4708, 2, np.random.default_rng(33))
+        stored = images.reshape(len(images), -1)
+        tracemalloc.start()
+        try:
+            pca.fit(stored, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6
 
 
 class TestTransform:

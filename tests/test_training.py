@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -61,6 +62,17 @@ class TestStratifiedKfold:
         for _, val in splits:
             count0 = int(np.sum(labels[val] == 0))
             assert count0 in (3, 4)
+
+    @pytest.mark.parametrize("folds, seed, digest", [
+        (3, 0, "2bda6fcdd3b7d75e3fdd6f2b4ac544f044db0f68c1aa03b039141b320e99e888"),
+        (4, 7, "47011f5011b9aa6c72209dd595cd5b6bf9ecbb5f02c5e31ea5a7be455661a1cc"),
+    ])
+    def test_splits_are_pinned(self, folds, seed, digest):
+        labels = np.random.default_rng(21).integers(0, 3, 200)
+        h = hashlib.sha256()
+        for train, val in training.stratified_kfold(labels, folds, seed):
+            h.update(train.astype("<i8").tobytes() + b"|" + val.astype("<i8").tobytes() + b";")
+        assert h.hexdigest() == digest
 
     def test_deterministic(self):
         labels = np.random.default_rng(7).integers(0, 2, 40)
@@ -229,11 +241,15 @@ class TestCrossValidate:
 class TestFoldPca:
     """Each fold's PCA is pooled from the moments of the other folds' parts."""
 
-    @pytest.mark.parametrize("folds", [3, 5])
-    def test_matches_a_fit_on_the_fold_training_rows(self, folds):
+    # 3100 rows: each of 3 parts spans more than two blocks of pca.BLOCK_ROWS.
+    @pytest.mark.parametrize("folds, m", [
+        pytest.param(3, 150, id="3"), pytest.param(5, 150, id="5"), pytest.param(3, 3100, id="3-3100"),
+    ])
+    def test_matches_a_fit_on_the_fold_training_rows(self, folds, m):
+        assert m < 2 * pca.BLOCK_ROWS or m // folds > 2 * pca.BLOCK_ROWS
         rng = np.random.default_rng(15)
-        images = pixels_with_spectrum(rng, 150, 0.01 * 0.5 ** np.arange(20))
-        labels = np.arange(150) % 2
+        images = pixels_with_spectrum(rng, m, 0.01 * 0.5 ** np.arange(20))
+        labels = np.arange(m) % 2
         config = training.TrainConfig(epochs=0, folds=folds, seed=3)
         result = training.cross_validate("classical", images, labels, 2, config)
         splits = training.stratified_kfold(labels, folds, config.seed)
@@ -245,6 +261,13 @@ class TestFoldPca:
                 got.explained_variance_ratio, expected.explained_variance_ratio, rtol=0, atol=1e-12
             )
             np.testing.assert_allclose(got.components, expected.components, rtol=0, atol=1e-10)
+            # the projection pass put every row's features under this fold's model
+            np.testing.assert_allclose(
+                fold.model.feature_mean,
+                pca.transform(got, images[train_idx]).mean(axis=0),
+                rtol=0,
+                atol=1e-12,
+            )
 
     def test_a_validation_row_leaves_its_own_fold_pca_unchanged(self):
         rng = np.random.default_rng(16)
@@ -275,14 +298,20 @@ class TestFoldPca:
     def test_traced_memory_of_a_pneumonia_sized_split(self):
         # The split's 4708 rows take 3.7 MB as bytes and 29.5 MB as floats, and
         # a fold's 3139 training rows 19.7 MB as floats: converting the split,
-        # then gathering and centering a fold's rows, needs about 75 MB.
+        # then gathering and centering a fold's rows, needs about 75 MB. Rows
+        # become floats a block at a time, so three copies of the split must
+        # cost only their bytes and a little more.
         images, labels = make_class_images(4708, 2, np.random.default_rng(18))
         flat = images.reshape(len(images), -1)
         config = training.TrainConfig(epochs=0, seed=6)
-        tracemalloc.start()
-        try:
-            training.cross_validate("classical", flat, labels, 2, config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 50e6
+        peaks = []
+        for copies in (1, 3):
+            split, split_labels = np.concatenate([flat] * copies), np.tile(labels, copies)
+            tracemalloc.start()
+            try:
+                training.cross_validate("classical", split, split_labels, 2, config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 50e6
+        assert peaks[1] - peaks[0] < 10e6
