@@ -517,11 +517,15 @@ def cmd_pca_report(args, config: dict, out: Path, splits) -> tuple[list[Path], d
 # --- parser ----------------------------------------------------------------
 
 def _sample_indices(text: str) -> list[int]:
-    """saliency --indices: comma-separated integers; empty entries are skipped."""
+    """saliency --indices: one or more distinct comma-separated integers;
+    empty entries are skipped."""
     try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
+        indices = [int(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:  # argparse reports it through _Parser.error: exit 3
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {exc}") from exc
+    if not indices or len(set(indices)) != len(indices):
+        raise argparse.ArgumentTypeError(f"expected distinct sample indices, got {text!r}")
+    return indices
 
 
 def _add_common(sub, archive: bool = True) -> None:

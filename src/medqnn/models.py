@@ -26,12 +26,11 @@ Neither circuit's variational block depends on the batch, so each is
 compiled once per call and all gradients are exact:
 
 * CV: the block is an affine map (S, d) of the quadrature means
-  (Weedbrook et al., RMP 84, 621, arXiv:1110.3234). Each layer is four
-  stages of commuting gates on distinct modes (displacements, rotations,
-  squeezes, the beamsplitter pair), each one vector or 8 x 8 matrix. The
-  loss reaches the parameters only through A = S[:4, :4] and b = d[:4],
-  so one reverse sweep through the 8 stages gives every partial
-  derivative, each gate's read from its own modes' block.
+  (Weedbrook et al., RMP 84, 621, arXiv:1110.3234). In any one parameter
+  it is a + c f(t) + s g(t) with (f, g) = (t, 1), (cos, sin) or
+  (cosh, sinh), so the exact shift rule (Schuld et al., arXiv:1811.11184)
+  with one shift per gate kind gives every partial from one stacked
+  (S, d) at the 64 shifted parameter vectors.
 * DV: the encoding is a real product state psi and the block one 16 x 16
   unitary U, so <Z_q> = |U psi|^2 . z_q. U is the product of 10 moments
   (per layer four rotation stages, then the CNOT pair), and one adjoint
@@ -136,102 +135,67 @@ def _head(model: HybridModel, outputs: np.ndarray) -> np.ndarray:
 
 _CV_MODES = tuple(range(NUM_MODES))
 _BS_A, _BS_B = (0, 2), (1, 3)  # each layer's beamsplitters mix modes (0, 1) and (2, 3)
-# (theta, phi) offsets of a beamsplitter stage's variants: the stage itself,
-# then theta + and - pi/2, then phi + and - pi/2
-_BS_SHIFTS = np.pi / 2.0 * np.array([[0.0, 1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, -1.0]])
-_SYMPLECTIC_STAGES = ("rotation", "squeeze", "beamsplitter")  # after each layer's displacements
+# The shift rule's h for each parameter of a layer (displacements, rotations,
+# squeezes, beamsplitter (theta, phi) pairs). In any one parameter t, S and d
+# are a + c f(t) + s g(t) with (f, g) = (t, 1), (cos, sin) or (cosh, sinh),
+# so [F(t + h) - F(t - h)] / 2 = F'(t) exactly for h = 1, pi/2, asinh 1.
+_CV_SHIFTS = np.tile(np.repeat([1.0, np.pi / 2, np.arcsinh(1.0), np.pi / 2], NUM_MODES), NUM_LAYERS)
 
 
-def _cv_stages(circuit_params: np.ndarray) -> dict[str, np.ndarray]:
-    """Each kind of stage for every layer, stacked over the layers.
+def _cv_transform(circuit_params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Affine action (S, d) of the variational layers on the quadrature
+    means, for parameters of shape (..., 32): S (..., 2n, 2n), d (..., 2n).
 
-    A layer applies displacements (vectors, shape (layers, 2n)), then
-    rotations, squeezes and the beamsplitter pair (symplectic matrices,
-    (layers, 2n, 2n)). A stage's gates act on distinct modes, so one
-    constructor call builds one kind of stage for all layers. "shifted"
-    holds the four beamsplitter stages with one angle moved by +-pi/2
-    that the gradient needs, (layers, 4, 2n, 2n).
+    A layer applies displacements, then rotations, squeezes and the
+    beamsplitter pair. A stage's gates act on distinct modes, so one
+    constructor call builds one kind of stage for every layer and row.
+    A squeeze past ``gaussian.SQUEEZE_LIMIT`` raises ``NumericError``.
     """
     n = NUM_MODES
-    layers = circuit_params.reshape(NUM_LAYERS, PARAMS_PER_LAYER)
+    layers = circuit_params.reshape(circuit_params.shape[:-1] + (NUM_LAYERS, PARAMS_PER_LAYER))
     try:
-        squeezes = gaussian.squeeze_symplectic(n, _CV_MODES, layers[:, 8:12])
+        squeezes = gaussian.squeeze_symplectic(n, _CV_MODES, layers[..., 8:12])
     except ValueError as exc:  # the squeeze overflow guard
         raise NumericError(str(exc)) from exc
-    beamsplitters = gaussian.beamsplitter_symplectic(
-        n, _BS_A, _BS_B,
-        layers[:, None, 12:16:2] + _BS_SHIFTS[0][:, None],
-        layers[:, None, 13:16:2] + _BS_SHIFTS[1][:, None],
+    displacements = gaussian.displacement_vector(n, _CV_MODES, layers[..., 0:4], 0.0)
+    theta, phi = layers[..., 12:16:2], layers[..., 13:16:2]
+    symplectic_stages = (
+        gaussian.rotation_symplectic(n, _CV_MODES, layers[..., 4:8]),
+        squeezes,
+        gaussian.beamsplitter_symplectic(n, _BS_A, _BS_B, theta, phi),
     )
-    return {
-        "displacement": gaussian.displacement_vector(n, _CV_MODES, layers[:, 0:4], 0.0),
-        "rotation": gaussian.rotation_symplectic(n, _CV_MODES, layers[:, 4:8]),
-        "squeeze": squeezes,
-        "beamsplitter": beamsplitters[:, 0],
-        "shifted": beamsplitters[:, 1:],
-    }
-
-
-def _cv_transform(circuit_params: np.ndarray):
-    """Accumulated affine action (S, d) of the variational layers on the
-    mean, and the record the backward pass needs: the stages, and the
-    [S | d] each symplectic stage was applied to, in order."""
-    stages = _cv_stages(circuit_params)
-    affine = np.eye(2 * NUM_MODES, 2 * NUM_MODES + 1)  # [S | d]
-    inputs = []
+    lead = circuit_params.shape[:-1]
+    affine = np.broadcast_to(np.eye(2 * n, 2 * n + 1), lead + (2 * n, 2 * n + 1))  # [S | d]
     for layer in range(NUM_LAYERS):
         affine = affine.copy()
-        affine[:, -1] += stages["displacement"][layer]
-        for kind in _SYMPLECTIC_STAGES:
-            inputs.append(affine)
-            affine = stages[kind][layer] @ affine
-    return affine[:, :-1], affine[:, -1], (stages, inputs)
-
-
-def _mode_blocks(matrices: np.ndarray) -> np.ndarray:
-    """(..., 2n, 2n) -> (..., 2, 2, n): [..., :, :, i] is mode i's block on (x_i, p_i)."""
-    n = matrices.shape[-1] // 2
-    return matrices.reshape(matrices.shape[:-2] + (2, n, 2, n)).diagonal(axis1=-3, axis2=-1)
+        affine[..., -1] += displacements[..., layer, :]
+        for stage in symplectic_stages:
+            affine = stage[..., layer, :, :] @ affine
+    return affine[..., :-1], affine[..., -1]
 
 
 def _cv_forward(circuit_params: np.ndarray, z: np.ndarray):
     """<x_i> for standardized inputs z of shape (m, 4), and the backward passes.
 
     The encoded means sqrt(2) z live on x only, so the outputs are
-    sqrt(2) z A^T + b with A = S[:4, :4], b = d[:4]; only those entries
-    of [S | d] reach the loss.
+    sqrt(2) z A^T + b with A = S[:4, :4], b = d[:4]. The loss reaches the
+    parameters only through them, so its gradient is that of the linear
+    l = <sqrt(2) d_out^T z, A> + <sum d_out, b>, which the shift rule on
+    one stacked ``_cv_transform`` gives exactly. The shifted squeezes pass
+    the guard too: a gradient raises ``NumericError`` once a squeeze is
+    past ``SQUEEZE_LIMIT - asinh 1`` (about 19.12), a prediction only past
+    ``SQUEEZE_LIMIT``.
     """
-    s_total, d_total, (stages, inputs) = _cv_transform(circuit_params)
+    s_total, d_total = _cv_transform(circuit_params)
     outputs = np.sqrt(2.0) * z @ s_total[:NUM_MODES, :NUM_MODES].T + d_total[:NUM_MODES]
 
     def backward(d_outputs: np.ndarray) -> np.ndarray:
-        n = NUM_MODES
-        bar = np.zeros((2 * n, 2 * n + 1))  # dL / d[S | d]
-        bar[:n, :n] = np.sqrt(2.0) * d_outputs.T @ z
-        bar[:n, -1] = d_outputs.sum(axis=0)
-        grad = np.zeros((NUM_LAYERS, PARAMS_PER_LAYER))
-        adjoints = []  # dL / d(output of each symplectic stage), last stage first
-        for layer in reversed(range(NUM_LAYERS)):
-            for kind in reversed(_SYMPLECTIC_STAGES):
-                adjoints.append(bar)
-                bar = stages[kind][layer].T @ bar
-            grad[layer, 0:4] = np.sqrt(2.0) * bar[:n, -1]  # d/dr of sqrt(2) r (cos 0, sin 0)
-        # dL / dstage, (layer, stage, 2n, 2n); each gate's partials read only its own modes' entries
-        bar_stages = np.array(adjoints[::-1]) @ np.array(inputs).transpose(0, 2, 1)
-        bar_stages = bar_stages.reshape(NUM_LAYERS, len(_SYMPLECTIC_STAGES), 2 * n, 2 * n)
-        g, b = _mode_blocks(stages["rotation"]), _mode_blocks(bar_stages[:, 0])
-        cos, sin = g[:, 0, 0], g[:, 1, 0]  # [[cos, -sin], [sin, cos]]
-        grad[:, 4:8] = cos * (b[:, 1, 0] - b[:, 0, 1]) - sin * (b[:, 0, 0] + b[:, 1, 1])
-        g, b = _mode_blocks(stages["squeeze"]), _mode_blocks(bar_stages[:, 1])  # diag(e^-r, e^r)
-        grad[:, 8:12] = g[:, 1, 1] * b[:, 1, 1] - g[:, 0, 0] * b[:, 0, 0]
-        # Each beamsplitter entry is a cos(t) + b sin(t) + c in either angle
-        # t, so [G(t + pi/2) - G(t - pi/2)] / 2 is the exact derivative; it
-        # is nonzero only in the rows of the pair that t belongs to.
-        shifted = stages["shifted"]
-        slopes = (shifted[:, 0::2] - shifted[:, 1::2]) / 2.0  # (layer, d/dtheta | d/dphi, 2n, 2n)
-        rows = (slopes * bar_stages[:, 2:]).reshape(NUM_LAYERS, 2, 2, n, 2 * n).sum(axis=(2, 4))
-        grad[:, 12:16] = (rows[..., _BS_A] + rows[..., _BS_B]).swapaxes(1, 2).reshape(NUM_LAYERS, 4)
-        return grad.reshape(-1)
+        n, shifts = NUM_MODES, np.diag(_CV_SHIFTS)
+        s_shifted, d_shifted = _cv_transform(circuit_params + np.stack([shifts, -shifts]))
+        # l at each shifted transform, shape (+ or - shift, parameter)
+        loss = (s_shifted[..., :n, :n] * (np.sqrt(2.0) * d_outputs.T @ z)).sum(axis=(-2, -1))
+        loss += d_shifted[..., :n] @ d_outputs.sum(axis=0)
+        return (loss[0] - loss[1]) / 2.0
 
     def input_backward(d_outputs: np.ndarray) -> np.ndarray:
         return np.sqrt(2.0) * d_outputs @ s_total[:NUM_MODES, :NUM_MODES]
@@ -248,7 +212,7 @@ def cv_final_state(model: HybridModel, features: np.ndarray) -> gaussian.Gaussia
     """
     _require_kind(model, "cv")
     z = standardize(model, _check_features(features))
-    s_total, d_total, _ = _cv_transform(model.circuit_params)
+    s_total, d_total = _cv_transform(model.circuit_params)
     encoded = np.concatenate([np.sqrt(2.0) * z, np.zeros(NUM_MODES)])
     return gaussian.GaussianState(NUM_MODES, s_total @ encoded + d_total, s_total @ s_total.T)
 

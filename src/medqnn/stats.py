@@ -3,10 +3,10 @@
 With only a handful of cross-validation folds per model the usual
 large-sample approximations are meaningless, so the Wilcoxon signed-rank
 p value is computed exactly over all 2^n sign assignments, counted by the
-rank sum they produce rather than listed one by one (here n is 3). The
-Friedman chi-square tail uses the closed form that the regularized
-upper gamma function has at integer degrees of freedom: a finite Poisson
-sum for even df, erfc plus a finite sum for odd df.
+rank sum they produce rather than listed one by one (n is the fold count,
+2 or more). The Friedman chi-square tail uses the closed form that the
+regularized upper gamma function has at integer degrees of freedom: a
+finite Poisson sum for even df, erfc plus a finite sum for odd df.
 """
 
 from __future__ import annotations

@@ -634,6 +634,14 @@ BAD_INPUTS = [  # (case, documented exit code, argv template)
      "saliency --dataset toyset --archive {missing_archive} --checkpoint {checkpoint}"
      " --pca {pca} --indices a,b"),
     ("out-of-range --indices", 2, f"{SALIENCY} --indices 0,9999"),
+    ("repeated --indices", 3, f"{SALIENCY} --indices 3,3"),
+    ("repeated --indices with a missing archive", 3,
+     "saliency --dataset toyset --archive {missing_archive} --checkpoint {checkpoint}"
+     " --pca {pca} --indices 3,3"),
+    ("no --indices", 3, f"{SALIENCY} --indices ,"),
+    ("no --indices with a missing archive", 3,
+     "saliency --dataset toyset --archive {missing_archive} --checkpoint {checkpoint}"
+     " --pca {pca} --indices ,"),
     ("binary test split with one class", 2,
      "eval --dataset toyset --archive {one_class} --checkpoint {checkpoint} --pca {pca}"),
     ("pca-report --k 0", 3, f"{PCA_REPORT} --k 0"),
@@ -797,7 +805,10 @@ BAD_FLAGS = st.one_of(
     flag_case(
         f"saliency {MISSING_ARCHIVE} --checkpoint {{checkpoint}} --pca {{pca}}", "--indices",
         st.tuples(st.lists(st.integers(0, 9).map(str)), unparsable_by(int).filter(str.strip))
-        .map(lambda parts: ",".join([*parts[0], parts[1]])),
+        .map(lambda parts: ",".join([*parts[0], parts[1]]))
+        | st.lists(st.integers(0, 9).map(str), min_size=1)
+        .map(lambda parts: ",".join([*parts, parts[-1]]))  # a repeated index
+        | st.lists(st.sampled_from(["", " "])).map(",".join),  # no index
     ),
     flag_case(
         f"eval {MISSING_ARCHIVE} --checkpoint {{checkpoint}} --pca {{pca}}", "--split",

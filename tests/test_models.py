@@ -471,6 +471,21 @@ class TestCompiledPathOracles:
         with pytest.raises(NumericError):
             models.loss_and_grad(models.with_params(model, params), np.zeros((1, 4)), np.array([0]))
 
+    def test_cv_gradient_guard_covers_the_shifted_squeezes(self):
+        # the shift rule also builds each squeeze at r +- asinh 1
+        model = random_model("cv", 2, seed=0)
+        features, labels = np.zeros((2, 4)), np.array([0, 1])
+        params = models.flat_params(model)
+        params[8] = gaussian.SQUEEZE_LIMIT - 0.5
+        near = models.with_params(model, params)
+        assert np.all(np.isfinite(models.predict_batch(near, features)[0]))
+        with pytest.raises(NumericError):
+            models.loss_and_grad(near, features, labels)
+        params[8] = gaussian.SQUEEZE_LIMIT - np.arcsinh(1.0) - 0.01
+        inside = models.with_params(model, params)
+        assert np.all(np.isfinite(models.predict_batch(inside, features)[0]))
+        assert np.all(np.isfinite(models.loss_and_grad(inside, features, labels)[1]))
+
 
 class TestPrediction:
     @pytest.mark.parametrize("kind", models.KINDS)
