@@ -8,7 +8,8 @@ Every member is read and checked on load, but a split keeps its bytes
 and becomes floats on [0, 1] (``unit_floats``: ``astype(float) / 255.0``)
 only when a command first reads its ``images``, so a command that reads
 only the test split never converts the training images. Training
-converts its split's rows one block at a time with the same function.
+reads its split's bytes a block of rows at a time: its PCA moments are
+integer byte sums, and its projections convert with the same function.
 
 Noise injection adds independent N(0, sigma^2) draws on the [0, 1] pixel
 scale and intentionally does not clip: clipping would censor the noise

@@ -1,23 +1,31 @@
 """Principal component analysis on flattened images.
 
-A fit is built from moments: a sample count, a mean and a scatter
-matrix, the sum of (x - mean)(x - mean)^T. ``moments`` walks its rows in
-blocks of ``BLOCK_ROWS``, converting stored bytes one block at a time
-(``data.unit_floats``), and folds each block into a running total with
-``pool``, which combines the moments of disjoint blocks exactly (the
-pairwise formulae of Chan, Golub & LeVeque, 1979). So a fit holds one
-block and one running scatter however many rows it sees, and a
-cross-validation fold's moments come from the other folds' moments
-without gathering its rows. ``from_moments`` then takes the top-k
-eigenpairs from one symmetric eigendecomposition (``np.linalg.eigh``) of
-the pooled scatter, accurate to rounding however close the eigenvalues
-lie; the scatter of 28 x 28 images is only 784 x 784. ``fit`` is the two
-steps on one matrix, and every result is a pure deterministic function
-of the input bytes.
+A fit is built from moments in byte units, y = 255 x, about an integer
+shift vector c (by default the rounded mean of the first block of rows):
+the row count n, the column sums s = sum (y - c) and the Gram matrix
+G = sum (y - c)(y - c)^T. ``moments`` walks the rows in blocks of
+``BLOCK_ROWS``. A block of stored bytes is cast to float32 and gives its
+Gram in one product, exactly, since every partial sum is an integer
+below 256 * 255^2 < 2^24; the blocks add into float64 sums, exact while
+below 2^53 (fewer than 1.3e11 rows). Floats take the same loop in
+float64: unit floats of bytes become the same integers, so they give
+bit-identical sums, and other floats round as any float sum does.
+
+Moments about one shift pool by addition (``pool``) and subtraction
+(``complement``), for bytes exactly, so in any order and on any number
+of BLAS threads: a cross-validation fold's moments are the split's less
+its own part's. ``from_moments`` forms the scatter,
+sum (x - mean)(x - mean)^T = (n G - s s^T) / (255^2 n), in place of G;
+for bytes the numerator is an exact integer while n^2 * 255^2 < 2^53,
+the same about any shift, so the division is the one rounding step. One
+symmetric eigendecomposition (``np.linalg.eigh``) of the 784 x 784
+scatter then gives the top-k eigenpairs, accurate to rounding however
+close the eigenvalues lie. ``fit`` is the two steps on one matrix.
 
 Component signs are fixed by making each row's largest-magnitude entry
 positive. Explained-variance ratios divide by the scatter's trace, the
-sum of all its eigenvalues.
+sum of all its eigenvalues; rows that are all equal have a trace of 0
+and are rejected.
 """
 
 from __future__ import annotations
@@ -31,11 +39,11 @@ import numpy as np
 from . import data
 from .errors import DataError, checked_arrays
 
-# moments() sanity guard; noise-injected images can leave [0, 1] but only
-# clean training pixels ever reach a fit.
+# moments() sanity guard for floats; noise-injected images can leave [0, 1]
+# but only clean training pixels ever reach a fit.
 _PIXEL_LO, _PIXEL_HI = -0.5, 1.5
-# Rows that moments() converts and centers at once: 3.2 MB of floats at 784 columns.
-BLOCK_ROWS = 512
+# Rows per block of moments(): the float32 Gram of 256 byte rows is exact.
+BLOCK_ROWS = 256
 
 MAGIC = "PCA1"
 
@@ -51,61 +59,104 @@ class PcaModel:
 
 @dataclass(frozen=True)
 class Moments:
+    """Sums over rows in byte units, y = 255 x, about an integer shift c."""
+
     count: int
-    mean: np.ndarray     # (input_dim,)
-    scatter: np.ndarray  # (input_dim, input_dim), sum of (x - mean)(x - mean)^T
+    shift: np.ndarray  # (input_dim,), c
+    sums: np.ndarray   # (input_dim,), sum of (y - c)
+    gram: np.ndarray   # (input_dim, input_dim), sum of (y - c)(y - c)^T
+
+    @property
+    def mean(self) -> np.ndarray:
+        """The row mean in unit pixels: for bytes, the exact total divided once."""
+        return (self.shift * self.count + self.sums) / (255.0 * self.count)
+
+    @property
+    def scatter(self) -> np.ndarray:
+        """A new array holding sum (x - mean)(x - mean)^T in unit pixels."""
+        return self.scatter_into(np.empty_like(self.gram))
+
+    def scatter_into(self, out: np.ndarray) -> np.ndarray:
+        """The scatter, (n G - s s^T) / (255^2 n), written to ``out``; ``out``
+        may be ``gram`` itself, which this then overwrites."""
+        np.multiply(self.gram, self.count, out=out)
+        out -= np.outer(self.sums, self.sums)
+        out /= 255.0**2 * self.count
+        return out
 
 
-def moments(images: np.ndarray) -> Moments:
-    """The moments of the rows of ``images`` (m x input_dim, m >= 1): stored
-    unsigned bytes, or floats."""
+def moments(images: np.ndarray, shift: np.ndarray | None = None) -> Moments:
+    """The moments of the rows of ``images`` (m x input_dim, m >= 1), stored
+    unsigned bytes or floats, about ``shift`` (by default the rounded mean of
+    the first block in byte units)."""
     images = np.asarray(images)
     if images.ndim != 2:
         raise ValueError(f"expected a 2-d sample matrix, got shape {images.shape}")
     if len(images) == 0:
         raise DataError("no samples to fit")
-    total = None
+    sums = np.zeros(images.shape[1])
+    gram = np.zeros((images.shape[1], images.shape[1]))
     for start in range(0, len(images), BLOCK_ROWS):
-        block = data.unit_floats(images[start : start + BLOCK_ROWS])
-        if not np.all(np.isfinite(block)):
-            raise DataError("non-finite pixel values in fit input")
-        if block.min() < _PIXEL_LO or block.max() > _PIXEL_HI:
-            raise DataError(
-                f"pixel values outside [{_PIXEL_LO}, {_PIXEL_HI}]; normalize to [0, 1] before fit"
-            )
-        mean = block.mean(axis=0)
-        centered = block - mean
-        part = Moments(count=len(block), mean=mean, scatter=centered.T @ centered)
-        total = part if total is None else pool([total, part])
-    return total
+        block = images[start : start + BLOCK_ROWS]
+        if block.dtype == np.uint8:
+            block = block.astype(np.float32)
+        else:
+            block = np.asarray(block, dtype=float)
+            if not np.all(np.isfinite(block)):
+                raise DataError("non-finite pixel values in fit input")
+            if block.min() < _PIXEL_LO or block.max() > _PIXEL_HI:
+                raise DataError(
+                    f"pixel values outside [{_PIXEL_LO}, {_PIXEL_HI}]; normalize to [0, 1] before fit"
+                )
+            block = 255.0 * block
+        if shift is None:
+            shift = np.rint(block.sum(axis=0, dtype=float) / len(block))
+        block -= shift
+        sums += block.sum(axis=0)
+        gram += block.T @ block
+    return Moments(count=len(images), shift=shift, sums=sums, gram=gram)
+
+
+def _check_one_shift(parts: list[Moments]) -> None:
+    if not all(np.array_equal(part.shift, parts[0].shift) for part in parts):
+        raise ValueError("moments must share one shift to pool")
 
 
 def pool(parts: list[Moments]) -> Moments:
-    """The moments of the union of disjoint blocks, from each block's moments.
+    """The moments of the union of disjoint row sets, taken about one shift:
+    plain sums, exact for stored bytes and so the same in any order."""
+    _check_one_shift(parts)
+    sums, gram = parts[0].sums.copy(), parts[0].gram.copy()
+    for part in parts[1:]:
+        sums += part.sums
+        gram += part.gram
+    return Moments(count=sum(part.count for part in parts), shift=parts[0].shift, sums=sums, gram=gram)
 
-    Exact in exact arithmetic: each block's scatter about the pooled mean
-    is its own scatter plus count * (block mean - pooled mean) outer itself.
-    """
-    counts = np.array([part.count for part in parts], dtype=float)
-    means = np.stack([part.mean for part in parts])
-    count = int(counts.sum())
-    mean = counts @ means / count
-    offsets = means - mean
-    scatter = (offsets.T * counts) @ offsets
-    for part in parts:
-        scatter += part.scatter
-    return Moments(count=count, mean=mean, scatter=scatter)
+
+def complement(total: Moments, part: Moments) -> Moments:
+    """The moments of the rows of ``total`` outside ``part`` (a subset of them,
+    about the same shift), formed in ``part``'s arrays, which this overwrites."""
+    _check_one_shift([total, part])
+    np.subtract(total.sums, part.sums, out=part.sums)
+    np.subtract(total.gram, part.gram, out=part.gram)
+    return Moments(count=total.count - part.count, shift=total.shift, sums=part.sums, gram=part.gram)
 
 
 def from_moments(stats: Moments, k: int) -> PcaModel:
-    """The top-k model of the rows that ``stats`` describes."""
-    dim = len(stats.mean)
+    """The top-k model of the rows that ``stats`` describes. The scatter is
+    formed in place of ``stats.gram``, so ``stats`` cannot be used again."""
+    dim = len(stats.sums)
     if not 1 <= k <= dim:
         raise ValueError(f"k must lie in [1, {dim}], got {k}")
     if stats.count <= k:
         raise DataError(f"need more than k={k} samples to fit, got {stats.count}")
+    mean = stats.mean
     # The scatter is (count - 1) x the covariance: same eigenvectors, same ratios.
-    eigvals, eigvecs = np.linalg.eigh(stats.scatter)  # ascending
+    scatter = stats.scatter_into(stats.gram)
+    total_variance = np.trace(scatter)
+    if not total_variance > 0:
+        raise DataError(f"all {stats.count} rows of the fit input are equal: there is no variance to fit")
+    eigvals, eigvecs = np.linalg.eigh(scatter)  # ascending
     eigvals = eigvals[::-1][:k]
     components = eigvecs[:, ::-1][:, :k].T.copy()  # (k, dim), descending
 
@@ -113,13 +164,12 @@ def from_moments(stats: Moments, k: int) -> PcaModel:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0
 
-    ratios = eigvals / np.trace(stats.scatter)
     return PcaModel(
         input_dim=dim,
         k=k,
-        mean=stats.mean,
+        mean=mean,
         components=components,
-        explained_variance_ratio=ratios,
+        explained_variance_ratio=eigvals / total_variance,
     )
 
 
@@ -129,7 +179,9 @@ def fit(images: np.ndarray, k: int) -> PcaModel:
 
 
 def transform(model: PcaModel, image: np.ndarray) -> np.ndarray:
-    image = np.asarray(image, dtype=float)
+    """The features of ``image`` (..., input_dim): floats, or stored unsigned
+    bytes, which are projected as their unit floats (``data.unit_floats``)."""
+    image = data.unit_floats(np.asarray(image))
     if image.shape[-1] != model.input_dim:
         raise ValueError(f"expected length {model.input_dim}, got {image.shape[-1]}")
     if not np.all(np.isfinite(image)):

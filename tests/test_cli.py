@@ -563,6 +563,11 @@ def bad_input_files(tmp_path, archive, trained):
         arrays[f"{split}_images"], arrays[f"{split}_labels"] = images, labels.reshape(-1, 1)
     files["one_class"] = str(tmp_path / "one_class.npz")
     np.savez(files["one_class"], **arrays)
+    with np.load(archive) as stored:  # every training image equal to the first
+        arrays = dict(stored)
+    arrays["train_images"][:] = arrays["train_images"][0]
+    files["flat_train"] = str(tmp_path / "flat_train.npz")
+    np.savez(files["flat_train"], **arrays)
     files["eleven_class"] = str(write_archive(
         tmp_path / "eleven_class.npz", m_train=22, m_val=11, m_test=11, num_classes=11, balanced=True
     ))
@@ -648,6 +653,9 @@ BAD_INPUTS = [  # (case, documented exit code, argv template)
     ("pca-report --k 0 with a missing archive", 3,
      "pca-report --dataset toyset --archive {missing_archive} --k 0"),
     ("pca-report --k above the pixel count", 3, f"{PCA_REPORT} --k 785"),
+    ("pca-report on equal training images", 2, "pca-report --dataset toyset --archive {flat_train}"),
+    ("train on equal training images", 2,
+     "train --dataset toyset --archive {flat_train} --model classical --epochs 1"),
     ("pca-report --k above the pixel count with a missing archive", 3,
      "pca-report --dataset toyset --archive {missing_archive} --k 785"),
     ("missing fold metrics", 2, "stats --classical {nope} --dv {nope} --cv {nope}"),
@@ -708,6 +716,14 @@ def test_bad_input_exits_with_documented_code(
         argv += ["--out", str(tmp_path / "out")]
     assert run_cli(*argv) == expected
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pca-report", "train --model classical --epochs 1"])
+def test_equal_training_images_have_no_variance_to_fit(tmp_path, capsys, archive, trained, command):
+    flat_train = bad_input_files(tmp_path, archive, trained)["flat_train"]
+    argv = [*command.split(), "--dataset", "toyset", "--archive", flat_train, "--out", str(tmp_path / "out")]
+    assert run_cli(*argv) == 2
+    assert "no variance to fit" in capsys.readouterr().err
 
 
 FAILING_COMMANDS = [  # (case, exit code, argv template); each fails after its arguments parse
