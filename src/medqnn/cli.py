@@ -323,7 +323,7 @@ def cmd_eval(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
     artifacts.append(eval_path)
 
     if args.dump_state:
-        features = pca.transform(pca_model, data.unit_floats(dataset.pixels[0]).reshape(-1))
+        features = pca.transform(pca_model, dataset.pixels[0].reshape(-1))
         if model.kind == "cv":
             dump = {"kind": "cv"} | models.cv_final_state(model, features).to_json_dict()
         elif model.kind == "dv":

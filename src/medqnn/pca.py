@@ -1,26 +1,27 @@
 """Principal component analysis on flattened images.
 
-A fit is built from moments in byte units, y = 255 x, about an integer
-shift vector c (by default the rounded mean of the first block of rows):
-the row count n, the column sums s = sum (y - c) and the Gram matrix
-G = sum (y - c)(y - c)^T. ``moments`` walks the rows in blocks of
-``BLOCK_ROWS``. A block of stored bytes is cast to float32 and gives its
-Gram in one product, exactly, since every partial sum is an integer
-below 256 * 255^2 < 2^24; the blocks add into float64 sums, exact while
-below 2^53 (fewer than 1.3e11 rows). Floats take the same loop in
-float64: unit floats of bytes become the same integers, so they give
+A fit is built from moments in byte units, y = 255 x: the row count n,
+the column sums s = sum y and the Gram matrix G = sum y y^T.
+``add_moments`` walks the rows in blocks of ``BLOCK_ROWS``. A block of
+stored bytes is cast to float32 and gives its Gram in one product,
+exactly, since every partial sum is an integer of at most
+256 * 255^2 < 2^24; added into float64, the sums stay exact while below
+2^53 (fewer than 1.3e11 rows). Floats take the same loop in float64:
+unit floats of bytes become the same integers, so they give
 bit-identical sums, and other floats round as any float sum does.
 
-Moments about one shift pool by addition (``pool``) and subtraction
-(``complement``), for bytes exactly, so in any order and on any number
-of BLAS threads: a cross-validation fold's moments are the split's less
-its own part's. ``from_moments`` forms the scatter,
-sum (x - mean)(x - mean)^T = (n G - s s^T) / (255^2 n), in place of G;
-for bytes the numerator is an exact integer while n^2 * 255^2 < 2^53,
-the same about any shift, so the division is the one rounding step. One
-symmetric eigendecomposition (``np.linalg.eigh``) of the 784 x 784
-scatter then gives the top-k eigenpairs, accurate to rounding however
-close the eigenvalues lie. ``fit`` is the two steps on one matrix.
+Moments pool by addition (``add_moments`` into the same ``Moments``), for
+bytes exactly, so in any order and on any number of BLAS threads: a
+cross-validation fold's moments are the sums of the parts outside its
+own, each block added into every fold that trains on it. ``from_moments``
+forms the scatter, sum (x - mean)(x - mean)^T = (n G - s s^T) / (255^2 n),
+in place of G; for bytes the numerator is an exact integer while
+n^2 * 255^2 < 2^53, so the division is the one rounding step. For other
+floats the difference cancels: a column loses about
+log10(1 + mean^2 / variance) digits, under one for pixels spread over
+[0, 1]. One symmetric eigendecomposition (``np.linalg.eigh``) of the
+784 x 784 scatter then gives the top-k eigenpairs, accurate to rounding
+however close the eigenvalues lie. ``fit`` is the two steps on one matrix.
 
 Component signs are fixed by making each row's largest-magnitude entry
 positive. Explained-variance ratios divide by the scatter's trace, the
@@ -39,10 +40,10 @@ import numpy as np
 from . import data
 from .errors import DataError, checked_arrays
 
-# moments() sanity guard for floats; noise-injected images can leave [0, 1]
+# add_moments() sanity guard for floats; noise-injected images can leave [0, 1]
 # but only clean training pixels ever reach a fit.
 _PIXEL_LO, _PIXEL_HI = -0.5, 1.5
-# Rows per block of moments(): the float32 Gram of 256 byte rows is exact.
+# Rows per block of add_moments(): the float32 Gram of 256 byte rows is exact.
 BLOCK_ROWS = 256
 
 MAGIC = "PCA1"
@@ -57,89 +58,67 @@ class PcaModel:
     explained_variance_ratio: np.ndarray  # (k,), non-increasing
 
 
-@dataclass(frozen=True)
+@dataclass
 class Moments:
-    """Sums over rows in byte units, y = 255 x, about an integer shift c."""
+    """Sums over rows in byte units, y = 255 x."""
 
     count: int
-    shift: np.ndarray  # (input_dim,), c
-    sums: np.ndarray   # (input_dim,), sum of (y - c)
-    gram: np.ndarray   # (input_dim, input_dim), sum of (y - c)(y - c)^T
+    sums: np.ndarray  # (input_dim,), sum of y
+    gram: np.ndarray  # (input_dim, input_dim), sum of y y^T
+
+    @classmethod
+    def zeros(cls, input_dim: int) -> Moments:
+        """The moments of no rows, to add rows into."""
+        return cls(count=0, sums=np.zeros(input_dim), gram=np.zeros((input_dim, input_dim)))
 
     @property
     def mean(self) -> np.ndarray:
         """The row mean in unit pixels: for bytes, the exact total divided once."""
-        return (self.shift * self.count + self.sums) / (255.0 * self.count)
-
-    @property
-    def scatter(self) -> np.ndarray:
-        """A new array holding sum (x - mean)(x - mean)^T in unit pixels."""
-        return self.scatter_into(np.empty_like(self.gram))
-
-    def scatter_into(self, out: np.ndarray) -> np.ndarray:
-        """The scatter, (n G - s s^T) / (255^2 n), written to ``out``; ``out``
-        may be ``gram`` itself, which this then overwrites."""
-        np.multiply(self.gram, self.count, out=out)
-        out -= np.outer(self.sums, self.sums)
-        out /= 255.0**2 * self.count
-        return out
+        return self.sums / (255.0 * self.count)
 
 
-def moments(images: np.ndarray, shift: np.ndarray | None = None) -> Moments:
-    """The moments of the rows of ``images`` (m x input_dim, m >= 1), stored
-    unsigned bytes or floats, about ``shift`` (by default the rounded mean of
-    the first block in byte units)."""
+def _sample_matrix(images: np.ndarray) -> np.ndarray:
     images = np.asarray(images)
     if images.ndim != 2:
         raise ValueError(f"expected a 2-d sample matrix, got shape {images.shape}")
-    if len(images) == 0:
-        raise DataError("no samples to fit")
-    sums = np.zeros(images.shape[1])
-    gram = np.zeros((images.shape[1], images.shape[1]))
+    return images
+
+
+def add_moments(images: np.ndarray, into: list[Moments]) -> None:
+    """Add the moments of the rows of ``images`` (m x input_dim), stored
+    unsigned bytes or floats, into each of ``into``, a block of
+    ``BLOCK_ROWS`` rows at a time. A block of bytes gives its Gram in
+    float32, exactly; the rows of ``images`` must be new to each of ``into``."""
+    images = _sample_matrix(images)
+    dtype = np.float32 if images.dtype == np.uint8 else float
+    gram = np.empty((images.shape[1], images.shape[1]), dtype)  # one block's, reused
     for start in range(0, len(images), BLOCK_ROWS):
-        block = images[start : start + BLOCK_ROWS]
-        if block.dtype == np.uint8:
-            block = block.astype(np.float32)
-        else:
-            block = np.asarray(block, dtype=float)
+        block = images[start : start + BLOCK_ROWS].astype(dtype)
+        if dtype is float:
             if not np.all(np.isfinite(block)):
                 raise DataError("non-finite pixel values in fit input")
             if block.min() < _PIXEL_LO or block.max() > _PIXEL_HI:
                 raise DataError(
                     f"pixel values outside [{_PIXEL_LO}, {_PIXEL_HI}]; normalize to [0, 1] before fit"
                 )
-            block = 255.0 * block
-        if shift is None:
-            shift = np.rint(block.sum(axis=0, dtype=float) / len(block))
-        block -= shift
-        sums += block.sum(axis=0)
-        gram += block.T @ block
-    return Moments(count=len(images), shift=shift, sums=sums, gram=gram)
+            block *= 255.0
+        sums = block.sum(axis=0)
+        np.matmul(block.T, block, out=gram)
+        for stats in into:
+            stats.count += len(block)
+            stats.sums += sums
+            stats.gram += gram
 
 
-def _check_one_shift(parts: list[Moments]) -> None:
-    if not all(np.array_equal(part.shift, parts[0].shift) for part in parts):
-        raise ValueError("moments must share one shift to pool")
-
-
-def pool(parts: list[Moments]) -> Moments:
-    """The moments of the union of disjoint row sets, taken about one shift:
-    plain sums, exact for stored bytes and so the same in any order."""
-    _check_one_shift(parts)
-    sums, gram = parts[0].sums.copy(), parts[0].gram.copy()
-    for part in parts[1:]:
-        sums += part.sums
-        gram += part.gram
-    return Moments(count=sum(part.count for part in parts), shift=parts[0].shift, sums=sums, gram=gram)
-
-
-def complement(total: Moments, part: Moments) -> Moments:
-    """The moments of the rows of ``total`` outside ``part`` (a subset of them,
-    about the same shift), formed in ``part``'s arrays, which this overwrites."""
-    _check_one_shift([total, part])
-    np.subtract(total.sums, part.sums, out=part.sums)
-    np.subtract(total.gram, part.gram, out=part.gram)
-    return Moments(count=total.count - part.count, shift=total.shift, sums=part.sums, gram=part.gram)
+def moments(images: np.ndarray) -> Moments:
+    """The moments of the rows of ``images`` (m x input_dim, m >= 1), stored
+    unsigned bytes or floats."""
+    images = _sample_matrix(images)
+    if len(images) == 0:
+        raise DataError("no samples to fit")
+    stats = Moments.zeros(images.shape[1])
+    add_moments(images, [stats])
+    return stats
 
 
 def from_moments(stats: Moments, k: int) -> PcaModel:
@@ -152,7 +131,10 @@ def from_moments(stats: Moments, k: int) -> PcaModel:
         raise DataError(f"need more than k={k} samples to fit, got {stats.count}")
     mean = stats.mean
     # The scatter is (count - 1) x the covariance: same eigenvectors, same ratios.
-    scatter = stats.scatter_into(stats.gram)
+    scatter = stats.gram
+    scatter *= stats.count
+    scatter -= np.outer(stats.sums, stats.sums)
+    scatter /= 255.0**2 * stats.count
     total_variance = np.trace(scatter)
     if not total_variance > 0:
         raise DataError(f"all {stats.count} rows of the fit input are equal: there is no variance to fit")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics, models, pca
+from . import data, metrics, models, pca
 from .errors import ConfigError, DataError, NumericError
 from .rng import Rng, substream_seed
 
@@ -183,21 +183,26 @@ def train_model(
     return model, curves
 
 
+def _fold_moments(images: np.ndarray, parts: list[np.ndarray]) -> list[pca.Moments]:
+    """Each fold's PCA moments: each part is read once, a block of rows at a
+    time, and each block is added into every fold but the part's own."""
+    fold_moments = [pca.Moments.zeros(images.shape[1]) for _ in parts]
+    for own, rows in enumerate(parts):
+        pca.add_moments(images[rows], [stats for fold, stats in enumerate(fold_moments) if fold != own])
+    return fold_moments
+
+
 def _fold_pcas(
     images: np.ndarray, parts: list[np.ndarray]
 ) -> tuple[list[pca.PcaModel], np.ndarray]:
-    """Each fold's PCA, from the moments of the whole split less its own
-    part's, and the (folds, m, k) features of every row under each fold's
-    model. Each decomposition holds only the moments of the folds after it."""
-    first = pca.moments(images[parts[0]])
-    part_moments = [first] + [pca.moments(images[rows], first.shift) for rows in parts[1:]]
-    total = pca.pool(part_moments)
-    fold_moments = [pca.complement(total, part) for part in part_moments]  # in the parts' arrays
-    del first, part_moments, total
+    """Each fold's PCA and the (folds, m, k) features of every row under each
+    fold's model. Each decomposition holds only the moments of the folds
+    after it."""
+    fold_moments = _fold_moments(images, parts)
     pca_models = [pca.from_moments(fold_moments.pop(0), models.NUM_MODES) for _ in parts]
     features = np.empty((len(parts), len(images), models.NUM_MODES))
     for start in range(0, len(images), pca.BLOCK_ROWS):
-        block = images[start : start + pca.BLOCK_ROWS]
+        block = data.unit_floats(images[start : start + pca.BLOCK_ROWS])
         for fold, pca_model in enumerate(pca_models):
             features[fold, start : start + len(block)] = pca.transform(pca_model, block)
     return pca_models, features
@@ -251,15 +256,15 @@ def cross_validate(
     unsigned bytes, or floats on [0, 1].
 
     Each fold fits its own PCA and feature statistics on its training
-    split only. A part is one fold's validation rows. Each part's PCA
-    moments are computed once, a block of rows at a time, all about one
-    shift, and each fold's are the sum of all parts' less its own part's;
-    for stored bytes these are exact integer sums, so a fold's PCA does
-    not depend on its own part's rows or on the order of the parts. Every
-    fold's PCA is decomposed, one fold at a time, before any row is
-    projected; then one pass projects each block of the split under every
-    fold's model. So the rows are floats only a block at a time, never a
-    part or a fold.
+    split only. A part is one fold's validation rows. Each part is read
+    once, a block of rows at a time, and each block's PCA moments are
+    added into those of every fold but the part's own, so a fold's PCA
+    never sees its own part's rows; for stored bytes the sums are exact
+    integers, so it does not depend on the order of the rows either.
+    Every fold's PCA is decomposed, one fold at a time, before any row is
+    projected; then one pass converts each block of the split once and
+    projects it under every fold's model. So the rows are floats only a
+    block at a time, never a part or a fold.
     The best fold is the highest final validation F1 (ties go to the
     lowest fold index); its model is the one a caller should evaluate on
     the held-out test split.

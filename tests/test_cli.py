@@ -306,7 +306,13 @@ class TestEval:
                 assert len(payload["mean"]) == 8
                 assert len(payload["cov"]) == 64
             elif kind == "classical":
-                assert len(payload["logits"]) == 2
+                # the first image of the split, projected as its unit floats
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    image = data.load_archive(archive, "toyset")[2].flat_images()[0]
+                features = pca.transform(pca.load(pca_path), image)
+                logits, _ = models.predict_batch(models.load_checkpoint(model_path), features[None, :])
+                assert payload["logits"] == logits[0].tolist()
             else:
                 assert len(payload["amplitudes"]) == 16
                 assert all(len(pair) == 2 for pair in payload["amplitudes"])

@@ -14,6 +14,19 @@ def random_pixel_matrix(rng: np.random.Generator, m: int, dim: int) -> np.ndarra
     return rng.uniform(0.0, 1.0, size=(m, dim))
 
 
+def pool(images: np.ndarray, parts: list[np.ndarray]) -> pca.Moments:
+    """The moments of the rows of ``images``, added one part of rows at a time."""
+    stats = pca.Moments.zeros(images.shape[1])
+    for rows in parts:
+        pca.add_moments(images[rows], [stats])
+    return stats
+
+
+def scatter(stats: pca.Moments) -> np.ndarray:
+    """sum (x - mean)(x - mean)^T in unit pixels, from the byte-unit sums."""
+    return (stats.count * stats.gram - np.outer(stats.sums, stats.sums)) / (255.0**2 * stats.count)
+
+
 def subspace_iteration_fit(images: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Reference (components, ratios) by orthogonal subspace iteration from the
     canonical basis plus a Rayleigh-Ritz step, with the sign rule of ``pca.fit``."""
@@ -128,13 +141,10 @@ class TestFit:
 
     @pytest.mark.parametrize("dtype", [np.uint8, float])
     def test_equal_rows_have_no_variance_to_fit(self, dtype):
-        # More than one block; about a shift other than the row itself, as a
-        # fold's rows sit about its first part's, the sums still cancel exactly.
+        # More than one block: the pooled sums still cancel exactly.
         rows = np.tile(np.arange(0, 240, 20, dtype=np.uint8), (pca.BLOCK_ROWS + 9, 1))
         with pytest.raises(DataError, match="no variance"):
             pca.fit(data.unit_floats(rows) if dtype is float else rows, 4)
-        with pytest.raises(DataError, match="no variance"):
-            pca.from_moments(pca.moments(rows, np.full(12, 7.0)), 4)
 
 
 class TestMoments:
@@ -142,14 +152,13 @@ class TestMoments:
         rng = np.random.default_rng(13)
         images = random_pixel_matrix(rng, 100, 12)
         parts = np.split(np.arange(100), [1, 8, 38])  # 1, 7, 30 and 62 rows
-        shift = pca.moments(images).shift
         for order in itertools.permutations(range(len(parts))):
             rows = np.concatenate([parts[i] for i in order])
-            pooled = pca.pool([pca.moments(images[parts[i]], shift) for i in order])
+            pooled = pool(images, [parts[i] for i in order])
             whole = pca.moments(images[rows])
             assert pooled.count == whole.count == 100
             np.testing.assert_allclose(pooled.mean, whole.mean, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(pooled.scatter, whole.scatter, rtol=1e-12, atol=1e-13)
+            np.testing.assert_allclose(scatter(pooled), scatter(whole), rtol=1e-12, atol=1e-13)
 
     def test_any_partition_of_stored_bytes_pools_in_any_order_to_the_whole_bit_for_bit(self):
         rng = np.random.default_rng(19)
@@ -159,62 +168,37 @@ class TestMoments:
         expected = pca.from_moments(pca.moments(stored), 4)
         parts = np.split(rng.permutation(m), [1, 8, pca.BLOCK_ROWS + 3])  # scattered, uneven rows
         for order in itertools.permutations(range(len(parts))):
-            pooled = pca.pool([pca.moments(stored[parts[i]], whole.shift) for i in order])
+            pooled = pool(stored, [parts[i] for i in order])
             assert pooled.count == m
             assert np.array_equal(pooled.sums, whole.sums)
             assert np.array_equal(pooled.gram, whole.gram)
             got = pca.from_moments(pooled, 4)
             for name in ("mean", "components", "explained_variance_ratio"):
                 assert np.array_equal(getattr(got, name), getattr(expected, name)), name
-        # a part's complement is the moments of the other rows, bit for bit
-        rest = pca.moments(stored[np.concatenate(parts[1:])], whole.shift)
-        without = pca.complement(pca.pool([whole]), pca.moments(stored[parts[0]], whole.shift))
-        assert without.count == rest.count
-        assert np.array_equal(without.sums, rest.sums)
-        assert np.array_equal(without.gram, rest.gram)
-
-    def test_the_scatter_of_stored_bytes_does_not_depend_on_the_shift(self):
-        stored = np.random.default_rng(20).integers(0, 256, size=(300, 12)).astype(np.uint8)
-        about_mean, about_zero = pca.moments(stored), pca.moments(stored, np.zeros(12))
-        assert not np.array_equal(about_mean.gram, about_zero.gram)
-        assert np.array_equal(about_mean.mean, about_zero.mean)
-        assert np.array_equal(about_mean.scatter, about_zero.scatter)
-
-    def test_moments_about_different_shifts_do_not_pool(self):
-        images = random_pixel_matrix(np.random.default_rng(21), 10, 6)
-        parts = [pca.moments(images[:5]), pca.moments(images[5:], np.zeros(6))]
-        with pytest.raises(ValueError):
-            pca.pool(parts)
-        with pytest.raises(ValueError):
-            pca.complement(parts[0], parts[1])
 
     def test_sample_count_check_applies_to_the_pooled_count(self):
         rng = np.random.default_rng(14)
         images = random_pixel_matrix(rng, 5, 6)
-        shift = pca.moments(images).shift
         with pytest.raises(DataError):
-            pca.from_moments(pca.pool([pca.moments(images[:2], shift), pca.moments(images[2:4], shift)]), 4)
-        pooled = pca.from_moments(pca.pool([pca.moments(images[:2], shift), pca.moments(images[2:], shift)]), 4)
+            pca.from_moments(pool(images, [np.arange(2), np.arange(2, 4)]), 4)
+        pooled = pca.from_moments(pool(images, [np.arange(2), np.arange(2, 5)]), 4)
         np.testing.assert_allclose(pooled.components, pca.fit(images, 4).components, atol=1e-10)
 
-    @pytest.mark.parametrize("shift", [None, 0, 255])
-    def test_byte_moments_equal_an_int64_reference(self, shift):
-        # Whole blocks of 0 and of 255 put the float32 block Grams at their
-        # bound, 256 * 255^2, about either extreme shift, and blocks of random
-        # bytes near the other end give odd partial sums, which float32 would
-        # round past 2^24.
+    def test_byte_moments_equal_an_int64_reference(self):
+        # Whole blocks of 255 put the float32 block Grams at their bound,
+        # 256 * 255^2, and blocks of random high and low bytes give odd
+        # partial sums, which float32 would round past 2^24.
         rng = np.random.default_rng(22)
         b = pca.BLOCK_ROWS
         stored = np.concatenate([
             np.zeros((b, 40)), np.full((b, 40), 255),
             rng.integers(224, 256, size=(b + 7, 40)), rng.integers(0, 32, size=(b, 40)),
         ]).astype(np.uint8)
-        got = pca.moments(stored, None if shift is None else np.full(40, float(shift)))
+        got = pca.moments(stored)
         assert got.count == len(stored)
-        assert np.array_equal(got.shift, np.rint(got.shift))
-        centered = stored.astype(np.int64) - got.shift.astype(np.int64)
-        assert np.array_equal(got.sums, centered.sum(axis=0))
-        assert np.array_equal(got.gram, centered.T @ centered)
+        wide = stored.astype(np.int64)
+        assert np.array_equal(got.sums, wide.sum(axis=0))
+        assert np.array_equal(got.gram, wide.T @ wide)
 
     def test_no_rows_rejected(self):
         with pytest.raises(DataError):
@@ -229,7 +213,7 @@ class TestMoments:
         centered = images - mean
         assert got.count == m
         np.testing.assert_allclose(got.mean, mean, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(got.scatter, centered.T @ centered, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(scatter(got), centered.T @ centered, rtol=1e-12, atol=1e-13)
 
     def test_bytes_and_their_unit_floats_give_equal_moments_across_blocks(self):
         stored = np.random.default_rng(31).integers(0, 256, size=(2 * pca.BLOCK_ROWS + 1, 12))
@@ -237,7 +221,7 @@ class TestMoments:
         from_bytes, from_floats = pca.moments(stored), pca.moments(data.unit_floats(stored))
         assert from_bytes.count == from_floats.count
         assert np.array_equal(from_bytes.mean, from_floats.mean)
-        assert np.array_equal(from_bytes.scatter, from_floats.scatter)
+        assert np.array_equal(scatter(from_bytes), scatter(from_floats))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.6])
     def test_bad_value_past_the_first_block_rejected(self, bad):

@@ -239,8 +239,8 @@ class TestCrossValidate:
 
 
 class TestFoldPca:
-    """Each fold's PCA comes from the moments of the whole split less those
-    of its own part, all taken about one shift."""
+    """Each fold's PCA comes from the moments of the blocks of the other
+    folds' parts."""
 
     # 3100 rows: each of 3 parts spans more than two blocks of pca.BLOCK_ROWS.
     @pytest.mark.parametrize("folds, m", [
@@ -270,18 +270,20 @@ class TestFoldPca:
                 atol=1e-12,
             )
 
-    def test_a_validation_row_leaves_its_own_fold_pca_unchanged(self):
-        # On stored bytes, as train passes them: a fold's sums are the split's
-        # less its own part's, exact integers, so its own rows cancel bit for
-        # bit (for other floats they cancel to rounding). The changed row is
-        # the first of part 0, so it moves the shift of every part's sums too.
+    @pytest.mark.parametrize("stored", [False, True], ids=["floats", "bytes"])
+    def test_a_validation_row_leaves_its_own_fold_pca_unchanged(self, stored):
+        # A fold's moments never add its own part's rows, so the row cannot
+        # reach that fold's PCA, in floats as in bytes.
         rng = np.random.default_rng(16)
-        images = rng.integers(0, 200, size=(60, 30)).astype(np.uint8)
+        if stored:
+            images, largest = rng.integers(0, 200, size=(60, 30)).astype(np.uint8), 255
+        else:
+            images, largest = rng.uniform(0.0, 1.0, size=(60, 30)), 1.5  # the largest value a fit accepts
         labels = np.arange(60) % 2
         config = training.TrainConfig(epochs=0, seed=4)
         before = training.cross_validate("classical", images, labels, 2, config)
         val_row = training.stratified_kfold(labels, config.folds, config.seed)[0][1][0]
-        images[val_row] = 255
+        images[val_row] = largest
         after = training.cross_validate("classical", images, labels, 2, config)
         own, other = before.folds[0].pca_model, after.folds[0].pca_model
         for name in ("mean", "components", "explained_variance_ratio"):
@@ -306,8 +308,8 @@ class TestFoldPca:
         # then gathering and centering a fold's rows, needs about 75 MB. Rows
         # become floats a block at a time, so three copies of the split must
         # cost only their bytes and a little more. The largest live arrays are
-        # the folds' 784 x 784 float64 sums, 4.9 MB each, and one fewer is
-        # alive at each fold's decomposition.
+        # the folds' 784 x 784 float64 sums, 4.9 MB each, one block's float32
+        # Gram beside them, and one fewer is alive at each fold's decomposition.
         images, labels = make_class_images(4708, 2, np.random.default_rng(18))
         flat = images.reshape(len(images), -1)
         config = training.TrainConfig(epochs=0, seed=6)
