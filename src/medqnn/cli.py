@@ -12,7 +12,8 @@ each input archive, and every artifact it produced, so a run can be
 repeated exactly. Flags win over the optional "key = value" config file,
 which wins over built-in defaults; a config file may only set the keys
 its command has flags for. Reruns with the same seed and inputs produce
-byte-identical result files (manifests differ only in timestamps).
+byte-identical result files (manifests differ only in timestamps) at a
+fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import json
 import os
 import shutil
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -58,6 +60,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(3)
+
+    def _get_values(self, action, arg_strings):
+        # Some argparse versions (Python 3.11's among them) drop a "--" given
+        # as an option's value (--epochs=--) and pass the option an empty list.
+        if action.option_strings and arg_strings == ["--"]:
+            self.error(f"argument {'/'.join(action.option_strings)}: expected one argument")
+        return super()._get_values(action, arg_strings)
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -197,7 +206,7 @@ def _load_model(
 
 def _evaluate_model(model, pca_model, dataset) -> tuple[dict, dict[str, metrics.Curve]]:
     """eval.json's row, and each curve keyed by its file-name stem."""
-    features = pca.transform(pca_model, dataset.flat_images())
+    features = pca.transform(pca_model, dataset.pixels.reshape(len(dataset), -1))
     logits, probs = models.predict_batch(model, features)
     cm = metrics.confusion_matrix(dataset.labels, logits.argmax(axis=1), dataset.num_classes)
     row = metrics.metric_set(cm) | {
@@ -356,17 +365,27 @@ def cmd_noise_sweep(args, config: dict, out: Path, splits) -> tuple[list[Path], 
         loaded.append((kind, model, pca_model))
 
     # One draw serves every sigma: the field depends on the seed only.
-    noise = data.unit_noise_field(test, config["seed"])
-    if not args.clip:
+    if args.clip:
+        noise = data.unit_noise_field(test, config["seed"])
+    else:
         # Unclipped, the features are affine in sigma: (x + sigma n - mean) C^T
-        # = base + sigma proj, so each model projects the split and the field once.
-        noise_flat = noise.reshape(len(test), -1)
-        parts = [(pca.transform(p, test.flat_images()), noise_flat @ p.components.T) for _, _, p in loaded]
+        # = base + sigma proj. Each model projects the split once, and the
+        # field is projected on every model's components as it is drawn.
+        components = np.concatenate([p.components for _, _, p in loaded])
+        projections = np.split(data.project_noise_field(test, config["seed"], components), len(loaded), axis=1)
+        pixels = test.pixels.reshape(len(test), -1)
+        parts = [(pca.transform(p, pixels), proj) for (_, _, p), proj in zip(loaded, projections)]
     rows = []
     for sigma in data.noise_sweep_grid():
         if args.clip:
-            noisy = data.inject_gaussian_noise(test, sigma, noise, clip=True).flat_images()
-            features = [pca.transform(p, noisy) for _, _, p in loaded]
+            # a block of rows at a time, so one noisy block is held, not a copy of the split
+            features = [np.empty((len(test), p.k)) for _, _, p in loaded]
+            for start in range(0, len(test), pca.BLOCK_ROWS):
+                block = slice(start, start + pca.BLOCK_ROWS)
+                clean = replace(test, pixels=test.pixels[block], labels=test.labels[block])
+                noisy = data.inject_gaussian_noise(clean, sigma, noise[block], clip=True).flat_images()
+                for x, (_, _, p) in zip(features, loaded):
+                    x[block] = pca.transform(p, noisy)
         else:
             features = [base + sigma * proj for base, proj in parts]
         for (kind, model, _), x in zip(loaded, features):
@@ -392,10 +411,9 @@ def cmd_saliency(args, config: dict, out: Path, splits) -> tuple[list[Path], dic
     for index in args.indices:
         if not 0 <= index < len(dataset):
             raise DataError(f"sample index {index} out of range for {len(dataset)} samples")
-    images = dataset.flat_images()
     artifacts = []
     for index in args.indices:
-        image = images[index]
+        image = data.unit_floats(dataset.pixels[index].reshape(-1))
         result = saliency.input_gradient_map(model, pca_model, image)
         recon = pca.inverse_transform(pca_model, pca.transform(pca_model, image))
         prefix = out / f"sample{index:05d}"

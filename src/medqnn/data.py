@@ -4,12 +4,12 @@ Archives are .npz files (zip files of .npy members) named train_images,
 train_labels, val_images, val_labels, test_images, test_labels with
 unsigned-byte pixels. numpy's own reader loads them with pickles refused;
 every way it can fail on a damaged or foreign file becomes a DataError.
-Every member is read and checked on load, but a split keeps its bytes
-and becomes floats on [0, 1] (``unit_floats``: ``astype(float) / 255.0``)
-only when a command first reads its ``images``, so a command that reads
-only the test split never converts the training images. Training
-reads its split's bytes a block of rows at a time: its PCA moments are
-integer byte sums, and its projections convert with the same function.
+Every member is read and checked on load, and a split keeps its bytes.
+The commands read them a block of rows at a time: PCA moments are integer
+byte sums, and ``pca.transform`` makes each block floats on [0, 1]
+(``unit_floats``: ``astype(float) / 255.0``) before projecting it. A
+dataset's ``images`` are all its rows as floats, converted on first read;
+``noise-sweep --clip`` reads those of one block of rows at a time.
 
 Noise injection adds independent N(0, sigma^2) draws on the [0, 1] pixel
 scale and intentionally does not clip: clipping would censor the noise
@@ -17,6 +17,9 @@ distribution asymmetrically near 0 and 1, and the downstream PCA
 projection is defined on all reals. Each image gets its own PRNG
 substream (seed XOR image index), so the standard-normal field is
 independent of sigma and two sigmas under one seed differ only by scale.
+``unit_noise_field`` draws the field whole; ``project_noise_field`` draws
+the same field a block of columns at a time and keeps only its projection
+onto given components.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .rng import normal_field, substream_seed
+from .rng import normal_blocks, normal_field, substream_seed
 
 IMAGE_SIDE = 28
 NUM_PIXELS = IMAGE_SIDE * IMAGE_SIDE
@@ -75,7 +78,9 @@ class ImageDataset:
 
     @functools.cached_property
     def images(self) -> np.ndarray:
-        """(m, 28, 28) floats, [0, 1] until noise is injected; converted on first use."""
+        """(m, 28, 28) floats, [0, 1] until noise is injected; converted on
+        first use. The commands project ``pixels`` instead, a block of rows
+        at a time, and noise injection reads a block's dataset."""
         return unit_floats(self.pixels)
 
     def flat_images(self) -> np.ndarray:
@@ -158,11 +163,24 @@ def inject_gaussian_noise(
     return replace(dataset, pixels=noisy)
 
 
+def _noise_seeds(dataset: ImageDataset, seed: int) -> np.ndarray:
+    return np.array([substream_seed(seed, i) for i in range(len(dataset))], dtype=np.uint64)
+
+
 def unit_noise_field(dataset: ImageDataset, seed: int) -> np.ndarray:
     """The sigma-independent standard-normal field used by noise injection."""
     m = len(dataset)
-    seeds = np.array([substream_seed(seed, i) for i in range(m)], dtype=np.uint64)
-    return normal_field(seeds, NUM_PIXELS).reshape(m, IMAGE_SIDE, IMAGE_SIDE)
+    return normal_field(_noise_seeds(dataset, seed), NUM_PIXELS).reshape(m, IMAGE_SIDE, IMAGE_SIDE)
+
+
+def project_noise_field(dataset: ImageDataset, seed: int, components: np.ndarray) -> np.ndarray:
+    """``unit_noise_field(dataset, seed).reshape(m, -1) @ components.T`` for
+    ``components`` of shape (c, 784), drawn a block of columns at a time and
+    added into the (m, c) result, so the field never exists whole."""
+    projection = np.zeros((len(dataset), len(components)))
+    for start, block in normal_blocks(_noise_seeds(dataset, seed), NUM_PIXELS):
+        projection += block @ components[:, start : start + block.shape[1]].T
+    return projection
 
 
 def noise_sweep_grid() -> list[float]:

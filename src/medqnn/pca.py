@@ -43,7 +43,8 @@ from .errors import DataError, checked_arrays
 # add_moments() sanity guard for floats; noise-injected images can leave [0, 1]
 # but only clean training pixels ever reach a fit.
 _PIXEL_LO, _PIXEL_HI = -0.5, 1.5
-# Rows per block of add_moments(): the float32 Gram of 256 byte rows is exact.
+# Rows per block of add_moments() and transform(): the float32 Gram of 256
+# byte rows is exact.
 BLOCK_ROWS = 256
 
 MAGIC = "PCA1"
@@ -160,15 +161,22 @@ def fit(images: np.ndarray, k: int) -> PcaModel:
     return from_moments(moments(images), k)
 
 
-def transform(model: PcaModel, image: np.ndarray) -> np.ndarray:
-    """The features of ``image`` (..., input_dim): floats, or stored unsigned
-    bytes, which are projected as their unit floats (``data.unit_floats``)."""
-    image = data.unit_floats(np.asarray(image))
-    if image.shape[-1] != model.input_dim:
-        raise ValueError(f"expected length {model.input_dim}, got {image.shape[-1]}")
-    if not np.all(np.isfinite(image)):
-        raise DataError("non-finite values in transform input")
-    return (image - model.mean) @ model.components.T
+def transform(model: PcaModel, images: np.ndarray) -> np.ndarray:
+    """The (..., k) features of ``images`` (..., input_dim): stored unsigned
+    bytes, projected as their unit floats (``data.unit_floats``), or floats.
+    The rows are converted, checked, centred and projected ``BLOCK_ROWS``
+    at a time, so only one block of them is ever floats."""
+    images = np.asarray(images)
+    if images.shape[-1] != model.input_dim:
+        raise ValueError(f"expected length {model.input_dim}, got {images.shape[-1]}")
+    rows = images.reshape(-1, model.input_dim)
+    features = np.empty((len(rows), model.k))
+    for start in range(0, len(rows), BLOCK_ROWS):
+        block = data.unit_floats(rows[start : start + BLOCK_ROWS])
+        if not np.all(np.isfinite(block)):
+            raise DataError("non-finite values in transform input")
+        features[start : start + len(block)] = (block - model.mean) @ model.components.T
+    return features.reshape(*images.shape[:-1], model.k)
 
 
 def inverse_transform(model: PcaModel, features: np.ndarray) -> np.ndarray:

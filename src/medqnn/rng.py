@@ -12,7 +12,7 @@ the stream is simple enough to replicate in any language:
 * normals: Box-Muller on two uniforms, with ``u1`` shifted into (0, 1].
 
 One implementation serves an int seed (one stream) and a 1-d uint64 array
-of seeds (one stream each, as ``normal_field`` uses): ``& _MASK64`` keeps
+of seeds (one stream each, as ``normal_blocks`` uses): ``& _MASK64`` keeps
 ints to 64 bits and leaves wrapping uint64 arrays as they are. A numpy scalar
 state would warn on wraparound, and numpy 1.x makes uint64 scalar + int float64.
 """
@@ -22,6 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+# Columns per block of normal_blocks().
+_BLOCK_COLUMNS = 32
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -97,16 +99,27 @@ class Rng:
         return np.array([self.uniform(low, high) for _ in range(size)])
 
 
+def normal_blocks(seeds: np.ndarray, draws: int):
+    """(start, block) for each block of columns of ``normal_field(seeds,
+    draws)``, from column ``start`` on, so a caller can use each block and
+    drop it without the whole field ever existing."""
+    gen = Rng(np.asarray(seeds, dtype=np.uint64))
+    for start in range(0, draws, _BLOCK_COLUMNS):
+        block = np.empty((len(seeds), min(_BLOCK_COLUMNS, draws - start)))
+        for column in block.T:
+            column[:] = gen.normal()
+        yield start, block
+
+
 def normal_field(seeds: np.ndarray, draws: int) -> np.ndarray:
     """Standard-normal matrix of shape (len(seeds), draws).
 
     Row i is the first ``draws`` normals of the stream seeded with
     ``seeds[i]``, identical to ``[Rng(seeds[i]).normal() for _ in ...]``.
     """
-    gen = Rng(np.asarray(seeds, dtype=np.uint64))
     out = np.empty((len(seeds), draws))
-    for j in range(draws):
-        out[:, j] = gen.normal()
+    for start, block in normal_blocks(seeds, draws):
+        out[:, start : start + block.shape[1]] = block
     return out
 
 

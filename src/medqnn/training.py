@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import data, metrics, models, pca
+from . import metrics, models, pca
 from .errors import ConfigError, DataError, NumericError
 from .rng import Rng, substream_seed
 
@@ -200,12 +200,7 @@ def _fold_pcas(
     after it."""
     fold_moments = _fold_moments(images, parts)
     pca_models = [pca.from_moments(fold_moments.pop(0), models.NUM_MODES) for _ in parts]
-    features = np.empty((len(parts), len(images), models.NUM_MODES))
-    for start in range(0, len(images), pca.BLOCK_ROWS):
-        block = data.unit_floats(images[start : start + pca.BLOCK_ROWS])
-        for fold, pca_model in enumerate(pca_models):
-            features[fold, start : start + len(block)] = pca.transform(pca_model, block)
-    return pca_models, features
+    return pca_models, np.stack([pca.transform(pca_model, images) for pca_model in pca_models])
 
 
 def _train_one_fold(
@@ -262,9 +257,9 @@ def cross_validate(
     never sees its own part's rows; for stored bytes the sums are exact
     integers, so it does not depend on the order of the rows either.
     Every fold's PCA is decomposed, one fold at a time, before any row is
-    projected; then one pass converts each block of the split once and
-    projects it under every fold's model. So the rows are floats only a
-    block at a time, never a part or a fold.
+    projected; then each fold's model projects the split, which
+    ``pca.transform`` converts a block of rows at a time. So the rows are
+    floats only a block at a time, never a part or a fold.
     The best fold is the highest final validation F1 (ties go to the
     lowest fold index); its model is the one a caller should evaluate on
     the held-out test split.

@@ -93,3 +93,18 @@ def test_hooks_read_unchanged_positional_arguments(layers):
     # the training hook reads the config as the sixth argument after ``kind``
     assert positional_names(traced_function("training.train_model"))[6] == "config"
     assert positional_names(traced_function("rng.normal_field")) == ["seeds", "draws"]
+
+
+def test_hooks_accept_every_argument_of_the_function_they_wrap(layers):
+    """A traced call passes the hook what it passes the function, so a new
+    parameter must fail here rather than raise TypeError in a traced run."""
+    for name, hook in layers.Hooks().table().items():
+        parameters = inspect.signature(traced_function(name)).parameters.values()
+        named = [p.name for p in parameters if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+        keywords = {p.name: None for p in parameters if p.kind is p.KEYWORD_ONLY}
+        hook_signature = inspect.signature(hook)
+        try:
+            hook_signature.bind(*named, **keywords)  # every argument by position
+            hook_signature.bind(**dict.fromkeys(named), **keywords)  # and by keyword
+        except TypeError as exc:
+            pytest.fail(f"{name}: its hook cannot take {named} and {sorted(keywords)}: {exc}")

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -394,6 +395,45 @@ class TestNoiseSweep:
         assert rows == expected
 
 
+def test_traced_memory_of_eval_and_noise_sweep_grows_with_the_split_bytes(tmp_path, trained):
+    """Tripling the test split adds its bytes and little more to either command.
+
+    As floats each 1,000 extra rows take 6.3 MB, as bytes 0.8 MB. The split
+    is projected from its bytes a block of rows at a time, and the unclipped
+    sweep projects its noise field as it is drawn, so per row the commands
+    keep only features, logits and curve points.
+    """
+    images, labels = make_class_images(1000, 2, np.random.default_rng(40), balanced=True)
+    small, small_labels = make_class_images(20, 2, np.random.default_rng(41), balanced=True)
+    sweep = []
+    for kind in models.KINDS:
+        model_path, pca_path = best_fold_paths(trained[kind])
+        sweep += [f"--{kind}-checkpoint", str(model_path), f"--{kind}-pca", str(pca_path)]
+    model_path, pca_path = best_fold_paths(trained["dv"])
+    commands = {
+        "eval": ["eval", "--checkpoint", str(model_path), "--pca", str(pca_path)],
+        "noise-sweep": ["noise-sweep", *sweep, "--seed", "3"],
+    }
+    peaks = {command: [] for command in commands}
+    for copies in (1, 3):
+        archive = tmp_path / f"test_x{copies}.npz"
+        np.savez(
+            archive, train_images=small, train_labels=small_labels, val_images=small, val_labels=small_labels,
+            test_images=np.concatenate([images] * copies), test_labels=np.tile(labels, copies),
+        )
+        for command, argv in commands.items():
+            source = ["--archive", str(archive), "--dataset", "toyset", "--out", str(tmp_path / f"{command}{copies}")]
+            tracemalloc.start()
+            try:
+                assert run_cli(*argv, *source) == 0
+                peaks[command].append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    extra_bytes = 2 * images.nbytes
+    for command, (once, thrice) in peaks.items():
+        assert thrice - once < 1.5 * extra_bytes, command
+
+
 def test_cli_import_leaves_command_modules_unloaded():
     """training, saliency and stats load only inside the commands that use them."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -613,6 +653,10 @@ BAD_INPUTS = [  # (case, documented exit code, argv template)
     ("negative epochs", 3, f"{TRAIN} --model classical --epochs -1"),
     ("nan learning rate", 3, f"{TRAIN} --model dv --learning-rate nan"),
     ("removed --threads", 3, f"{TRAIN} --model dv --threads 0"),
+    ("'--' as the value of --epochs", 3, f"{TRAIN} --model classical --epochs=--"),
+    ("'--' as the value of --archive", 3, "train --dataset toyset --archive=-- --model classical"),
+    ("'--' as the value of --model", 3, f"{TRAIN} --model=--"),
+    ("'--' as the value of saliency --indices", 3, f"{SALIENCY} --indices=--"),
     ("removed --pca-components", 3, f"{TRAIN} --model dv --pca-components 8"),
     ("threads in config file", 3, f"{TRAIN} --model dv --config {{threads_cfg}}"),
     ("nan learning rate in config file", 3, f"{TRAIN} --model dv --config {{nan_cfg}}"),
@@ -880,6 +924,15 @@ BAD_CONFIGS = st.one_of(
 
 
 EVAL_ARGV = "eval --dataset toyset --archive {archive} --checkpoint {checkpoint} --pca {pca}".split()
+# the commands that read a checkpoint and a PCA file; noise-sweep's classical
+# model is {checkpoint} and {pca}, its other two the trained cv and dv runs
+MODEL_ARGVS = [
+    EVAL_ARGV,
+    "saliency --dataset toyset --archive {archive} --checkpoint {checkpoint} --pca {pca} --indices 0".split(),
+    ("noise-sweep --dataset toyset --archive {archive} --cv-checkpoint {cv_checkpoint} --cv-pca {cv_pca}"
+     " --dv-checkpoint {dv_checkpoint} --dv-pca {dv_pca} --classical-checkpoint {checkpoint}"
+     " --classical-pca {pca}").split(),
+]
 
 
 def truncated(offset, base):
@@ -888,7 +941,7 @@ def truncated(offset, base):
 
 
 TRUNCATED_ARCHIVES = st.tuples(
-    st.sampled_from([EVAL_ARGV, "pca-report --dataset toyset --archive {archive}".split()]),
+    st.sampled_from([*MODEL_ARGVS, "pca-report --dataset toyset --archive {archive}".split()]),
     st.integers(min_value=0),
 ).map(lambda case: (2, case[0], {"archive": functools.partial(truncated, case[1])}))
 
@@ -909,13 +962,20 @@ def damaged(which, key, *value, base):
     return json.dumps(payload).encode()
 
 
-DAMAGED_FILES = st.sampled_from(sorted(FILE_KEYS)).flatmap(
-    lambda which: st.tuples(
-        st.just(which),
-        st.sampled_from(FILE_KEYS[which]),
-        st.lists(st.sampled_from(BAD_VALUES), max_size=1),  # empty: the key is dropped
-    )
-).map(lambda case: (2, EVAL_ARGV, {case[0]: functools.partial(damaged, case[0], case[1], *case[2])}))
+def damaged_case(argv, which, key, value):
+    return 2, argv, {which: functools.partial(damaged, which, key, *value)}
+
+
+DAMAGED_FILES = st.tuples(
+    st.sampled_from(MODEL_ARGVS),
+    st.sampled_from(sorted(FILE_KEYS)).flatmap(
+        lambda which: st.tuples(
+            st.just(which),
+            st.sampled_from(FILE_KEYS[which]),
+            st.lists(st.sampled_from(BAD_VALUES), max_size=1),  # empty: the key is dropped
+        )
+    ),
+).map(lambda case: damaged_case(case[0], *case[1]))
 
 FOLD_HEADER = ["fold", "split", "acc", "p", "r", "f1"]
 
@@ -976,6 +1036,9 @@ def test_generated_bad_inputs_exit_with_documented_code(archive, trained, case):
     expected, template, writers = case
     checkpoint, pca_path = best_fold_paths(trained["classical"])
     base = {"archive": archive, "checkpoint": str(checkpoint), "pca": str(pca_path)}
+    for kind in ("cv", "dv"):
+        checkpoint, pca_path = best_fold_paths(trained[kind])
+        base |= {f"{kind}_checkpoint": str(checkpoint), f"{kind}_pca": str(pca_path)}
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
         root = Path(tmp)
         files = base | {"missing_archive": str(root / "missing.npz"), "nope": str(root / "nope.csv")}

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medqnn import cli, data
+from medqnn import cli, data, pca
 from medqnn.errors import DataError
 
 from conftest import stored_npz_bytes, write_archive
@@ -274,6 +274,15 @@ class TestNoiseInjection:
         a = data.inject_gaussian_noise(dataset, 0.3, data.unit_noise_field(dataset, 9))
         b = data.inject_gaussian_noise(dataset, 0.3, data.unit_noise_field(dataset, 9))
         assert np.array_equal(a.images, b.images)
+
+    @pytest.mark.parametrize("seed", [5, 2**63 + 3])
+    def test_projected_field_matches_the_projection_of_the_whole_field(self, dataset, seed):
+        assert len(dataset) > pca.BLOCK_ROWS
+        components, _ = np.linalg.qr(np.random.default_rng(39).normal(size=(data.NUM_PIXELS, 12)))
+        components = components.T  # 12 orthonormal rows, as three 4-component PCAs stack
+        got = data.project_noise_field(dataset, seed, components)
+        field = data.unit_noise_field(dataset, seed).reshape(len(dataset), -1)
+        np.testing.assert_allclose(got, field @ components.T, rtol=0, atol=1e-12)
 
 
 class TestNoiseGrid:

@@ -275,7 +275,58 @@ class TestTransform:
         with pytest.raises(ValueError):
             pca.transform(model, np.zeros(3))
         with pytest.raises(ValueError):
+            pca.transform(model, np.zeros((pca.BLOCK_ROWS + 1, 3)))
+        with pytest.raises(ValueError):
             pca.inverse_transform(model, np.zeros(7))
+
+
+class TestTransformBlocks:
+    """``transform`` walks its rows a block at a time into one output."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        images, _ = make_class_images(300, 2, np.random.default_rng(34))
+        return pca.fit(images.reshape(len(images), -1), 4)
+
+    @pytest.mark.parametrize("shape", [
+        (pca.BLOCK_ROWS - 1,), (pca.BLOCK_ROWS,), (pca.BLOCK_ROWS + 1,), (2 * pca.BLOCK_ROWS + 1,),
+        (), (3, pca.BLOCK_ROWS // 2 + 1),  # one image; a leading shape whose rows cross a block
+    ])
+    def test_rows_across_block_boundaries_match_a_per_row_reference(self, model, shape):
+        images = np.random.default_rng(35).uniform(0.0, 1.0, size=(*shape, model.input_dim))
+        got = pca.transform(model, images)
+        assert got.shape == (*shape, model.k)
+        rows = images.reshape(-1, model.input_dim)
+        expected = np.array([model.components @ (row - model.mean) for row in rows])
+        np.testing.assert_allclose(got.reshape(-1, model.k), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2 * pca.BLOCK_ROWS + 1,), (3, pca.BLOCK_ROWS // 2 + 1)])
+    def test_stored_bytes_project_as_their_unit_floats_bit_for_bit(self, model, shape):
+        stored = np.random.default_rng(36).integers(0, 256, size=(*shape, model.input_dim)).astype(np.uint8)
+        from_bytes = pca.transform(model, stored)
+        assert from_bytes.shape == (*shape, model.k)
+        assert np.array_equal(from_bytes, pca.transform(model, data.unit_floats(stored)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_in_the_last_block_rejected(self, model, bad):
+        images = np.random.default_rng(37).uniform(0.0, 1.0, size=(2 * pca.BLOCK_ROWS + 1, model.input_dim))
+        images[-1, 5] = bad
+        with pytest.raises(DataError):
+            pca.transform(model, images)
+
+    def test_traced_memory_of_a_transform_on_stored_bytes(self, model):
+        # As floats the 4708 x 784 split takes 29.5 MB and a centred copy as
+        # much again; projected a block at a time, it costs two float blocks
+        # of 1.6 MB each and the 0.15 MB of features.
+        images, _ = make_class_images(4708, 2, np.random.default_rng(38))
+        stored = images.reshape(len(images), -1)
+        tracemalloc.start()
+        try:
+            pca.transform(model, stored)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
 
 class TestInverseTransform:

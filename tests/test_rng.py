@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from medqnn.rng import Rng, normal_field, splitmix64, substream_seed
+from medqnn.rng import Rng, normal_blocks, normal_field, splitmix64, substream_seed
 
 
 def test_streams_are_deterministic():
@@ -101,3 +101,14 @@ def test_normal_field_shape_and_scalar_draws(seeds, draws):
     for row, seed in zip(field, seeds):
         scalar = Rng(seed)
         np.testing.assert_array_equal(row, [scalar.normal() for _ in range(draws)])
+
+
+@pytest.mark.parametrize("draws", [0, 9, 64, 70])
+def test_normal_blocks_are_the_columns_of_the_field(draws):
+    seeds = np.array([5, 99, 2**63 + 17], dtype=np.uint64)
+    blocks = list(normal_blocks(seeds, draws))
+    starts = [start for start, _ in blocks]
+    assert starts == [sum(b.shape[1] for _, b in blocks[:i]) for i in range(len(blocks))]
+    assert all(len(block) == 3 and block.shape[1] > 0 for _, block in blocks)
+    field = np.concatenate([np.empty((3, 0)), *(block for _, block in blocks)], axis=1)
+    assert np.array_equal(field, normal_field(seeds, draws))
