@@ -26,7 +26,6 @@ import json
 import os
 import shutil
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -34,7 +33,7 @@ import numpy as np
 
 # training, saliency and stats are imported by the commands that use them,
 # so no command loads (and, without cached bytecode, compiles) the others.
-from . import data, metrics, models, pca
+from . import data, metrics, models, pca, rng
 from .errors import ConfigError, DataError, NumericError, UndefinedMetric
 
 _CONFIG_DEFAULTS = {
@@ -354,6 +353,25 @@ def cmd_eval(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
 
 # --- noise sweep ---------------------------------------------------------
 
+def _noise_sums(pixels, components, seed: int, sigmas: list[float], clip: bool) -> np.ndarray:
+    """The noise field of ``seed`` walked once, a block of columns at a time,
+    so the whole of it never exists, and projected on ``components`` C:
+    n C^T, of shape (m, c), or with ``clip`` each sigma's clip(x + sigma n) C^T,
+    of shape (sigmas, m, c), for the pixels x on [0, 1]."""
+    shape = (len(pixels), len(components))
+    sums = np.zeros((len(sigmas), *shape) if clip else shape)
+    for start, field in rng.normal_blocks(data.noise_seeds(len(pixels), seed), data.NUM_PIXELS):
+        cols = slice(start, start + field.shape[1])
+        block = components[:, cols].T
+        if not clip:
+            sums += field @ block
+            continue
+        x = data.unit_floats(pixels[:, cols])
+        for into, sigma in zip(sums, sigmas):
+            into += data.inject_gaussian_noise(x, sigma, field, clip=True) @ block
+    return sums
+
+
 def cmd_noise_sweep(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
     test = splits["test"]
     loaded = []
@@ -364,32 +382,20 @@ def cmd_noise_sweep(args, config: dict, out: Path, splits) -> tuple[list[Path], 
             raise DataError(f"{checkpoint} holds a {model.kind!r} model, expected {kind!r}")
         loaded.append((kind, model, pca_model))
 
-    # One draw serves every sigma: the field depends on the seed only.
+    sigmas, pixels = data.noise_sweep_grid(), test.pixels.reshape(len(test), -1)
+    components = np.concatenate([p.components for _, _, p in loaded])
+    sums = np.split(_noise_sums(pixels, components, config["seed"], sigmas, args.clip), len(loaded), axis=-1)
+    # A model's features are (x + sigma n - mean) C^T, with x + sigma n clipped
+    # under --clip: there, the walk's clip(x + sigma n) C^T less mean C^T.
     if args.clip:
-        noise = data.unit_noise_field(test, config["seed"])
-    else:
-        # Unclipped, the features are affine in sigma: (x + sigma n - mean) C^T
-        # = base + sigma proj. Each model projects the split once, and the
-        # field is projected on every model's components as it is drawn.
-        components = np.concatenate([p.components for _, _, p in loaded])
-        projections = np.split(data.project_noise_field(test, config["seed"], components), len(loaded), axis=1)
-        pixels = test.pixels.reshape(len(test), -1)
-        parts = [(pca.transform(p, pixels), proj) for (_, _, p), proj in zip(loaded, projections)]
+        offsets = [p.mean @ p.components.T for _, _, p in loaded]
+    else:  # affine in sigma: base + sigma proj, with base the clean split's features
+        bases = [pca.transform(p, pixels) for _, _, p in loaded]
     rows = []
-    for sigma in data.noise_sweep_grid():
-        if args.clip:
-            # a block of rows at a time, so one noisy block is held, not a copy of the split
-            features = [np.empty((len(test), p.k)) for _, _, p in loaded]
-            for start in range(0, len(test), pca.BLOCK_ROWS):
-                block = slice(start, start + pca.BLOCK_ROWS)
-                clean = replace(test, pixels=test.pixels[block], labels=test.labels[block])
-                noisy = data.inject_gaussian_noise(clean, sigma, noise[block], clip=True).flat_images()
-                for x, (_, _, p) in zip(features, loaded):
-                    x[block] = pca.transform(p, noisy)
-        else:
-            features = [base + sigma * proj for base, proj in parts]
-        for (kind, model, _), x in zip(loaded, features):
-            logits, _ = models.predict_batch(model, x)
+    for i, sigma in enumerate(sigmas):
+        for j, (kind, model, _) in enumerate(loaded):
+            features = sums[j][i] - offsets[j] if args.clip else bases[j] + sigma * sums[j]
+            logits, _ = models.predict_batch(model, features)
             cm = metrics.confusion_matrix(test.labels, logits.argmax(axis=1), test.num_classes)
             _, _, _, f1 = metrics.micro_metrics(cm)
             rows.append((sigma, kind, f1))
@@ -454,7 +460,7 @@ def _read_fold_metrics(path: str) -> dict[str, list[float]]:
                     continue
                 for key in columns:
                     columns[key].append(float(row[key]))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, csv.Error) as exc:
         raise DataError(f"cannot parse fold metrics from {path}: {exc}") from exc
     if not np.isfinite(list(columns.values())).all():
         raise DataError(f"{path}: a validation score is not finite")

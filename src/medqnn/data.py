@@ -4,40 +4,36 @@ Archives are .npz files (zip files of .npy members) named train_images,
 train_labels, val_images, val_labels, test_images, test_labels with
 unsigned-byte pixels. numpy's own reader loads them with pickles refused;
 every way it can fail on a damaged or foreign file becomes a DataError.
-Every member is read and checked on load, and a split keeps its bytes.
-The commands read them a block of rows at a time: PCA moments are integer
-byte sums, and ``pca.transform`` makes each block floats on [0, 1]
-(``unit_floats``: ``astype(float) / 255.0``) before projecting it. A
-dataset's ``images`` are all its rows as floats, converted on first read;
-``noise-sweep --clip`` reads those of one block of rows at a time.
+Every member is read and checked on load, and a split keeps its bytes;
+no dataset holds floats. The commands read the bytes a block at a time:
+PCA moments are integer byte sums, ``pca.transform`` makes each block of
+rows floats on [0, 1] (``unit_floats``: ``astype(float) / 255.0``) before
+projecting it, and ``noise-sweep`` converts a block of columns at a time.
 
 Noise injection adds independent N(0, sigma^2) draws on the [0, 1] pixel
 scale and intentionally does not clip: clipping would censor the noise
 distribution asymmetrically near 0 and 1, and the downstream PCA
 projection is defined on all reals. Each image gets its own PRNG
-substream (seed XOR image index), so the standard-normal field is
-independent of sigma and two sigmas under one seed differ only by scale.
-``unit_noise_field`` draws the field whole; ``project_noise_field`` draws
-the same field a block of columns at a time and keeps only its projection
-onto given components.
+substream (seed XOR image index, ``noise_seeds``), so the standard-normal
+field is independent of sigma and two sigmas under one seed differ only
+by scale.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import lzma
 import tokenize
 import warnings
 import zipfile
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .rng import normal_blocks, normal_field, substream_seed
+from .rng import substream_seed
 
 IMAGE_SIDE = 28
 NUM_PIXELS = IMAGE_SIDE * IMAGE_SIDE
@@ -68,7 +64,7 @@ def unit_floats(pixels: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ImageDataset:
     name: str
-    pixels: np.ndarray  # (m, 28, 28) unsigned bytes as stored, or floats once noise is injected
+    pixels: np.ndarray  # (m, 28, 28) unsigned bytes as stored
     labels: np.ndarray  # (m,) ints
     num_classes: int
     split: str
@@ -76,15 +72,9 @@ class ImageDataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @functools.cached_property
-    def images(self) -> np.ndarray:
-        """(m, 28, 28) floats, [0, 1] until noise is injected; converted on
-        first use. The commands project ``pixels`` instead, a block of rows
-        at a time, and noise injection reads a block's dataset."""
-        return unit_floats(self.pixels)
-
     def flat_images(self) -> np.ndarray:
-        return self.images.reshape(len(self.labels), -1)
+        """(m, 784) floats on [0, 1]; the commands read ``pixels`` instead."""
+        return unit_floats(self.pixels).reshape(len(self.labels), -1)
 
 
 def _read_members(path: str | Path) -> dict[str, np.ndarray]:
@@ -103,7 +93,7 @@ def _read_members(path: str | Path) -> dict[str, np.ndarray]:
 
 
 def load_archive(path: str | Path, dataset_name: str) -> tuple[ImageDataset, ImageDataset, ImageDataset]:
-    """Load (train, val, test) from an archive; each split's ``images`` lie on [0, 1]."""
+    """Load (train, val, test) from an archive of unsigned-byte pixels."""
     arrays = _read_members(path)
     name = dataset_name.lower()
     splits = {}
@@ -146,41 +136,19 @@ def load_archive(path: str | Path, dataset_name: str) -> tuple[ImageDataset, Ima
 
 
 def inject_gaussian_noise(
-    dataset: ImageDataset, sigma: float, noise: np.ndarray, clip: bool = False
-) -> ImageDataset:
-    """``sigma * noise`` added to every image, labels untouched.
-
-    ``noise`` is the standard-normal field from ``unit_noise_field``; a
-    sweep draws it once and scales it for every sigma.
-    """
+    images: np.ndarray, sigma: float, noise: np.ndarray, clip: bool = False
+) -> np.ndarray:
+    """``images + sigma * noise``, clipped to [0, 1] if ``clip``, as a new
+    array. ``noise`` is standard normal, drawn once for every sigma."""
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0.0:
-        return replace(dataset, pixels=dataset.images.copy())
-    noisy = dataset.images + sigma * noise
-    if clip:
-        noisy = np.clip(noisy, 0.0, 1.0)
-    return replace(dataset, pixels=noisy)
+    noisy = images + sigma * noise
+    return np.clip(noisy, 0.0, 1.0, out=noisy) if clip else noisy
 
 
-def _noise_seeds(dataset: ImageDataset, seed: int) -> np.ndarray:
-    return np.array([substream_seed(seed, i) for i in range(len(dataset))], dtype=np.uint64)
-
-
-def unit_noise_field(dataset: ImageDataset, seed: int) -> np.ndarray:
-    """The sigma-independent standard-normal field used by noise injection."""
-    m = len(dataset)
-    return normal_field(_noise_seeds(dataset, seed), NUM_PIXELS).reshape(m, IMAGE_SIDE, IMAGE_SIDE)
-
-
-def project_noise_field(dataset: ImageDataset, seed: int, components: np.ndarray) -> np.ndarray:
-    """``unit_noise_field(dataset, seed).reshape(m, -1) @ components.T`` for
-    ``components`` of shape (c, 784), drawn a block of columns at a time and
-    added into the (m, c) result, so the field never exists whole."""
-    projection = np.zeros((len(dataset), len(components)))
-    for start, block in normal_blocks(_noise_seeds(dataset, seed), NUM_PIXELS):
-        projection += block @ components[:, start : start + block.shape[1]].T
-    return projection
+def noise_seeds(m: int, seed: int) -> np.ndarray:
+    """The seed of each of ``m`` images' noise substreams."""
+    return np.array([substream_seed(seed, i) for i in range(m)], dtype=np.uint64)
 
 
 def noise_sweep_grid() -> list[float]:

@@ -204,7 +204,7 @@ def load(path: str | Path) -> PcaModel:
     """Read a PCA file, checking every key, shape and value before use."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read PCA model from {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("magic") != MAGIC:
         raise DataError(f"{path} is not a {MAGIC} model file")

@@ -22,7 +22,7 @@ import pytest
 from medqnn import cli, data, gaussian, metrics, models, pca
 from medqnn import statevector as sv
 from medqnn import stats, training
-from medqnn.rng import Rng
+from medqnn.rng import Rng, normal_field
 
 from conftest import write_archive
 
@@ -413,12 +413,12 @@ def test_noise_degradation_on_pneumonia(tmp_path):
     for kind in models.KINDS:
         best = reproduce("pneumoniamnist", kind, REPRO_SEED)["best"]
         f1_by_sigma = {}
-        noise = data.unit_noise_field(test_split, 99)
+        noise = normal_field(data.noise_seeds(len(test_split), 99), data.NUM_PIXELS)
         for sigma in grid:
-            noisy = data.inject_gaussian_noise(test_split, sigma, noise)
-            feats = pca.transform(best.pca_model, noisy.flat_images())
+            noisy = data.inject_gaussian_noise(test_split.flat_images(), sigma, noise)
+            feats = pca.transform(best.pca_model, noisy)
             logits, _ = models.predict_batch(best.model, feats)
-            cm = metrics.confusion_matrix(noisy.labels, logits.argmax(axis=1), 2)
+            cm = metrics.confusion_matrix(test_split.labels, logits.argmax(axis=1), 2)
             f1_by_sigma[sigma] = metrics.micro_metrics(cm)[3]
         clean = reproduce("pneumoniamnist", kind, REPRO_SEED)["f1"]
         assert f1_by_sigma[0.0] == clean

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medqnn import cli, data, metrics, models, pca
-from medqnn.rng import Rng
+from medqnn.rng import Rng, normal_field
 
 from conftest import make_class_images, write_archive
 
@@ -364,14 +364,16 @@ class TestNoiseSweep:
         assert run_cli(*argv) == 0
         assert (repeat / "noise_sweep.csv").read_bytes() == (out_dir / "noise_sweep.csv").read_bytes()
 
+    @pytest.mark.parametrize("seed", [21, 2**63 + 3])
     @pytest.mark.parametrize("clip", [False, True])
-    def test_rows_match_per_sigma_projection(self, tmp_path, trained, clip):
-        """The F1 rows of a loop that injects the noise and projects every noisy copy."""
+    def test_rows_match_per_sigma_projection(self, tmp_path, trained, clip, seed):
+        """The F1 rows of a loop that draws the whole field, injects it and
+        projects every noisy copy."""
         # a larger test split than the shared archive's, for finer F1 values
         archive = str(write_archive(tmp_path / "toyset.npz", m_train=20, m_val=6, m_test=300, seed=9))
         out = tmp_path / "sweep"
         argv = ["noise-sweep", "--archive", archive, "--dataset", "toyset",
-                "--out", str(out), "--seed", "21"] + (["--clip"] if clip else [])
+                "--out", str(out), "--seed", str(seed)] + (["--clip"] if clip else [])
         loaded = []
         for kind in models.KINDS:
             model_path, pca_path = best_fold_paths(trained[kind])
@@ -384,24 +386,28 @@ class TestNoiseSweep:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             _, _, test = data.load_archive(archive, "toyset")
-        noise = data.unit_noise_field(test, 21)
+        images = test.flat_images()
+        noise = normal_field(data.noise_seeds(len(test), seed), data.NUM_PIXELS)
         expected = []
         for sigma in data.noise_sweep_grid():
-            noisy = data.inject_gaussian_noise(test, sigma, noise, clip=clip)
+            noisy = data.inject_gaussian_noise(images, sigma, noise, clip=clip)
             for kind, model, pca_model in loaded:
-                logits, _ = models.predict_batch(model, pca.transform(pca_model, noisy.flat_images()))
+                logits, _ = models.predict_batch(model, pca.transform(pca_model, noisy))
                 cm = metrics.confusion_matrix(test.labels, logits.argmax(axis=1), test.num_classes)
                 expected.append((sigma, kind, metrics.micro_metrics(cm)[3]))
         assert rows == expected
 
 
 def test_traced_memory_of_eval_and_noise_sweep_grows_with_the_split_bytes(tmp_path, trained):
-    """Tripling the test split adds its bytes and little more to either command.
+    """Tripling the test split adds its bytes and little more to eval and the
+    unclipped sweep, and a few times its bytes to the clipped sweep.
 
     As floats each 1,000 extra rows take 6.3 MB, as bytes 0.8 MB. The split
-    is projected from its bytes a block of rows at a time, and the unclipped
-    sweep projects its noise field as it is drawn, so per row the commands
-    keep only features, logits and curve points.
+    is projected from its bytes a block of rows at a time, and both sweeps
+    walk the noise field a block of columns at a time, so per row eval and
+    the unclipped sweep keep only features, logits and curve points. The
+    clipped sweep also keeps every sigma's features (1,920 bytes a row) and
+    a block of columns of the field, the pixels and one noisy copy.
     """
     images, labels = make_class_images(1000, 2, np.random.default_rng(40), balanced=True)
     small, small_labels = make_class_images(20, 2, np.random.default_rng(41), balanced=True)
@@ -410,9 +416,10 @@ def test_traced_memory_of_eval_and_noise_sweep_grows_with_the_split_bytes(tmp_pa
         model_path, pca_path = best_fold_paths(trained[kind])
         sweep += [f"--{kind}-checkpoint", str(model_path), f"--{kind}-pca", str(pca_path)]
     model_path, pca_path = best_fold_paths(trained["dv"])
-    commands = {
-        "eval": ["eval", "--checkpoint", str(model_path), "--pca", str(pca_path)],
-        "noise-sweep": ["noise-sweep", *sweep, "--seed", "3"],
+    commands = {  # name: (argv, bound on the growth in extra bytes)
+        "eval": (["eval", "--checkpoint", str(model_path), "--pca", str(pca_path)], 1.5),
+        "noise-sweep": (["noise-sweep", *sweep, "--seed", "3"], 1.5),
+        "noise-sweep-clip": (["noise-sweep", *sweep, "--seed", "3", "--clip"], 6),
     }
     peaks = {command: [] for command in commands}
     for copies in (1, 3):
@@ -421,7 +428,7 @@ def test_traced_memory_of_eval_and_noise_sweep_grows_with_the_split_bytes(tmp_pa
             archive, train_images=small, train_labels=small_labels, val_images=small, val_labels=small_labels,
             test_images=np.concatenate([images] * copies), test_labels=np.tile(labels, copies),
         )
-        for command, argv in commands.items():
+        for command, (argv, _) in commands.items():
             source = ["--archive", str(archive), "--dataset", "toyset", "--out", str(tmp_path / f"{command}{copies}")]
             tracemalloc.start()
             try:
@@ -431,7 +438,7 @@ def test_traced_memory_of_eval_and_noise_sweep_grows_with_the_split_bytes(tmp_pa
                 tracemalloc.stop()
     extra_bytes = 2 * images.nbytes
     for command, (once, thrice) in peaks.items():
-        assert thrice - once < 1.5 * extra_bytes, command
+        assert thrice - once < commands[command][1] * extra_bytes, command
 
 
 def test_cli_import_leaves_command_modules_unloaded():
@@ -599,6 +606,10 @@ def bad_input_files(tmp_path, archive, trained):
     (tmp_path / "corrupt.npz").write_bytes(b"PK\x03\x04 this is not a zip archive")
     files["latin1_cfg"] = str(tmp_path / "latin1.cfg")
     (tmp_path / "latin1.cfg").write_bytes("seed = 7  # \u00e9\n".encode("latin-1"))
+    files["latin1_json"] = str(tmp_path / "latin1.json")
+    (tmp_path / "latin1.json").write_bytes('{"magic": "\u00e9"}'.encode("latin-1"))
+    files["deep_json"] = str(tmp_path / "deep.json")
+    (tmp_path / "deep.json").write_text("[" * 200_000)  # nested past the recursion limit
     files["nope"] = str(tmp_path / "nope.csv")
     files["a_dir"] = str(tmp_path)
     files["missing_archive"] = str(tmp_path / "missing.npz")
@@ -623,6 +634,7 @@ def bad_input_files(tmp_path, archive, trained):
     val_rows = [row for row in csv.reader(folds_text) if row[1] == "val"]
     fold_files = {  # name: (validation rows, the score put in the first row's f1)
         "folds2": (val_rows[:2], None), "folds1": (val_rows[:1], None), "nan_folds": (val_rows, "nan"),
+        "long_field_folds": (val_rows, "1" * 131_073),  # past csv's field size limit
     }
     for name, (rows, score) in fold_files.items():
         rows = [list(row) for row in rows]
@@ -642,6 +654,13 @@ SWEEP_WITH_CV_PCA = (
     "noise-sweep --dataset toyset --archive {archive} --dv-checkpoint {dv_checkpoint}"
     " --dv-pca {dv_pca} --classical-checkpoint {classical_checkpoint}"
     " --classical-pca {classical_pca} --cv-checkpoint {cv_checkpoint} --cv-pca"
+)
+SALIENCY_WITH_PCA = "saliency --dataset toyset --archive {archive} --checkpoint {checkpoint} --indices 0 --pca"
+SALIENCY_WITH_CHECKPOINT = "saliency --dataset toyset --archive {archive} --pca {pca} --indices 0 --checkpoint"
+SWEEP_WITH_CV_CHECKPOINT = (
+    "noise-sweep --dataset toyset --archive {archive} --dv-checkpoint {dv_checkpoint}"
+    " --dv-pca {dv_pca} --classical-checkpoint {classical_checkpoint}"
+    " --classical-pca {classical_pca} --cv-pca {cv_pca} --cv-checkpoint"
 )
 STATS = "stats --classical {classical_folds} --dv {dv_folds} --cv {cv_folds}"
 PCA_REPORT = "pca-report --dataset toyset --archive {archive}"
@@ -736,6 +755,8 @@ BAD_INPUTS = [  # (case, documented exit code, argv template)
     ("stats with different fold counts", 2, "stats --classical {folds2} --dv {dv_folds} --cv {cv_folds}"),
     ("stats with one validation row per file", 2, "stats --classical {folds1} --dv {folds1} --cv {folds1}"),
     ("stats with a nan score", 2, "stats --classical {nan_folds} --dv {dv_folds} --cv {cv_folds}"),
+    ("stats with a field past the csv size limit", 2,
+     "stats --classical {long_field_folds} --dv {dv_folds} --cv {cv_folds}"),
     ("eval of a binary checkpoint on an 11-class archive", 2,
      "eval --dataset toyset --archive {eleven_class} --checkpoint {checkpoint} --pca {pca}"),
     ("eval of an 11-class checkpoint on a binary archive", 2,
@@ -751,6 +772,17 @@ BAD_INPUTS = [  # (case, documented exit code, argv template)
     ("missing --checksums manifest", 2, f"{TRAIN} --model dv --checksums {{nope}}"),
     ("--checksums naming a directory", 2, f"{TRAIN} --model dv --checksums {{a_dir}}"),
     ("non-UTF-8 --checksums manifest", 2, f"{TRAIN} --model dv --checksums {{latin1_cfg}}"),
+] + [
+    (f"{command} with a {damage} {file}", 2, f"{template} {{{name}}}")
+    for command, file, template in (
+        ("eval", "checkpoint", f"{EVAL} --checkpoint"),
+        ("eval", "PCA file", EVAL_WITH_PCA),
+        ("saliency", "checkpoint", SALIENCY_WITH_CHECKPOINT),
+        ("saliency", "PCA file", SALIENCY_WITH_PCA),
+        ("noise-sweep", "checkpoint", SWEEP_WITH_CV_CHECKPOINT),
+        ("noise-sweep", "PCA file", SWEEP_WITH_CV_PCA),
+    )
+    for damage, name in (("non-UTF-8", "latin1_json"), ("deeply nested", "deep_json"))
 ]
 
 

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medqnn import cli, data, pca
+from medqnn import cli, data
 from medqnn.errors import DataError
+from medqnn.rng import normal_field
 
 from conftest import stored_npz_bytes, write_archive
 
@@ -102,7 +103,7 @@ class TestLoadArchive:
         with pytest.warns(UserWarning):
             train, val, test = data.load_archive(path, "toyset")
         assert (len(train), len(val), len(test)) == (40, 10, 12)
-        assert train.images.min() >= 0.0 and train.images.max() <= 1.0
+        assert train.flat_images().min() >= 0.0 and train.flat_images().max() <= 1.0
         assert train.num_classes == 2
         assert (train.split, val.split, test.split) == ("train", "val", "test")
 
@@ -117,15 +118,15 @@ class TestLoadArchive:
         with pytest.warns(UserWarning):
             train, _, _ = data.load_archive(path, "whatever")
         np.testing.assert_allclose(
-            train.images, arrays["train_images"].astype(float) / 255.0
+            data.unit_floats(train.pixels), arrays["train_images"].astype(float) / 255.0
         )
 
     def test_pixels_divided_by_255(self, tmp_path):
         path = write_archive(tmp_path / "toy.npz", m_train=10, m_val=4, m_test=4)
         with pytest.warns(UserWarning):
             train, _, _ = data.load_archive(path, "toyset")
-        assert train.images.dtype == float
-        assert train.images.max() <= 1.0
+        assert train.flat_images().dtype == float
+        assert train.flat_images().max() <= 1.0
 
     def test_images_bit_identical_to_float_conversion(self, tmp_path):
         path = write_archive(tmp_path / "toy.npz", m_train=30, m_val=8, m_test=9, seed=4)
@@ -134,11 +135,10 @@ class TestLoadArchive:
         with pytest.warns(UserWarning):
             splits = data.load_archive(path, "toyset")
         for dataset in splits:
-            assert "images" not in vars(dataset)  # converted on first use, not on load
+            assert dataset.pixels.dtype == np.uint8  # bytes as stored, converted by the reader
             expected = arrays[f"{dataset.split}_images"].astype(float) / 255.0
-            assert dataset.images.dtype == expected.dtype
-            assert dataset.images.tobytes() == expected.tobytes()
-            assert dataset.images is dataset.images
+            assert dataset.flat_images().dtype == expected.dtype
+            assert dataset.flat_images().tobytes() == expected.tobytes()
 
     def test_missing_member_is_format_error(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -223,66 +223,56 @@ class TestLoadArchive:
 
 class TestNoiseInjection:
     @pytest.fixture
-    def dataset(self, tmp_path):
+    def images(self, tmp_path):
         path = write_archive(tmp_path / "noise.npz", m_train=1300, m_val=4, m_test=4)
         with pytest.warns(UserWarning):
-            return data.load_archive(path, "toyset")[0]
+            return data.load_archive(path, "toyset")[0].flat_images()
 
-    def test_zero_sigma_is_identity(self, dataset):
-        noisy = data.inject_gaussian_noise(dataset, 0.0, data.unit_noise_field(dataset, 5))
-        assert np.array_equal(noisy.images, dataset.images)
-        assert noisy.images is not dataset.images
+    @staticmethod
+    def field(images, seed):
+        return normal_field(data.noise_seeds(len(images), seed), data.NUM_PIXELS)
 
-    def test_moments_at_a_million_pixels(self, dataset):
+    def test_zero_sigma_is_identity(self, images):
+        noisy = data.inject_gaussian_noise(images, 0.0, self.field(images, 5))
+        assert np.array_equal(noisy, images)
+        assert noisy is not images
+
+    def test_moments_at_a_million_pixels(self, images):
         # 1300 images x 784 pixels > 1e6 draws
         sigma = 0.25
-        noisy = data.inject_gaussian_noise(dataset, sigma, data.unit_noise_field(dataset, 11))
-        delta = (noisy.images - dataset.images).ravel()
+        noisy = data.inject_gaussian_noise(images, sigma, self.field(images, 11))
+        delta = (noisy - images).ravel()
         n = delta.size
         assert n > 1_000_000
         assert abs(delta.mean()) < 4.0 * sigma / np.sqrt(n)
         assert abs(delta.std() - sigma) / sigma < 0.01
 
-    def test_same_seed_scales_linearly(self, dataset):
-        a = data.inject_gaussian_noise(dataset, 0.2, data.unit_noise_field(dataset, 3))
-        b = data.inject_gaussian_noise(dataset, 0.8, data.unit_noise_field(dataset, 3))
+    def test_same_seed_scales_linearly(self, images):
+        a = data.inject_gaussian_noise(images, 0.2, self.field(images, 3))
+        b = data.inject_gaussian_noise(images, 0.8, self.field(images, 3))
         np.testing.assert_allclose(
-            (a.images - dataset.images) / 0.2,
-            (b.images - dataset.images) / 0.8,
+            (a - images) / 0.2,
+            (b - images) / 0.8,
             atol=1e-12,
         )
 
-    def test_labels_and_counts_preserved(self, dataset):
-        noisy = data.inject_gaussian_noise(dataset, 0.5, data.unit_noise_field(dataset, 2))
-        assert np.array_equal(noisy.labels, dataset.labels)
-        assert noisy.num_classes == dataset.num_classes
+    def test_no_clipping_by_default(self, images):
+        noisy = data.inject_gaussian_noise(images, 1.0, self.field(images, 4))
+        assert noisy.min() < 0.0 or noisy.max() > 1.0
 
-    def test_no_clipping_by_default(self, dataset):
-        noisy = data.inject_gaussian_noise(dataset, 1.0, data.unit_noise_field(dataset, 4))
-        assert noisy.images.min() < 0.0 or noisy.images.max() > 1.0
+    def test_clip_flag(self, images):
+        noise = self.field(images, 4)
+        noisy = data.inject_gaussian_noise(images, 1.0, noise, clip=True)
+        assert noisy.min() >= 0.0 and noisy.max() <= 1.0
 
-    def test_clip_flag(self, dataset):
-        noise = data.unit_noise_field(dataset, 4)
-        noisy = data.inject_gaussian_noise(dataset, 1.0, noise, clip=True)
-        assert noisy.images.min() >= 0.0 and noisy.images.max() <= 1.0
-
-    def test_negative_sigma_rejected(self, dataset):
+    def test_negative_sigma_rejected(self, images):
         with pytest.raises(ValueError):
-            data.inject_gaussian_noise(dataset, -0.1, data.unit_noise_field(dataset, 0))
+            data.inject_gaussian_noise(images, -0.1, self.field(images, 0))
 
-    def test_deterministic_under_seed(self, dataset):
-        a = data.inject_gaussian_noise(dataset, 0.3, data.unit_noise_field(dataset, 9))
-        b = data.inject_gaussian_noise(dataset, 0.3, data.unit_noise_field(dataset, 9))
-        assert np.array_equal(a.images, b.images)
-
-    @pytest.mark.parametrize("seed", [5, 2**63 + 3])
-    def test_projected_field_matches_the_projection_of_the_whole_field(self, dataset, seed):
-        assert len(dataset) > pca.BLOCK_ROWS
-        components, _ = np.linalg.qr(np.random.default_rng(39).normal(size=(data.NUM_PIXELS, 12)))
-        components = components.T  # 12 orthonormal rows, as three 4-component PCAs stack
-        got = data.project_noise_field(dataset, seed, components)
-        field = data.unit_noise_field(dataset, seed).reshape(len(dataset), -1)
-        np.testing.assert_allclose(got, field @ components.T, rtol=0, atol=1e-12)
+    def test_deterministic_under_seed(self, images):
+        a = data.inject_gaussian_noise(images, 0.3, self.field(images, 9))
+        b = data.inject_gaussian_noise(images, 0.3, self.field(images, 9))
+        assert np.array_equal(a, b)
 
 
 class TestNoiseGrid:
