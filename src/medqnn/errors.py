@@ -29,7 +29,10 @@ def checked_arrays(fields: dict) -> dict:
     """Each ``name: (raw, shape)`` as a finite float array of that shape, else ValueError."""
     values = {}
     for name, (raw, shape) in fields.items():
-        values[name] = np.array(raw, dtype=float)
+        try:
+            values[name] = np.array(raw, dtype=float)
+        except OverflowError as exc:  # an integer past the float range
+            raise ValueError(f"{name}: {exc}") from exc
         if values[name].shape != shape:
             raise ValueError(f"{name} has shape {values[name].shape}, expected {shape}")
         if not np.all(np.isfinite(values[name])):

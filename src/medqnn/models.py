@@ -384,7 +384,7 @@ def load_checkpoint(path: str | Path) -> HybridModel:
     """Read a checkpoint, checking every key, shape and value before use."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:  # ValueError: bad UTF-8, JSON or digits
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     if (
         not isinstance(payload, dict)

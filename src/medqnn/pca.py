@@ -2,26 +2,27 @@
 
 A fit is built from moments in byte units, y = 255 x: the row count n,
 the column sums s = sum y and the Gram matrix G = sum y y^T.
-``add_moments`` walks the rows in blocks of ``BLOCK_ROWS``. A block of
-stored bytes is cast to float32 and gives its Gram in one product,
-exactly, since every partial sum is an integer of at most
-256 * 255^2 < 2^24; added into float64, the sums stay exact while below
-2^53 (fewer than 1.3e11 rows). Floats take the same loop in float64:
-unit floats of bytes become the same integers, so they give
+``moments`` gathers the rows it is given by index, ``BLOCK_ROWS`` at a
+time, so a cross-validation fold's training rows are read in place and
+never copied whole. A block of stored bytes is cast to float32 and gives
+its Gram in one product, exactly, since every partial sum is an integer
+of at most 256 * 255^2 < 2^24; added into float64, the sums stay exact
+while below 2^53 (fewer than 1.3e11 rows). Floats take the same loop in
+float64: unit floats of bytes become the same integers, so they give
 bit-identical sums, and other floats round as any float sum does.
 
-Moments pool by addition (``add_moments`` into the same ``Moments``), for
-bytes exactly, so in any order and on any number of BLAS threads: a
-cross-validation fold's moments are the sums of the parts outside its
-own, each block added into every fold that trains on it. ``from_moments``
-forms the scatter, sum (x - mean)(x - mean)^T = (n G - s s^T) / (255^2 n),
-in place of G; for bytes the numerator is an exact integer while
-n^2 * 255^2 < 2^53, so the division is the one rounding step. For other
-floats the difference cancels: a column loses about
-log10(1 + mean^2 / variance) digits, under one for pixels spread over
-[0, 1]. One symmetric eigendecomposition (``np.linalg.eigh``) of the
-784 x 784 scatter then gives the top-k eigenpairs, accurate to rounding
-however close the eigenvalues lie. ``fit`` is the two steps on one matrix.
+For bytes the sums are exact, so they do not depend on the order of the
+rows, on how the rows fall into blocks, or on the number of BLAS threads:
+the moments of any partition of the rows add up to the whole's, bit for
+bit. ``from_moments`` forms the scatter,
+sum (x - mean)(x - mean)^T = (n G - s s^T) / (255^2 n), in place of G;
+for bytes the numerator is an exact integer while n^2 * 255^2 < 2^53, so
+the division is the one rounding step. For other floats the difference
+cancels: a column loses about log10(1 + mean^2 / variance) digits, under
+one for pixels spread over [0, 1]. One symmetric eigendecomposition
+(``np.linalg.eigh``) of the 784 x 784 scatter then gives the top-k
+eigenpairs, accurate to rounding however close the eigenvalues lie.
+``fit`` is the two steps on one matrix.
 
 Component signs are fixed by making each row's largest-magnitude entry
 positive. Explained-variance ratios divide by the scatter's trace, the
@@ -40,10 +41,10 @@ import numpy as np
 from . import data
 from .errors import DataError, checked_arrays
 
-# add_moments() sanity guard for floats; noise-injected images can leave [0, 1]
+# moments() sanity guard for floats; noise-injected images can leave [0, 1]
 # but only clean training pixels ever reach a fit.
 _PIXEL_LO, _PIXEL_HI = -0.5, 1.5
-# Rows per block of add_moments() and transform(): the float32 Gram of 256
+# Rows per block of moments() and transform(): the float32 Gram of 256
 # byte rows is exact.
 BLOCK_ROWS = 256
 
@@ -67,34 +68,29 @@ class Moments:
     sums: np.ndarray  # (input_dim,), sum of y
     gram: np.ndarray  # (input_dim, input_dim), sum of y y^T
 
-    @classmethod
-    def zeros(cls, input_dim: int) -> Moments:
-        """The moments of no rows, to add rows into."""
-        return cls(count=0, sums=np.zeros(input_dim), gram=np.zeros((input_dim, input_dim)))
-
     @property
     def mean(self) -> np.ndarray:
         """The row mean in unit pixels: for bytes, the exact total divided once."""
         return self.sums / (255.0 * self.count)
 
 
-def _sample_matrix(images: np.ndarray) -> np.ndarray:
+def moments(images: np.ndarray, rows: np.ndarray | None = None) -> Moments:
+    """The moments of the rows of ``images`` (m x input_dim), stored unsigned
+    bytes or floats, that ``rows`` indexes (at least one; all of them by
+    default), gathered ``BLOCK_ROWS`` indices at a time. A block of bytes
+    gives its Gram in float32, exactly."""
     images = np.asarray(images)
     if images.ndim != 2:
         raise ValueError(f"expected a 2-d sample matrix, got shape {images.shape}")
-    return images
-
-
-def add_moments(images: np.ndarray, into: list[Moments]) -> None:
-    """Add the moments of the rows of ``images`` (m x input_dim), stored
-    unsigned bytes or floats, into each of ``into``, a block of
-    ``BLOCK_ROWS`` rows at a time. A block of bytes gives its Gram in
-    float32, exactly; the rows of ``images`` must be new to each of ``into``."""
-    images = _sample_matrix(images)
+    rows = np.arange(len(images)) if rows is None else np.asarray(rows)
+    if len(rows) == 0:
+        raise DataError("no samples to fit")
+    dim = images.shape[1]
     dtype = np.float32 if images.dtype == np.uint8 else float
-    gram = np.empty((images.shape[1], images.shape[1]), dtype)  # one block's, reused
-    for start in range(0, len(images), BLOCK_ROWS):
-        block = images[start : start + BLOCK_ROWS].astype(dtype)
+    stats = Moments(count=len(rows), sums=np.zeros(dim), gram=np.zeros((dim, dim)))
+    gram = np.empty((dim, dim), dtype)  # one block's, reused
+    for start in range(0, len(rows), BLOCK_ROWS):
+        block = images[rows[start : start + BLOCK_ROWS]].astype(dtype, copy=False)  # a gathered copy
         if dtype is float:
             if not np.all(np.isfinite(block)):
                 raise DataError("non-finite pixel values in fit input")
@@ -103,22 +99,8 @@ def add_moments(images: np.ndarray, into: list[Moments]) -> None:
                     f"pixel values outside [{_PIXEL_LO}, {_PIXEL_HI}]; normalize to [0, 1] before fit"
                 )
             block *= 255.0
-        sums = block.sum(axis=0)
-        np.matmul(block.T, block, out=gram)
-        for stats in into:
-            stats.count += len(block)
-            stats.sums += sums
-            stats.gram += gram
-
-
-def moments(images: np.ndarray) -> Moments:
-    """The moments of the rows of ``images`` (m x input_dim, m >= 1), stored
-    unsigned bytes or floats."""
-    images = _sample_matrix(images)
-    if len(images) == 0:
-        raise DataError("no samples to fit")
-    stats = Moments.zeros(images.shape[1])
-    add_moments(images, [stats])
+        stats.sums += block.sum(axis=0)
+        stats.gram += np.matmul(block.T, block, out=gram)
     return stats
 
 
@@ -204,7 +186,7 @@ def load(path: str | Path) -> PcaModel:
     """Read a PCA file, checking every key, shape and value before use."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:  # ValueError: bad UTF-8, JSON or digits
         raise DataError(f"cannot read PCA model from {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("magic") != MAGIC:
         raise DataError(f"{path} is not a {MAGIC} model file")

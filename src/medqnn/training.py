@@ -183,26 +183,6 @@ def train_model(
     return model, curves
 
 
-def _fold_moments(images: np.ndarray, parts: list[np.ndarray]) -> list[pca.Moments]:
-    """Each fold's PCA moments: each part is read once, a block of rows at a
-    time, and each block is added into every fold but the part's own."""
-    fold_moments = [pca.Moments.zeros(images.shape[1]) for _ in parts]
-    for own, rows in enumerate(parts):
-        pca.add_moments(images[rows], [stats for fold, stats in enumerate(fold_moments) if fold != own])
-    return fold_moments
-
-
-def _fold_pcas(
-    images: np.ndarray, parts: list[np.ndarray]
-) -> tuple[list[pca.PcaModel], np.ndarray]:
-    """Each fold's PCA and the (folds, m, k) features of every row under each
-    fold's model. Each decomposition holds only the moments of the folds
-    after it."""
-    fold_moments = _fold_moments(images, parts)
-    pca_models = [pca.from_moments(fold_moments.pop(0), models.NUM_MODES) for _ in parts]
-    return pca_models, np.stack([pca.transform(pca_model, images) for pca_model in pca_models])
-
-
 def _train_one_fold(
     kind: str,
     features: np.ndarray,
@@ -251,15 +231,13 @@ def cross_validate(
     unsigned bytes, or floats on [0, 1].
 
     Each fold fits its own PCA and feature statistics on its training
-    split only. A part is one fold's validation rows. Each part is read
-    once, a block of rows at a time, and each block's PCA moments are
-    added into those of every fold but the part's own, so a fold's PCA
-    never sees its own part's rows; for stored bytes the sums are exact
-    integers, so it does not depend on the order of the rows either.
-    Every fold's PCA is decomposed, one fold at a time, before any row is
-    projected; then each fold's model projects the split, which
-    ``pca.transform`` converts a block of rows at a time. So the rows are
-    floats only a block at a time, never a part or a fold.
+    rows only, just before it trains, so one fold's 784 x 784 moments are
+    alive at a time. ``pca.moments`` reads those rows by index, a block at
+    a time; for stored bytes the sums are exact integers, so the fit does
+    not depend on the order of the rows either. The fold's model then
+    projects the split, which ``pca.transform`` converts a block of rows
+    at a time. So the rows are floats only a block at a time, never a
+    fold or the split.
     The best fold is the highest final validation F1 (ties go to the
     lowest fold index); its model is the one a caller should evaluate on
     the held-out test split.
@@ -267,12 +245,12 @@ def cross_validate(
     images = np.asarray(images)
     labels = np.asarray(labels, dtype=int)
     splits = stratified_kfold(labels, config.folds, config.seed)
-    pca_models, features = _fold_pcas(images, [val_idx for _, val_idx in splits])
     folds = []
     for fold_index, (train_idx, val_idx) in enumerate(splits):
+        pca_model = pca.from_moments(pca.moments(images, train_idx), models.NUM_MODES)
         folds.append(_train_one_fold(
-            kind, features[fold_index], labels, fold_index, train_idx, val_idx,
-            pca_models[fold_index], num_classes, config,
+            kind, pca.transform(pca_model, images), labels, fold_index, train_idx, val_idx,
+            pca_model, num_classes, config,
         ))
 
     summary = {}

@@ -566,6 +566,7 @@ def bad_input_files(tmp_path, archive, trained):
         "short_circuit": lambda d: d["circuit_params"].pop(),
         "nan_weight": lambda d: d["head_weights"][1].__setitem__(2, float("nan")),
         "version_true": lambda d: d.__setitem__("version", True),  # True == 1 in Python
+        "huge_weight": lambda d: d["head_weights"][1].__setitem__(2, 10**400),  # past the float range
     }
     for name, damage in damages.items():
         payload = json.loads(checkpoint.read_text())
@@ -576,6 +577,7 @@ def bad_input_files(tmp_path, archive, trained):
         "pca_no_k": lambda d: d.pop("k"),
         "pca_short_mean": lambda d: d["mean"].pop(),
         "pca_k3": lambda d: d.__setitem__("k", 3),  # beside 4 components
+        "pca_huge_mean": lambda d: d["mean"].__setitem__(0, 10**400),  # past the float range
     }
     for name, damage in pca_damages.items():
         payload = json.loads(pca_path.read_text())
@@ -610,6 +612,8 @@ def bad_input_files(tmp_path, archive, trained):
     (tmp_path / "latin1.json").write_bytes('{"magic": "\u00e9"}'.encode("latin-1"))
     files["deep_json"] = str(tmp_path / "deep.json")
     (tmp_path / "deep.json").write_text("[" * 200_000)  # nested past the recursion limit
+    files["long_int_json"] = str(tmp_path / "long_int.json")
+    (tmp_path / "long_int.json").write_text("[" + "9" * 5000 + "]")  # past int's digit limit
     files["nope"] = str(tmp_path / "nope.csv")
     files["a_dir"] = str(tmp_path)
     files["missing_archive"] = str(tmp_path / "missing.npz")
@@ -689,10 +693,12 @@ BAD_INPUTS = [  # (case, documented exit code, argv template)
     ("checkpoint with 31 circuit params", 2, f"{EVAL} --checkpoint {{short_circuit}}"),
     ("checkpoint with a nan weight", 2, f"{EVAL} --checkpoint {{nan_weight}}"),
     ("checkpoint with version true", 2, f"{EVAL} --checkpoint {{version_true}}"),
+    ("checkpoint with a 400-digit weight", 2, f"{EVAL} --checkpoint {{huge_weight}}"),
     ("PCA file without k", 2, f"{EVAL_WITH_PCA} {{pca_no_k}}"),
     ("PCA file with a short mean", 2, f"{EVAL_WITH_PCA} {{pca_short_mean}}"),
     ("PCA file holding a JSON list", 2, f"{EVAL_WITH_PCA} {{pca_list}}"),
     ("PCA file with k 3 beside 4 components", 2, f"{EVAL_WITH_PCA} {{pca_k3}}"),
+    ("PCA file with a 400-digit mean", 2, f"{EVAL_WITH_PCA} {{pca_huge_mean}}"),
     ("eval with a 5-component PCA", 2, f"{EVAL_WITH_PCA} {{pca_k5}}"),
     ("eval with a 100-pixel PCA", 2, f"{EVAL_WITH_PCA} {{pca_100px}}"),
     ("saliency with a 5-component PCA", 2,
@@ -782,7 +788,9 @@ BAD_INPUTS = [  # (case, documented exit code, argv template)
         ("noise-sweep", "checkpoint", SWEEP_WITH_CV_CHECKPOINT),
         ("noise-sweep", "PCA file", SWEEP_WITH_CV_PCA),
     )
-    for damage, name in (("non-UTF-8", "latin1_json"), ("deeply nested", "deep_json"))
+    for damage, name in (
+        ("non-UTF-8", "latin1_json"), ("deeply nested", "deep_json"), ("5000-digit integer", "long_int_json"),
+    )
 ]
 
 

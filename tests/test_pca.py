@@ -15,11 +15,12 @@ def random_pixel_matrix(rng: np.random.Generator, m: int, dim: int) -> np.ndarra
 
 
 def pool(images: np.ndarray, parts: list[np.ndarray]) -> pca.Moments:
-    """The moments of the rows of ``images``, added one part of rows at a time."""
-    stats = pca.Moments.zeros(images.shape[1])
-    for rows in parts:
-        pca.add_moments(images[rows], [stats])
-    return stats
+    """The moments of the rows of ``images``, summed over the moments of each
+    part of rows, read in place by index."""
+    stats = [pca.moments(images, rows) for rows in parts]
+    return pca.Moments(
+        count=sum(s.count for s in stats), sums=sum(s.sums for s in stats), gram=sum(s.gram for s in stats)
+    )
 
 
 def scatter(stats: pca.Moments) -> np.ndarray:
@@ -148,19 +149,21 @@ class TestFit:
 
 
 class TestMoments:
-    def test_pooling_uneven_parts_in_any_order_matches_the_concatenation(self):
+    def test_rows_indexed_in_any_order_match_the_whole(self):
         rng = np.random.default_rng(13)
         images = random_pixel_matrix(rng, 100, 12)
         parts = np.split(np.arange(100), [1, 8, 38])  # 1, 7, 30 and 62 rows
+        whole = pca.moments(images)
         for order in itertools.permutations(range(len(parts))):
-            rows = np.concatenate([parts[i] for i in order])
-            pooled = pool(images, [parts[i] for i in order])
-            whole = pca.moments(images[rows])
-            assert pooled.count == whole.count == 100
-            np.testing.assert_allclose(pooled.mean, whole.mean, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(scatter(pooled), scatter(whole), rtol=1e-12, atol=1e-13)
+            for got in (pca.moments(images, np.concatenate([parts[i] for i in order])),
+                        pool(images, [parts[i] for i in order])):
+                assert got.count == whole.count == 100
+                np.testing.assert_allclose(got.mean, whole.mean, rtol=0, atol=1e-15)
+                np.testing.assert_allclose(scatter(got), scatter(whole), rtol=1e-12, atol=1e-13)
 
-    def test_any_partition_of_stored_bytes_pools_in_any_order_to_the_whole_bit_for_bit(self):
+    def test_stored_bytes_indexed_in_any_order_or_pooled_in_parts_give_the_whole_bit_for_bit(self):
+        # A fold's moments are those of its training rows, indexed in place;
+        # the sum of the other parts' moments, pooled, is the same bits.
         rng = np.random.default_rng(19)
         m = 2 * pca.BLOCK_ROWS + 5
         stored = rng.integers(0, 256, size=(m, 12)).astype(np.uint8)
@@ -168,21 +171,36 @@ class TestMoments:
         expected = pca.from_moments(pca.moments(stored), 4)
         parts = np.split(rng.permutation(m), [1, 8, pca.BLOCK_ROWS + 3])  # scattered, uneven rows
         for order in itertools.permutations(range(len(parts))):
-            pooled = pool(stored, [parts[i] for i in order])
-            assert pooled.count == m
-            assert np.array_equal(pooled.sums, whole.sums)
-            assert np.array_equal(pooled.gram, whole.gram)
-            got = pca.from_moments(pooled, 4)
-            for name in ("mean", "components", "explained_variance_ratio"):
-                assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+            for got in (pca.moments(stored, np.concatenate([parts[i] for i in order])),
+                        pool(stored, [parts[i] for i in order])):
+                assert got.count == m
+                assert np.array_equal(got.sums, whole.sums)
+                assert np.array_equal(got.gram, whole.gram)
+                got = pca.from_moments(got, 4)
+                for name in ("mean", "components", "explained_variance_ratio"):
+                    assert np.array_equal(getattr(got, name), getattr(expected, name)), name
 
-    def test_sample_count_check_applies_to_the_pooled_count(self):
+    def test_indexed_rows_give_the_moments_of_their_copy_bit_for_bit(self):
+        # Gathering by index makes the same blocks as copying the rows first.
+        rng = np.random.default_rng(20)
+        stored = rng.integers(0, 256, size=(3 * pca.BLOCK_ROWS, 12)).astype(np.uint8)
+        rows = np.sort(rng.choice(len(stored), 2 * pca.BLOCK_ROWS + 7, replace=False))
+        for images in (stored, random_pixel_matrix(rng, len(stored), 12)):
+            got, copied = pca.moments(images, rows), pca.moments(images[rows])
+            assert got.count == copied.count == len(rows)
+            assert np.array_equal(got.sums, copied.sums)
+            assert np.array_equal(got.gram, copied.gram)
+
+    def test_sample_count_check_applies_to_the_indexed_count(self):
         rng = np.random.default_rng(14)
         images = random_pixel_matrix(rng, 5, 6)
         with pytest.raises(DataError):
+            pca.from_moments(pca.moments(images, np.arange(4)), 4)
+        with pytest.raises(DataError):
             pca.from_moments(pool(images, [np.arange(2), np.arange(2, 4)]), 4)
-        pooled = pca.from_moments(pool(images, [np.arange(2), np.arange(2, 5)]), 4)
-        np.testing.assert_allclose(pooled.components, pca.fit(images, 4).components, atol=1e-10)
+        expected = pca.fit(images, 4).components
+        for stats in (pca.moments(images, [4, 0, 3, 1, 2]), pool(images, [np.arange(2), np.arange(2, 5)])):
+            np.testing.assert_allclose(pca.from_moments(stats, 4).components, expected, atol=1e-10)
 
     def test_byte_moments_equal_an_int64_reference(self):
         # Whole blocks of 255 put the float32 block Grams at their bound,
@@ -203,6 +221,8 @@ class TestMoments:
     def test_no_rows_rejected(self):
         with pytest.raises(DataError):
             pca.moments(np.zeros((0, 5)))
+        with pytest.raises(DataError):
+            pca.moments(np.zeros((3, 5)), np.arange(0))
 
     @pytest.mark.parametrize("offset", [-1, 0, 1, pca.BLOCK_ROWS + 1])
     def test_rows_across_block_boundaries_match_an_unblocked_two_pass_reference(self, offset):

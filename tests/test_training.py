@@ -239,8 +239,8 @@ class TestCrossValidate:
 
 
 class TestFoldPca:
-    """Each fold's PCA comes from the moments of the blocks of the other
-    folds' parts."""
+    """Each fold's PCA comes from the moments of its own training rows, read
+    by index; for bytes, these are the other folds' parts' moments pooled."""
 
     # 3100 rows: each of 3 parts spans more than two blocks of pca.BLOCK_ROWS.
     @pytest.mark.parametrize("folds, m", [
@@ -302,25 +302,64 @@ class TestFoldPca:
             assert np.array_equal(models.flat_params(a.model), models.flat_params(b.model))
             assert a.curves == b.curves
 
+    def test_stored_byte_fold_pca_is_the_pooled_other_parts_bit_for_bit(self):
+        # A fold's training rows are the other folds' parts. Their byte sums
+        # are exact, so the fold's PCA fitted from its rows in place is the
+        # one pooled from the other parts' moments, in either order.
+        m = 6 * pca.BLOCK_ROWS + 5  # each of 3 parts spans more than two blocks
+        images = np.random.default_rng(19).integers(0, 256, size=(m, 30)).astype(np.uint8)
+        labels = np.arange(m) % 2
+        config = training.TrainConfig(epochs=0, seed=7)
+        result = training.cross_validate("classical", images, labels, 2, config)
+        parts = [val_idx for _, val_idx in training.stratified_kfold(labels, config.folds, config.seed)]
+        for own, fold in enumerate(result.folds):
+            others = [pca.moments(images, rows) for index, rows in enumerate(parts) if index != own]
+            for order in (others, others[::-1]):
+                pooled = pca.Moments(
+                    count=sum(s.count for s in order),
+                    sums=sum(s.sums for s in order),
+                    gram=sum(s.gram for s in order),
+                )
+                expected = pca.from_moments(pooled, models.NUM_MODES)
+                for name in ("mean", "components", "explained_variance_ratio"):
+                    assert np.array_equal(getattr(fold.pca_model, name), getattr(expected, name)), name
+
+    @staticmethod
+    def traced_peak(images, labels, config) -> int:
+        tracemalloc.start()
+        try:
+            training.cross_validate("classical", images, labels, 2, config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_traced_memory_of_a_pneumonia_sized_split(self):
         # The split's 4708 rows take 3.7 MB as bytes and 29.5 MB as floats, and
         # a fold's 3139 training rows 19.7 MB as floats: converting the split,
         # then gathering and centering a fold's rows, needs about 75 MB. Rows
         # become floats a block at a time, so three copies of the split must
         # cost only their bytes and a little more. The largest live arrays are
-        # the folds' 784 x 784 float64 sums, 4.9 MB each, one block's float32
-        # Gram beside them, and one fewer is alive at each fold's decomposition.
+        # one fold's 784 x 784 float64 sums (4.9 MB), then the scatter they
+        # become, with one block's float32 Gram or the eigenvectors beside them.
         images, labels = make_class_images(4708, 2, np.random.default_rng(18))
         flat = images.reshape(len(images), -1)
         config = training.TrainConfig(epochs=0, seed=6)
-        peaks = []
-        for copies in (1, 3):
-            split, split_labels = np.concatenate([flat] * copies), np.tile(labels, copies)
-            tracemalloc.start()
-            try:
-                training.cross_validate("classical", split, split_labels, 2, config)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[0] < 28e6
+        self.traced_peak(flat[:60], labels[:60], config)  # first-call allocations
+        peaks = [
+            self.traced_peak(np.concatenate([flat] * copies), np.tile(labels, copies), config)
+            for copies in (1, 3)
+        ]
+        assert peaks[0] < 15e6
         assert peaks[1] - peaks[0] < 10e6
+
+    def test_traced_memory_does_not_grow_with_the_fold_count(self):
+        # Each fold fits its PCA just before it trains, so one fold's sums are
+        # alive at a time, however many folds there are.
+        images, labels = make_class_images(4708, 2, np.random.default_rng(18))
+        flat = images.reshape(len(images), -1)
+        self.traced_peak(flat[:60], labels[:60], training.TrainConfig(epochs=0, seed=6))  # first-call allocations
+        peaks = [
+            self.traced_peak(flat, labels, training.TrainConfig(epochs=0, folds=folds, seed=6)) for folds in (3, 6)
+        ]
+        assert abs(peaks[1] - peaks[0]) < 1e6
+        assert max(peaks) < 12.5e6
