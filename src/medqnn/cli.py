@@ -122,8 +122,9 @@ def _write_csv(path: Path, header: list[str], rows) -> Path:
     return path
 
 
-def _load_verified_archive(args) -> tuple[dict, dict]:
-    """The archive's splits by name, and its sha256 by dataset name (hashed once)."""
+def _load_verified_archive(args) -> tuple[data.ImageDataset, dict]:
+    """The archive's split ``args.split``, and its sha256 by dataset name
+    (hashed once). Every member is checked; only that split is kept."""
     archive = Path(args.archive)
     if not archive.exists():
         raise DataError(f"archive not found: {archive}")
@@ -134,21 +135,24 @@ def _load_verified_archive(args) -> tuple[dict, dict]:
     if args.checksums:
         data.verify_checksums(args.checksums, {args.dataset: digest})
         log(f"checksum ok for {archive}")
-    return {d.split: d for d in data.load_archive(archive, args.dataset)}, {args.dataset: digest}
+    (dataset,) = data.load_archive(archive, args.dataset, (args.split,))
+    return dataset, {args.dataset: digest}
 
 
 def _run(args, argv: list[str]) -> int:
     """The steps every command shares, around its body ``args.func``.
 
-    A body takes (args, config, out, splits), where splits maps "train",
-    "val" and "test" to the archive's datasets (None for a command without
-    ``--archive``), and returns (artifacts, summary). A command may also
-    set ``args.check(args, config)``, which validates its flags and the
-    resolved config. Both happen, and the output directory is created,
-    before any input is read, so a bad value exits 3 even when an input is
-    missing. If reading the archive, the body or the manifest fails, the
-    directory is removed again, with each directory above it that the call
-    created and that is still empty; nothing older is removed.
+    A body takes (args, config, out, dataset), where dataset is the one
+    split of the archive that the command reads, ``args.split`` (None for
+    a command without ``--archive``), and returns (artifacts, summary).
+    The archive's other splits are checked as they are read, but not
+    kept. A command may also set ``args.check(args, config)``, which
+    validates its flags and the resolved config. Both happen, and the
+    output directory is created, before any input is read, so a bad value
+    exits 3 even when an input is missing. If reading the archive, the
+    body or the manifest fails, the directory is removed again, with each
+    directory above it that the call created and that is still empty;
+    nothing older is removed.
     """
     config = _resolve_config(args)
     if hasattr(args, "check"):
@@ -161,8 +165,8 @@ def _run(args, argv: list[str]) -> int:
     except OSError as exc:  # --out or a parent is a file
         raise ConfigError(f"cannot create --out {out}: {exc}") from exc
     try:
-        splits, checksums = _load_verified_archive(args) if hasattr(args, "archive") else (None, {})
-        artifacts, summary = args.func(args, config, out, splits)
+        dataset, checksums = _load_verified_archive(args) if hasattr(args, "archive") else (None, {})
+        artifacts, summary = args.func(args, config, out, dataset)
         manifest = {
             "command": argv,
             "config": config,
@@ -244,10 +248,9 @@ def _train_config(args, config: dict):
     )
 
 
-def cmd_train(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
+def cmd_train(args, config: dict, out: Path, train_split) -> tuple[list[Path], dict]:
     from . import training
 
-    train_split = splits["train"]
     log(
         f"training {args.model} on {args.dataset} "
         f"(m={len(train_split)}, classes={train_split.num_classes}, seed={config['seed']})"
@@ -316,8 +319,7 @@ def _eval_config(args, config: dict) -> None:
         raise ConfigError(f"--dump-state {args.dump_state}: no such directory")
 
 
-def cmd_eval(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
-    dataset = splits[args.split]
+def cmd_eval(args, config: dict, out: Path, dataset) -> tuple[list[Path], dict]:
     model, pca_model = _load_model(args.checkpoint, args.pca, dataset.num_classes)
     log(f"evaluating {model.kind} checkpoint on {args.dataset}/{args.split} (m={len(dataset)})")
 
@@ -372,8 +374,7 @@ def _noise_sums(pixels, components, seed: int, sigmas: list[float], clip: bool) 
     return sums
 
 
-def cmd_noise_sweep(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
-    test = splits["test"]
+def cmd_noise_sweep(args, config: dict, out: Path, test) -> tuple[list[Path], dict]:
     loaded = []
     for kind in models.KINDS:
         checkpoint = getattr(args, f"{kind}_checkpoint")
@@ -408,10 +409,9 @@ def cmd_noise_sweep(args, config: dict, out: Path, splits) -> tuple[list[Path], 
 
 # --- saliency ------------------------------------------------------------
 
-def cmd_saliency(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
+def cmd_saliency(args, config: dict, out: Path, dataset) -> tuple[list[Path], dict]:
     from . import saliency
 
-    dataset = splits[args.split]
     model, pca_model = _load_model(args.checkpoint, args.pca, dataset.num_classes)
 
     for index in args.indices:
@@ -467,7 +467,7 @@ def _read_fold_metrics(path: str) -> dict[str, list[float]]:
     return columns
 
 
-def cmd_stats(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
+def cmd_stats(args, config: dict, out: Path, dataset) -> tuple[list[Path], dict]:
     from . import stats
 
     if not 0.0 < args.alpha < 1.0:  # also rejects nan
@@ -517,8 +517,7 @@ def _pca_report_config(args, config: dict) -> None:
         raise ConfigError(f"--k must lie in [1, {data.NUM_PIXELS}], got {config['pca_components']}")
 
 
-def cmd_pca_report(args, config: dict, out: Path, splits) -> tuple[list[Path], dict]:
-    train_split = splits["train"]
+def cmd_pca_report(args, config: dict, out: Path, train_split) -> tuple[list[Path], dict]:
     model = pca.fit(train_split.pixels.reshape(len(train_split), -1), config["pca_components"])
     ratios = model.explained_variance_ratio
     report = {
@@ -573,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p_train.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
     p_train.add_argument("--folds", type=int, default=None)
-    p_train.set_defaults(func=cmd_train, check=_train_config)
+    p_train.set_defaults(func=cmd_train, check=_train_config, split="train")
 
     p_eval = subs.add_parser("eval", help="evaluate a checkpoint on a split")
     _add_common(p_eval)
@@ -590,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_sweep.add_argument(f"--{kind}-pca", required=True)
     p_sweep.add_argument("--clip", action="store_true", help="clip noisy pixels back to [0, 1]")
     p_sweep.add_argument("--seed", type=int, default=None, help="seed of the noise field")
-    p_sweep.set_defaults(func=cmd_noise_sweep)
+    p_sweep.set_defaults(func=cmd_noise_sweep, split="test")
 
     p_sal = subs.add_parser("saliency", help="attribution heatmaps for chosen samples")
     _add_common(p_sal)
@@ -612,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pca = subs.add_parser("pca-report", help="explained-variance table for a dataset")
     _add_common(p_pca)
     p_pca.add_argument("--k", dest="pca_components", type=int, default=None)
-    p_pca.set_defaults(func=cmd_pca_report, check=_pca_report_config)
+    p_pca.set_defaults(func=cmd_pca_report, check=_pca_report_config, split="train")
 
     return parser
 

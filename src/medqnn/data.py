@@ -2,13 +2,17 @@
 
 Archives are .npz files (zip files of .npy members) named train_images,
 train_labels, val_images, val_labels, test_images, test_labels with
-unsigned-byte pixels. numpy's own reader loads them with pickles refused;
-every way it can fail on a damaged or foreign file becomes a DataError.
-Every member is read and checked on load, and a split keeps its bytes;
-no dataset holds floats. The commands read the bytes a block at a time:
-PCA moments are integer byte sums, ``pca.transform`` makes each block of
-rows floats on [0, 1] (``unit_floats``: ``astype(float) / 255.0``) before
-projecting it, and ``noise-sweep`` converts a block of columns at a time.
+unsigned-byte pixels and one label per image. Each member's header is
+parsed by numpy's own .npy reader (``np.lib.format``), so pickles and
+object arrays are refused; every way a damaged or foreign file can fail
+becomes a DataError. Every member is read to its end and checked on
+load, but only the splits asked for keep their bytes: a command gets the
+one split it reads, and the other image members stream past, 256 KB at a
+time. No dataset holds floats. The commands read the bytes a block at a
+time: PCA moments are integer byte sums, ``pca.transform`` makes each
+block of rows floats on [0, 1] (``unit_floats``: ``astype(float) /
+255.0``) before projecting it, and ``noise-sweep`` converts a block of
+columns at a time.
 
 Noise injection adds independent N(0, sigma^2) draws on the [0, 1] pixel
 scale and intentionally does not clip: clipping would censor the noise
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import lzma
+import math
 import tokenize
 import warnings
 import zipfile
@@ -47,9 +52,15 @@ KNOWN_DATASETS = {
 }
 
 _SPLITS = ("train", "val", "test")
-_MEMBERS = tuple(f"{split}_{part}" for split in _SPLITS for part in ("images", "labels"))
-# np.load and zipfile on a damaged file, e.g. flipped zip flags (RuntimeError), corrupt
-# deflate or lzma data, an npy header with an unclosed bracket (tokenize)
+_ZIP_MAGIC = (b"PK\x03\x04", b"PK\x05\x06")  # np.load's test for an npz (the second: empty)
+_HEADER_READERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
+_READ_BYTES = 1 << 18  # 256 KB, np.load's own read size
+# zipfile and numpy's header readers on a damaged file, e.g. flipped zip flags
+# (RuntimeError), corrupt deflate or lzma data or a bad CRC, an npy header with
+# an unclosed bracket (tokenize)
 _READ_ERRORS = (OSError, EOFError, ValueError, TypeError, MemoryError, RuntimeError,
                 zipfile.BadZipFile, zlib.error, lzma.LZMAError, tokenize.TokenError)
 
@@ -77,43 +88,90 @@ class ImageDataset:
         return unit_floats(self.pixels).reshape(len(self.labels), -1)
 
 
-def _read_members(path: str | Path) -> dict[str, np.ndarray]:
+def _read_member(
+    archive: zipfile.ZipFile, path, name: str, check, keep: bool
+) -> tuple[tuple[int, ...], np.ndarray | None]:
+    """The shape of member ``name``, unsigned bytes whose shape passes
+    ``check``, and its array if ``keep``. The member is read to its end
+    either way, so zipfile checks its CRC; a member that is not kept
+    streams past ``_READ_BYTES`` at a time and is dropped."""
+    names = archive.namelist()
+    entry = name if name in names else f"{name}.npy"  # np.load's lookup: as named, else .npy
+    if entry not in names:
+        raise DataError(f"{path}: missing array {name}")
+    with archive.open(entry) as member:
+        version = np.lib.format.read_magic(member)
+        if version not in _HEADER_READERS:
+            raise DataError(f"{path}: {name} has .npy format version {version}")
+        shape, fortran_order, dtype = _HEADER_READERS[version](member)
+        if dtype != np.uint8:
+            raise DataError(f"{path}: {name} is not unsigned-byte data")
+        check(shape)
+        count = math.prod(shape)
+        if count > archive.getinfo(entry).file_size:  # before allocating what a header claims
+            raise DataError(f"{path}: {name} declares {count} bytes, more than the member holds")
+        array = np.empty(count, np.uint8) if keep else None
+        filled = 0
+        while filled < count:
+            size = min(_READ_BYTES, count - filled)
+            got = member.readinto(array[filled : filled + size]) if keep else len(member.read(size))
+            if not got:
+                raise DataError(f"{path}: {name} ends after {filled} of {count} bytes")
+            filled += got
+        while member.read(_READ_BYTES):  # bytes past the array are ignored, as np.load does
+            pass
+    if keep:
+        array = array.reshape(shape, order="F" if fortran_order else "C")
+    return shape, array
+
+
+def _read_split(
+    archive: zipfile.ZipFile, path, split: str, keep: bool
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """A split's images (if ``keep``) and labels, each member checked."""
+
+    def images_check(shape):
+        if len(shape) != 3 or shape[1:] != (IMAGE_SIDE, IMAGE_SIDE):
+            raise DataError(f"{path}: {split}_images shape {shape}, expected (m, 28, 28)")
+
+    def labels_check(shape):
+        if len(shape) not in (1, 2) or shape[1:] not in ((), (1,)):
+            raise DataError(
+                f"{path}: {split}_labels shape {shape}, expected (m,) or (m, 1):"
+                " multi-label data (one column per finding, as in ChestMNIST) is not supported"
+            )
+
+    (count, *_), pixels = _read_member(archive, path, f"{split}_images", images_check, keep)
+    _, labels = _read_member(archive, path, f"{split}_labels", labels_check, True)
+    if len(labels) != count:
+        raise DataError(f"{path}: {split} image/label count mismatch")
+    if count == 0:
+        raise DataError(f"{path}: {split} split is empty")
+    return pixels, labels.reshape(-1).astype(int)
+
+
+def load_archive(
+    path: str | Path, dataset_name: str, keep: tuple[str, ...] = _SPLITS
+) -> tuple[ImageDataset, ...]:
+    """The datasets of the splits in ``keep``, in that order: (train, val,
+    test) by default. Every member is read and checked, kept or not, but
+    only the kept splits' images are held."""
+    if not set(keep) <= set(_SPLITS):
+        raise ValueError(f"splits must be among {_SPLITS}, got {keep}")
     try:
-        archive = np.load(path, allow_pickle=False)  # refuses pickles and object arrays
-        if not isinstance(archive, np.lib.npyio.NpzFile):
-            raise DataError(f"{path} holds a single array, not an npz archive")
-        with archive:
-            arrays = {name: archive[name] for name in archive.files if name in _MEMBERS}
+        with open(path, "rb") as handle:
+            magic = handle.read(len(np.lib.format.MAGIC_PREFIX))
+            if magic == np.lib.format.MAGIC_PREFIX:
+                raise DataError(f"{path} holds a single array, not an npz archive")
+            if not magic.startswith(_ZIP_MAGIC):  # np.load would try it as a pickle
+                raise DataError(f"{path} is not an npz archive")
+            handle.seek(0)
+            with zipfile.ZipFile(handle) as archive:
+                splits = {split: _read_split(archive, path, split, split in keep) for split in _SPLITS}
     except _READ_ERRORS as exc:
         raise DataError(f"cannot read archive {path}: {exc!r}") from exc
-    for name, array in arrays.items():
-        if not isinstance(array, np.ndarray) or array.dtype != np.uint8:  # bytes: no .npy magic
-            raise DataError(f"{path}: {name} is not unsigned-byte data")
-    return arrays
 
-
-def load_archive(path: str | Path, dataset_name: str) -> tuple[ImageDataset, ImageDataset, ImageDataset]:
-    """Load (train, val, test) from an archive of unsigned-byte pixels."""
-    arrays = _read_members(path)
     name = dataset_name.lower()
-    splits = {}
-    for split in _SPLITS:
-        try:
-            images = arrays[f"{split}_images"]
-            labels = arrays[f"{split}_labels"]
-        except KeyError as exc:
-            raise DataError(f"{path}: missing array {exc.args[0]}") from exc
-        if images.ndim != 3 or images.shape[1:] != (IMAGE_SIDE, IMAGE_SIDE):
-            raise DataError(
-                f"{path}: {split}_images shape {images.shape}, expected (m, 28, 28)"
-            )
-        labels = labels.reshape(-1).astype(int)
-        if len(labels) != len(images):
-            raise DataError(f"{path}: {split} image/label count mismatch")
-        if len(labels) == 0:
-            raise DataError(f"{path}: {split} split is empty")
-        splits[split] = (images, labels)
-
     num_classes = int(max(labels.max() for _, labels in splits.values())) + 1
     train_count = len(splits["train"][1])
     expected = KNOWN_DATASETS.get(name)
@@ -130,8 +188,9 @@ def load_archive(path: str | Path, dataset_name: str) -> tuple[ImageDataset, Ima
                 f" expected {expected['train']}"
             )
     return tuple(
-        ImageDataset(name=name, pixels=pixels, labels=labels, num_classes=num_classes, split=split)
-        for split, (pixels, labels) in splits.items()
+        ImageDataset(name=name, pixels=splits[split][0], labels=splits[split][1],
+                     num_classes=num_classes, split=split)
+        for split in keep
     )
 
 

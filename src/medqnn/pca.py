@@ -116,7 +116,8 @@ def from_moments(stats: Moments, k: int) -> PcaModel:
     # The scatter is (count - 1) x the covariance: same eigenvectors, same ratios.
     scatter = stats.gram
     scatter *= stats.count
-    scatter -= np.outer(stats.sums, stats.sums)
+    for row, total in zip(scatter, stats.sums):  # s s^T a row at a time: no second Gram
+        row -= total * stats.sums
     scatter /= 255.0**2 * stats.count
     total_variance = np.trace(scatter)
     if not total_variance > 0:

@@ -441,6 +441,55 @@ def test_traced_memory_of_eval_and_noise_sweep_grows_with_the_split_bytes(tmp_pa
         assert thrice - once < commands[command][1] * extra_bytes, command
 
 
+def test_traced_memory_does_not_grow_with_the_splits_a_command_does_not_read(tmp_path, trained):
+    """10,000 more rows (7.8 MB of bytes) in the splits a command does not
+    read add less than a tenth of their bytes to its traced peak: those
+    members are checked as they stream past, 256 KB at a time, and dropped.
+
+    Every archive is over 1 MB, so each one's checksum reads whole 1 MB chunks.
+    """
+    pool, pool_labels = make_class_images(11_500, 2, np.random.default_rng(42), balanced=True)
+    small, small_labels = make_class_images(20, 2, np.random.default_rng(43), balanced=True)
+
+    def archive(**rows):
+        """The first ``rows[split]`` rows of the pool in each named split, 20 other rows elsewhere."""
+        path, arrays = tmp_path / ("_".join(f"{split}{count}" for split, count in rows.items()) + ".npz"), {}
+        for split in ("train", "val", "test"):
+            count = rows.get(split)
+            images, labels = (pool[:count], pool_labels[:count]) if count else (small, small_labels)
+            arrays |= {f"{split}_images": images, f"{split}_labels": labels}
+        np.savez(path, **arrays)
+        return path
+
+    sweep = []
+    for kind in models.KINDS:
+        model_path, pca_path = best_fold_paths(trained[kind])
+        sweep += [f"--{kind}-checkpoint", str(model_path), f"--{kind}-pca", str(pca_path)]
+    model_path, pca_path = best_fold_paths(trained["dv"])
+    model = ["--checkpoint", str(model_path), "--pca", str(pca_path)]
+    test_readers = (archive(train=1_500), archive(train=11_500))
+    train_readers = (archive(val=1_500, test=1_500), archive(val=6_500, test=6_500))
+    commands = {  # name: (argv, the archive without and with the extra rows)
+        "eval": (["eval", *model], test_readers),
+        "saliency": (["saliency", *model, "--indices", "0"], test_readers),
+        "noise-sweep": (["noise-sweep", *sweep, "--seed", "3"], test_readers),
+        "train": (["train", "--model", "classical", "--epochs", "1", "--folds", "2"], train_readers),
+        "pca-report": (["pca-report"], train_readers),
+    }
+    for command, (argv, archives) in commands.items():
+        peaks = []
+        for index, path in enumerate(archives):
+            out = str(tmp_path / f"{command}{index}")
+            source = ["--archive", str(path), "--dataset", "toyset", "--out", out]
+            tracemalloc.start()
+            try:
+                assert run_cli(*argv, *source) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.1 * 10_000 * data.NUM_PIXELS, command
+
+
 def test_cli_import_leaves_command_modules_unloaded():
     """training, saliency and stats load only inside the commands that use them."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -1065,15 +1114,13 @@ BAD_FOLD_METRICS = st.one_of(
 ).map(stats_case)
 
 
-@settings(max_examples=100, deadline=None)
-@given(case=st.one_of(BAD_FLAGS, BAD_CONFIGS, TRUNCATED_ARCHIVES, DAMAGED_FILES, BAD_FOLD_METRICS))
-def test_generated_bad_inputs_exit_with_documented_code(archive, trained, case):
-    """Inputs invalid by construction exit 2 or 3, with no traceback and no --out left behind.
+def run_generated(archive, trained, template, writers) -> tuple[int, bool]:
+    """The exit code of ``template`` run on files that ``writers`` make,
+    and whether its fresh --out was left behind; no traceback is allowed.
 
-    Each case is (exit code, argv template, writers): a writer makes the
-    bytes of the file its name stands for from the valid files in ``base``.
+    A writer makes the bytes of the file its name stands for from the valid
+    files in ``base``.
     """
-    expected, template, writers = case
     checkpoint, pca_path = best_fold_paths(trained["classical"])
     base = {"archive": archive, "checkpoint": str(checkpoint), "pca": str(pca_path)}
     for kind in ("cv", "dv"):
@@ -1086,6 +1133,38 @@ def test_generated_bad_inputs_exit_with_documented_code(archive, trained, case):
             files[name] = str(root / name)
             Path(files[name]).write_bytes(write(base=base))
         argv = [token.format(**files) for token in template]
-        assert run_cli(*argv, "--out", str(root / "fresh" / "out")) == expected
-        assert not (root / "fresh").exists()
+        code = run_cli(*argv, "--out", str(root / "fresh" / "out"))
+        left = (root / "fresh").exists()
     assert "Traceback" not in err.getvalue()
+    return code, left
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.one_of(BAD_FLAGS, BAD_CONFIGS, TRUNCATED_ARCHIVES, DAMAGED_FILES, BAD_FOLD_METRICS))
+def test_generated_bad_inputs_exit_with_documented_code(archive, trained, case):
+    """Inputs invalid by construction exit 2 or 3, with no traceback and no --out left behind.
+
+    Each case is (exit code, argv template, writers).
+    """
+    expected, template, writers = case
+    assert run_generated(archive, trained, template, writers) == (expected, False)
+
+
+def flipped(flips, base):
+    raw = bytearray(Path(base["archive"]).read_bytes())
+    for position, mask in flips:
+        raw[position % len(raw)] ^= mask
+    return bytes(raw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    template=st.sampled_from([*MODEL_ARGVS, PCA_REPORT.split()]),
+    flips=st.lists(st.tuples(st.integers(min_value=0), st.integers(1, 255)), min_size=1, max_size=4),
+)
+def test_archive_with_flipped_bytes_exits_0_or_2(archive, trained, template, flips):
+    """1-4 flipped bytes anywhere in the archive: a run succeeds, or it exits 2
+    with no traceback and no --out left behind, whichever split it keeps."""
+    code, left = run_generated(archive, trained, template, {"archive": functools.partial(flipped, flips)})
+    assert code in (0, 2)
+    assert code == 0 or not left

@@ -92,9 +92,80 @@ HOSTILE_FILES = {
     "lzma method over stored bytes": lambda: central_directory_patch(10, 14),
     "corrupt deflate stream": corrupt_deflate,
     "empty splits": lambda: stored_npz_bytes(**small_arrays(0)),
+    "multi-label labels": lambda: stored_npz_bytes(
+        **small_arrays(2) | {"train_labels": np.zeros((2, 14), dtype=np.uint8)}
+    ),
 }
 
+
 STORED = stored_npz_bytes(**small_arrays(2))
+
+
+def with_train_images(raw, compression=zipfile.ZIP_STORED):
+    """small_arrays(4) as raw members, with train_images replaced by ``raw``."""
+    members = {name: npy_bytes(array) for name, array in small_arrays(4).items()}
+    members["train_images"] = raw
+    return zip_bytes(members, compression)
+
+
+def train_images_bytes():
+    return npy_bytes(small_arrays(4)["train_images"])
+
+
+def bad_crc():
+    """A byte of train_images' pixels flipped after its CRC was written."""
+    raw = bytearray(with_train_images(train_images_bytes()))
+    raw[raw.find(b"\x93NUMPY") + 200] ^= 0xFF
+    return bytes(raw)
+
+
+def stream_short_of_its_recorded_size():
+    """train_images deflated 100 bytes short of its header's count, with the
+    central directory recording the full size, so only the read runs out."""
+    raw = bytearray(with_train_images(train_images_bytes()[:-100], zipfile.ZIP_DEFLATED))
+    entry = raw.find(b"PK\x01\x02")  # train_images' central-directory entry comes first
+    size = int.from_bytes(raw[entry + 24 : entry + 28], "little")
+    raw[entry + 24 : entry + 28] = (size + 100).to_bytes(4, "little")
+    return bytes(raw)
+
+
+# damage to train_images or train_labels, which a load of only the test split does not keep
+DAMAGED_TRAIN = {
+    "wrong dtype": lambda: with_train_images(npy_bytes(np.zeros((4, 28, 28), dtype=np.float32))),
+    "wrong shape": lambda: with_train_images(npy_bytes(np.zeros((4, 32, 32), dtype=np.uint8))),
+    "short byte count": lambda: with_train_images(train_images_bytes()[:-100]),
+    "stream short of its recorded size": stream_short_of_its_recorded_size,
+    "bad CRC": bad_crc,
+    "multi-label labels": lambda: stored_npz_bytes(
+        **small_arrays(4) | {"train_labels": np.zeros((4, 14), dtype=np.uint8)}
+    ),
+}
+
+
+def load_or_none(path, keep=("train", "val", "test")):
+    """load_archive's datasets for the splits in ``keep``, or None on a DataError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return data.load_archive(path, "toyset", keep)
+        except DataError:
+            return None
+
+
+def write_damaged(path, cut, flips):
+    """STORED cut to ``cut`` bytes, each (position, mask) of ``flips`` xored in."""
+    raw = bytearray(STORED[:cut])
+    for position, mask in flips:
+        if raw:
+            raw[position % len(raw)] ^= mask
+    path.write_bytes(bytes(raw))
+    return path
+
+
+DAMAGE = {
+    "cut": st.integers(0, len(STORED)),
+    "flips": st.lists(st.tuples(st.integers(0, len(STORED) - 1), st.integers(1, 255)), max_size=4),
+}
 
 
 class TestLoadArchive:
@@ -182,6 +253,38 @@ class TestLoadArchive:
         with pytest.raises(DataError, match="classes"):
             data.load_archive(path, "breastmnist")
 
+    def test_multi_label_archive_is_rejected_by_name(self, tmp_path):
+        arrays = small_arrays(6) | {"test_labels": np.zeros((6, 14), dtype=np.uint8)}  # ChestMNIST-shaped
+        path = tmp_path / "chest.npz"
+        path.write_bytes(stored_npz_bytes(**arrays))
+        with pytest.raises(DataError, match="multi-label"):
+            data.load_archive(path, "toyset")
+
+    def test_kept_splits_are_those_of_a_full_load_in_the_order_asked(self, tmp_path):
+        path = write_archive(tmp_path / "toy.npz", m_train=30, m_val=8, m_test=9, seed=5)
+        with pytest.warns(UserWarning):
+            full = dict(zip(("train", "val", "test"), data.load_archive(path, "toyset")))
+        for keep in (("test",), ("val",), ("train",), ("test", "train")):
+            with pytest.warns(UserWarning):
+                kept = data.load_archive(path, "toyset", keep)
+            assert [d.split for d in kept] == list(keep)
+            for dataset in kept:
+                assert np.array_equal(dataset.pixels, full[dataset.split].pixels)
+                assert np.array_equal(dataset.labels, full[dataset.split].labels)
+                assert dataset.num_classes == full[dataset.split].num_classes
+        with pytest.raises(ValueError):
+            data.load_archive(path, "toyset", ("validation",))
+
+    @pytest.mark.parametrize("case", DAMAGED_TRAIN)
+    def test_damage_to_a_split_that_is_not_kept_is_a_data_error(self, tmp_path, case):
+        path = tmp_path / "damaged.npz"
+        path.write_bytes(DAMAGED_TRAIN[case]())
+        for keep in (("test",), ("val", "test"), ("train", "val", "test")):
+            with pytest.raises(DataError):
+                data.load_archive(path, "toyset", keep)
+        path.write_bytes(stored_npz_bytes(**small_arrays(4)))  # the undamaged archive loads
+        assert load_or_none(path, ("test",)) is not None
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             data.load_archive(tmp_path / "nothing.npz", "toyset")
@@ -202,23 +305,21 @@ class TestLoadArchive:
         assert not (tmp_path / "out").exists()
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        cut=st.integers(0, len(STORED)),
-        flips=st.lists(st.tuples(st.integers(0, len(STORED) - 1), st.integers(1, 255)), max_size=4),
-    )
+    @given(**DAMAGE)
     def test_damaged_archive_loads_or_is_a_data_error(self, tmp_path_factory, cut, flips):
-        raw = bytearray(STORED[:cut])
-        for position, mask in flips:
-            if raw:
-                raw[position % len(raw)] ^= mask
-        path = tmp_path_factory.getbasetemp() / "damaged.npz"
-        path.write_bytes(bytes(raw))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            try:
-                data.load_archive(path, "toyset")
-            except DataError:
-                pass
+        load_or_none(write_damaged(tmp_path_factory.getbasetemp() / "damaged.npz", cut, flips))
+
+    @settings(max_examples=300, deadline=None)
+    @given(**DAMAGE)
+    def test_keeping_one_split_rejects_exactly_what_keeping_all_rejects(self, tmp_path_factory, cut, flips):
+        path = write_damaged(tmp_path_factory.getbasetemp() / "damaged.npz", cut, flips)
+        full = load_or_none(path)
+        for index, split in enumerate(("train", "val", "test")):
+            kept = load_or_none(path, (split,))
+            assert (kept is None) == (full is None), split
+            if kept is not None:
+                assert np.array_equal(kept[0].pixels, full[index].pixels)
+                assert np.array_equal(kept[0].labels, full[index].labels)
 
 
 class TestNoiseInjection:

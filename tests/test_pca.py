@@ -250,6 +250,13 @@ class TestMoments:
         with pytest.raises(DataError):
             pca.moments(images)
 
+    def test_scatter_formed_in_place_is_the_outer_product_formula_bit_for_bit(self):
+        # floats, so the scatter rounds: each entry is still count * G - s_i s_j, divided once
+        stats = pca.moments(random_pixel_matrix(np.random.default_rng(34), 50, 30))
+        expected = scatter(pca.Moments(stats.count, stats.sums.copy(), stats.gram.copy()))
+        pca.from_moments(stats, 3)
+        assert np.array_equal(stats.gram, expected)  # from_moments forms the scatter in place of the Gram
+
     def test_traced_memory_of_a_fit_on_stored_bytes(self):
         # As floats, the 4708 x 784 split alone takes 29.5 MB and a centered
         # copy as much again; a fit on its bytes holds one float32 block, its
