@@ -9,11 +9,11 @@ Every command writes a manifest.json into its output directory last and
 atomically, naming the effective configuration, the seed (null for the
 commands that draw no random number and so take no --seed), sha256 of
 each input archive, and every artifact it produced, so a run can be
-repeated exactly. Flags win over the optional "key = value" config file,
-which wins over built-in defaults; a config file may only set the keys
-its command has flags for. Reruns with the same seed and inputs produce
-byte-identical result files (manifests differ only in timestamps) at a
-fixed BLAS thread count.
+repeated exactly. Flags win over the optional "key = value" --config
+file, which wins over built-in defaults and may set only its command's
+flags; eval, saliency and stats have none to set and take no --config.
+Reruns with the same seed and inputs produce byte-identical result files
+(manifests differ only in timestamps) at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def _load_config_file(path: str | None) -> dict:
 def _resolve_config(args) -> dict:
     """defaults < config file < explicit flags, over the keys the command has flags for."""
     effective = {k: v for k, v in _CONFIG_DEFAULTS.items() if hasattr(args, k)}
-    file_values = _load_config_file(args.config)
+    file_values = _load_config_file(getattr(args, "config", None))
     for key, raw in file_values.items():
         if key not in effective:
             raise ConfigError(
@@ -551,9 +551,10 @@ def _sample_indices(text: str) -> list[int]:
     return indices
 
 
-def _add_common(sub, archive: bool = True) -> None:
+def _add_common(sub, archive: bool = True, config: bool = True) -> None:
     sub.add_argument("--out", required=True, help="output directory")
-    sub.add_argument("--config", help="optional 'key = value' config file")
+    if config:
+        sub.add_argument("--config", help="optional 'key = value' config file")
     if archive:
         sub.add_argument("--archive", required=True, help="path to the dataset .npz archive")
         sub.add_argument("--dataset", required=True, help="dataset name, e.g. pneumoniamnist")
@@ -575,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train, check=_train_config, split="train")
 
     p_eval = subs.add_parser("eval", help="evaluate a checkpoint on a split")
-    _add_common(p_eval)
+    _add_common(p_eval, config=False)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--pca", required=True)
     p_eval.add_argument("--split", default="test", choices=("train", "val", "test"))
@@ -592,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_noise_sweep, split="test")
 
     p_sal = subs.add_parser("saliency", help="attribution heatmaps for chosen samples")
-    _add_common(p_sal)
+    _add_common(p_sal, config=False)
     p_sal.add_argument("--checkpoint", required=True)
     p_sal.add_argument("--pca", required=True)
     p_sal.add_argument("--split", default="test", choices=("train", "val", "test"))
@@ -602,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sal.set_defaults(func=cmd_saliency)
 
     p_stats = subs.add_parser("stats", help="Friedman / Wilcoxon comparison of three models")
-    _add_common(p_stats, archive=False)
+    _add_common(p_stats, archive=False, config=False)
     for kind in _MODEL_LABELS:
         p_stats.add_argument(f"--{kind}", required=True, help=f"fold_metrics.csv of the {kind} run")
     p_stats.add_argument("--alpha", type=float, default=0.05)

@@ -26,7 +26,9 @@ class UndefinedMetric(ValueError):
 
 
 def checked_arrays(fields: dict) -> dict:
-    """Each ``name: (raw, shape)`` as a finite float array of that shape, else ValueError."""
+    """Each ``name: (raw, shape)`` as a finite float array of that shape, else
+    ValueError. ``raw`` is parsed JSON: nested lists of numbers, and neither
+    a numeric string nor a boolean, which numpy would convert, counts as one."""
     values = {}
     for name, (raw, shape) in fields.items():
         try:
@@ -35,6 +37,11 @@ def checked_arrays(fields: dict) -> dict:
             raise ValueError(f"{name}: {exc}") from exc
         if values[name].shape != shape:
             raise ValueError(f"{name} has shape {values[name].shape}, expected {shape}")
+        leaves = [raw]
+        for _ in shape:  # the shape matched, so raw nests exactly this deep
+            leaves = [leaf for row in leaves for leaf in row]
+        if any(type(leaf) not in (int, float) for leaf in leaves):
+            raise ValueError(f"{name} holds a value that is not a JSON number")
         if not np.all(np.isfinite(values[name])):
             raise ValueError(f"{name} holds non-finite values")
     return values

@@ -11,9 +11,9 @@ Feature extractors, layer by layer (two layers, 16 parameters each):
   layer applies trainable displacements D(d_i, 0), rotations R(phi_i),
   squeezes S(r_i) per mode, then beamsplitters BS(theta, phi) on mode
   pairs (0,1) and (2,3); outputs are the four <x_i>.
-* DV: |0000>, encode RY(pi * clamp(z_i, -1, 1)) per qubit; each layer is
-  RY, RZ, RY, RZ per qubit followed by CNOT(0->1) and CNOT(2->3);
-  outputs are the four <Z_i>.
+* DV: |0000>, encode RY(pi * clamp(z_i, -1, 1)) per qubit (``dv_encoding``);
+  each layer is RY, RZ, RY, RZ per qubit followed by CNOT(0->1) and
+  CNOT(2->3); outputs are the four <Z_i>.
 * Classical: two bias-free 4x4 dense maps with tanh after each.
 
 Every kind runs through one forward function that returns the outputs
@@ -104,7 +104,12 @@ def init_model(
 
 
 def standardize(model: HybridModel, features: np.ndarray) -> np.ndarray:
-    return (np.asarray(features, dtype=float) - model.feature_mean) / model.feature_std
+    """z-scores under the model's statistics; DataError unless all are finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        z = (np.asarray(features, dtype=float) - model.feature_mean) / model.feature_std
+    if not np.all(np.isfinite(z)):
+        raise DataError("a standardized feature is not finite: feature_stats do not fit the features")
+    return z
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -220,9 +225,8 @@ def cv_final_state(model: HybridModel, features: np.ndarray) -> gaussian.Gaussia
 # --- DV ----------------------------------------------------------------------
 
 def build_dv_circuit() -> statevector.Circuit:
-    ops = [
-        statevector.Op("ry", (q,), input_slot=q, scale=np.pi) for q in range(NUM_MODES)
-    ]
+    """The DV circuit gate by gate; input slot q is qubit q's ``dv_encoding`` angle."""
+    ops = [statevector.Op("ry", (q,), input_slot=q) for q in range(NUM_MODES)]
     for layer in range(NUM_LAYERS):
         base = layer * PARAMS_PER_LAYER
         for stage, gate in enumerate(("ry", "rz", "ry", "rz")):
@@ -236,17 +240,19 @@ def build_dv_circuit() -> statevector.Circuit:
 _DV_CIRCUIT = build_dv_circuit()
 
 
-def _dv_angles(z: np.ndarray) -> np.ndarray:
-    return np.pi * np.clip(z, -1.0, 1.0)
+def dv_encoding(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """RY angles pi * clip(z, -1, 1) of standardized features, and their
+    derivative in z: pi where |z| < 1, else 0 (the clamp passes no gradient)."""
+    return np.pi * np.clip(z, -1.0, 1.0), np.pi * (np.abs(z) < 1.0)
 
 
 def _dv_forward(circuit_params: np.ndarray, z: np.ndarray):
     """<Z_q> for standardized inputs z of shape (m, 4), and the backward passes.
 
-    The encoding ops of ``_DV_CIRCUIT`` make the real product state
-    RY(pi * clip z)|0000>; the block after them is compiled once.
+    The encoding ops of ``_DV_CIRCUIT`` make the real product state of
+    the ``dv_encoding`` angles; the block after them is compiled once.
     """
-    angles = _dv_angles(z)
+    angles, slopes = dv_encoding(z)
     states = statevector.ry_product_state(angles)
     block = statevector.compile_block(_DV_CIRCUIT, circuit_params)
     outputs = statevector.block_expectations(block, states)
@@ -257,12 +263,11 @@ def _dv_forward(circuit_params: np.ndarray, z: np.ndarray):
         return statevector.block_adjoint_grad(block, weights)
 
     def input_backward(d_outputs: np.ndarray) -> np.ndarray:
-        # d<Z_q>/dpsi = 2 Re(conj(U psi) * z_q) U; the clamp passes no
-        # gradient where it saturates
+        # d<Z_q>/dpsi = 2 Re(conj(U psi) * z_q) U, chained through the angles
         amps = states @ block.transfer
-        d_amps = np.pi * statevector.ry_product_state_jacobian(angles) @ block.transfer
+        d_amps = slopes[..., None] * statevector.ry_product_state_jacobian(angles) @ block.transfer
         d_exp = 2.0 * (amps.conj()[:, None] * d_amps).real @ statevector.z_eigenvalues(NUM_MODES)
-        return (d_exp @ d_outputs[..., None])[..., 0] * (np.abs(z) < 1.0)
+        return (d_exp @ d_outputs[..., None])[..., 0]
 
     return outputs, backward, input_backward
 
@@ -272,7 +277,7 @@ def dv_final_state(model: HybridModel, features: np.ndarray) -> np.ndarray:
     _require_kind(model, "dv")
     z = standardize(model, _check_features(features))
     block = statevector.compile_block(_DV_CIRCUIT, model.circuit_params)
-    return statevector.ry_product_state(_dv_angles(z)) @ block.transfer
+    return statevector.ry_product_state(dv_encoding(z)[0]) @ block.transfer
 
 
 # --- classical ----------------------------------------------------------------
@@ -306,11 +311,16 @@ _FORWARD_BY_KIND = {
 
 
 def predict_batch(model: HybridModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(logits, probabilities) for a (m, 4) feature matrix."""
+    """(logits, probabilities) for a (m, 4) feature matrix; DataError unless
+    every logit is finite."""
     z = standardize(model, _check_features(features))
-    outputs, _, _ = _FORWARD_BY_KIND[model.kind](model.circuit_params, z)
-    logits = _head(model, outputs)
-    return logits, softmax(logits)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        outputs, _, _ = _FORWARD_BY_KIND[model.kind](model.circuit_params, z)
+        logits = _head(model, outputs)
+        probs = softmax(logits)
+    if not np.all(np.isfinite(logits)):
+        raise DataError("a logit is not finite: the checkpoint does not fit the features")
+    return logits, probs
 
 
 def batch_loss_from_logits(logits: np.ndarray, labels: np.ndarray) -> float:

@@ -9,9 +9,9 @@ Each gate has one definition that both paths below build on: ``rotation``
 
 The reference path, ``run_circuit`` alone, runs a circuit gate by gate
 from |0...0> on amplitudes (..., 2^n), one row per input sample.
-``Circuit`` is a flat gate list whose rotation angles are bound either to
-a trainable parameter slot or to an input-vector slot; that split is what
-lets ``param_shift_grad_all`` shift exactly one source.
+``Circuit`` is a flat gate list; each rotation's angle is one trainable
+parameter or one input value as given (a model maps features to angles
+first), which lets ``param_shift_grad_all`` shift exactly one source.
 
 A circuit whose input-bound rotations all come first splits into an
 encoding and a variational block, the ops after it. The block does not
@@ -94,16 +94,14 @@ def apply_1q_array(amps: np.ndarray, mat: np.ndarray, qubit: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Op:
-    """One gate. Rotations take their angle from ``scale * source_value``
-    where the source is params[param] or inputs[input_slot] (exactly one);
-    cnot ops carry no angle.
+    """One gate. A rotation's angle is params[param] or inputs[input_slot]
+    (exactly one); cnot ops carry no angle.
     """
 
     gate: str  # "ry" | "rz" | "cnot"
     qubits: tuple[int, ...]
     param: int | None = None
     input_slot: int | None = None
-    scale: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -144,7 +142,7 @@ def run_circuit(
             continue
         _check_qubit(n, op.qubits[0])
         source = params[op.param] if op.param is not None else inputs[..., op.input_slot]
-        angle = op.scale * source + shifts.get(pos, 0.0)
+        angle = source + shifts.get(pos, 0.0)
         amps = apply_1q_array(amps, rotation(GENERATORS[op.gate], angle), op.qubits[0])
     return amps
 
@@ -167,7 +165,7 @@ def param_shift_grad_all(
     ``wrt`` names the ``Op`` field to differentiate: "param" gives
     d/d params[j] with shape (num_params, ..., n), "input_slot" gives
     d/d inputs[..., j] with shape (k, ..., n). Each rotation bound to
-    source j contributes scale * [f(angle + pi/2) - f(angle - pi/2)] / 2.
+    source j contributes [f(angle + pi/2) - f(angle - pi/2)] / 2.
     All 2 * (number of such rotations) shifted circuits run as a single
     stacked evaluation over one extra lead axis, which is what keeps
     training batches fast.
@@ -175,7 +173,7 @@ def param_shift_grad_all(
     if wrt not in ("param", "input_slot"):
         raise ValueError(f"wrt must be 'param' or 'input_slot', got {wrt!r}")
     occurrences = [
-        (pos, getattr(op, wrt), op.scale)
+        (pos, getattr(op, wrt))
         for pos, op in enumerate(circuit.ops)
         if getattr(op, wrt) is not None and op.gate in ("ry", "rz")
     ]
@@ -190,10 +188,10 @@ def param_shift_grad_all(
     # row occ shifts variant 2 occ by +pi/2 and variant 2 occ + 1 by -pi/2
     shifts = np.pi / 2.0 * np.kron(np.eye(len(occurrences)), [1.0, -1.0])
     column = (variants,) + (1,) * len(lead)
-    override = {pos: shifts[occ].reshape(column) for occ, (pos, _, _) in enumerate(occurrences)}
+    override = {pos: shifts[occ].reshape(column) for occ, (pos, _) in enumerate(occurrences)}
     expectations = circuit_expectations(circuit, params, stacked, override)  # (variants, *lead, n)
-    for occ, (_, index, scale) in enumerate(occurrences):
-        grads[index] += scale * 0.5 * (expectations[2 * occ] - expectations[2 * occ + 1])
+    for occ, (_, index) in enumerate(occurrences):
+        grads[index] += 0.5 * (expectations[2 * occ] - expectations[2 * occ + 1])
     return grads
 
 
@@ -227,7 +225,7 @@ class BlockPlan:
     CNOTs. ``steps`` runs the block in order: an int k applies rotation
     moment k, an index array ``perm`` maps amplitudes ``psi -> psi[perm]``
     for a CNOT run. The remaining arrays list the block's rotations in
-    order: their moment, qubit, parameter and scale; their gate's R(pi),
+    order: their moment, qubit and parameter; their gate's R(pi),
     which ``rotation`` takes; and ``block_entries``, where entry (a, b) of
     the rotation's qubit block lies in its moment's stacked 2^n x 2^n
     matrices, once per state of the other qubits.
@@ -239,7 +237,6 @@ class BlockPlan:
     moment: np.ndarray
     qubit: np.ndarray
     param: np.ndarray
-    scale: np.ndarray
     generators: np.ndarray  # (rotations, 2, 2)
     block_entries: np.ndarray  # (rotations, 2, 2, 2^(n-1)) flat positions
 
@@ -286,7 +283,6 @@ def _plan_block(circuit: Circuit) -> BlockPlan:
         moment=moment,
         qubit=qubit,
         param=np.array([op.param for _, op in rotations], dtype=int),
-        scale=np.array([op.scale for _, op in rotations], dtype=float),
         generators=generators.reshape(-1, 2, 2),
         block_entries=(moment[:, None, None, None] * size + rest + a * bit) * size + rest + b * bit,
     )
@@ -317,7 +313,7 @@ def compile_block(circuit: Circuit, params: np.ndarray) -> CompiledBlock:
     """
     plan = circuit.block_plan
     n = circuit.num_qubits
-    angles = plan.scale * np.asarray(params, dtype=float)[plan.param]
+    angles = np.asarray(params, dtype=float)[plan.param]
     factors = np.broadcast_to(np.eye(2, dtype=complex), (plan.num_moments, n, 2, 2)).copy()
     factors[plan.moment, plan.qubit] = rotation(plan.generators, angles)
     moments = factors[:, n - 1]
@@ -366,7 +362,7 @@ def block_adjoint_grad(block: CompiledBlock, weights: np.ndarray) -> np.ndarray:
     product = (weights @ observables).sum(axis=0)  # T
     moved = np.swapaxes(block.prefixes, 1, 2) @ product @ block.prefixes.conj()
     blocks = moved.reshape(-1)[plan.block_entries].sum(axis=-1)  # (rotations, 2, 2)
-    parts = plan.scale * np.einsum("rab,rba->r", plan.generators, blocks).real
+    parts = np.einsum("rab,rba->r", plan.generators, blocks).real
     grads = np.zeros(plan.num_params)
     np.add.at(grads, plan.param, parts)
     return grads

@@ -85,7 +85,7 @@ def stratified_kfold(labels, folds: int, seed: int) -> list[tuple[np.ndarray, np
     labels = np.asarray(labels, dtype=int)
     rng = Rng(seed)
     fold_of = np.empty(len(labels), dtype=int)
-    for cls in np.unique(labels):
+    for cls in np.flatnonzero(np.bincount(labels)):  # np.unique would import numpy.ma
         members = np.flatnonzero(labels == cls).tolist()
         if len(members) < folds:
             raise DataError(

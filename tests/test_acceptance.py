@@ -232,7 +232,7 @@ class TestCriterion6Properties:
         worst = 0.0
         for _ in range(100):
             params = np.array([rng.uniform(-np.pi, np.pi) for _ in range(32)])
-            inputs = np.array([rng.uniform(-1, 1) for _ in range(4)])
+            inputs, _ = models.dv_encoding(np.array([rng.uniform(-1, 1) for _ in range(4)]))
             exact = sv.param_shift_grad_all(circuit, params, inputs)
             for index in range(32):
                 up, down = params.copy(), params.copy()
@@ -258,9 +258,9 @@ class TestCriterion6Properties:
         worst = 0.0
         for _ in range(100):
             params = np.array([rng.uniform(-np.pi, np.pi) for _ in range(32)])
-            inputs = np.array([[rng.uniform(-1, 1) for _ in range(4)] for _ in range(3)])
+            z = np.array([[rng.uniform(-1, 1) for _ in range(4)] for _ in range(3)])
             c = np.array([[rng.uniform(-1, 1) for _ in range(4)] for _ in range(3)])
-            states = sv.ry_product_state(np.pi * inputs)
+            states = sv.ry_product_state(models.dv_encoding(z)[0])
             weights = np.einsum("mq,mi,mj->qij", c, states, states)
             exact = sv.block_adjoint_grad(sv.compile_block(circuit, params), weights)
             for index in range(32):

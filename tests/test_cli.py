@@ -10,6 +10,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -504,6 +505,18 @@ def test_cli_import_leaves_command_modules_unloaded():
     assert result.stdout.strip() == "[]"
 
 
+def test_train_leaves_numpy_ma_unloaded(tmp_path, archive):
+    """numpy.ma costs a train process about 18 ms to import; no step of train needs it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["train", "--archive", archive, "--dataset", "toyset", "--model", "classical",
+            "--epochs", "1", "--out", str(tmp_path / "out")]
+    code = f"import sys, medqnn.cli\nassert medqnn.cli.main({argv!r}) == 0\nprint('numpy.ma' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 class TestSaliencyCommand:
     def test_artifacts_per_sample(self, tmp_path, archive, trained):
         model_path, pca_path = best_fold_paths(trained["classical"])
@@ -616,17 +629,35 @@ def bad_input_files(tmp_path, archive, trained):
         "nan_weight": lambda d: d["head_weights"][1].__setitem__(2, float("nan")),
         "version_true": lambda d: d.__setitem__("version", True),  # True == 1 in Python
         "huge_weight": lambda d: d["head_weights"][1].__setitem__(2, 10**400),  # past the float range
+        "string_mean": lambda d: d["feature_stats"].__setitem__("mean", ["1", "2", "3", "4"]),
+        "bool_mean": lambda d: d["feature_stats"].__setitem__("mean", [True] * 4),
     }
+    stats_damages = {  # positive and finite, yet the z-scores overflow
+        "tiny_std": {"std": [1e-320] * 4},  # subnormal
+        "far_mean": {"mean": [1e308] * 4, "std": [1e-300] * 4},
+    }
+    for name, stats in stats_damages.items():
+        damages[name] = lambda d, stats=stats: d["feature_stats"].update(stats)
     for name, damage in damages.items():
         payload = json.loads(checkpoint.read_text())
         damage(payload)
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    # z near 1.7e308 is finite, but sqrt(2) z overflows, so the CV logits do not exist
+    cv_stats_damages = stats_damages | {"overflow": {"mean": [-1e308] * 4, "std": [0.6] * 4}}
+    cv_checkpoint = best_fold_paths(trained["cv"])[0]
+    for name, stats in cv_stats_damages.items():
+        payload = json.loads(cv_checkpoint.read_text())
+        payload["feature_stats"].update(stats)
+        files[f"cv_{name}"] = str(tmp_path / f"cv_{name}.json")
+        (tmp_path / f"cv_{name}.json").write_text(json.dumps(payload))
     pca_damages = {
         "pca_no_k": lambda d: d.pop("k"),
         "pca_short_mean": lambda d: d["mean"].pop(),
         "pca_k3": lambda d: d.__setitem__("k", 3),  # beside 4 components
         "pca_huge_mean": lambda d: d["mean"].__setitem__(0, 10**400),  # past the float range
+        "pca_string_mean": lambda d: d.__setitem__("mean", [repr(v) for v in d["mean"]]),
+        "pca_bool_component": lambda d: d["components"][0].__setitem__(0, True),
     }
     for name, damage in pca_damages.items():
         payload = json.loads(pca_path.read_text())
@@ -743,11 +774,17 @@ BAD_INPUTS = [  # (case, documented exit code, argv template)
     ("checkpoint with a nan weight", 2, f"{EVAL} --checkpoint {{nan_weight}}"),
     ("checkpoint with version true", 2, f"{EVAL} --checkpoint {{version_true}}"),
     ("checkpoint with a 400-digit weight", 2, f"{EVAL} --checkpoint {{huge_weight}}"),
+    ("checkpoint with numeric-string feature means", 2, f"{EVAL} --checkpoint {{string_mean}}"),
+    ("checkpoint with boolean feature means", 2, f"{EVAL} --checkpoint {{bool_mean}}"),
+    ("checkpoint with feature std 1e-320", 2, f"{EVAL} --checkpoint {{tiny_std}}"),
+    ("checkpoint with feature mean 1e308 and std 1e-300", 2, f"{EVAL} --checkpoint {{far_mean}}"),
     ("PCA file without k", 2, f"{EVAL_WITH_PCA} {{pca_no_k}}"),
     ("PCA file with a short mean", 2, f"{EVAL_WITH_PCA} {{pca_short_mean}}"),
     ("PCA file holding a JSON list", 2, f"{EVAL_WITH_PCA} {{pca_list}}"),
     ("PCA file with k 3 beside 4 components", 2, f"{EVAL_WITH_PCA} {{pca_k3}}"),
     ("PCA file with a 400-digit mean", 2, f"{EVAL_WITH_PCA} {{pca_huge_mean}}"),
+    ("PCA file with a numeric-string mean", 2, f"{EVAL_WITH_PCA} {{pca_string_mean}}"),
+    ("PCA file with a boolean component", 2, f"{EVAL_WITH_PCA} {{pca_bool_component}}"),
     ("eval with a 5-component PCA", 2, f"{EVAL_WITH_PCA} {{pca_k5}}"),
     ("eval with a 100-pixel PCA", 2, f"{EVAL_WITH_PCA} {{pca_100px}}"),
     ("saliency with a 5-component PCA", 2,
@@ -839,6 +876,18 @@ BAD_INPUTS = [  # (case, documented exit code, argv template)
     )
     for damage, name in (
         ("non-UTF-8", "latin1_json"), ("deeply nested", "deep_json"), ("5000-digit integer", "long_int_json"),
+    )
+] + [
+    (f"{command} of a CV checkpoint with {damage}", 2, f"{template} {{{name}}}")
+    for command, template in (
+        ("eval", "eval --dataset toyset --archive {archive} --pca {cv_pca} --checkpoint"),
+        ("saliency", "saliency --dataset toyset --archive {archive} --pca {cv_pca} --indices 0 --checkpoint"),
+        ("noise-sweep", SWEEP_WITH_CV_CHECKPOINT),
+    )
+    for damage, name in (
+        ("feature std 1e-320", "cv_tiny_std"),
+        ("feature mean 1e308 and std 1e-300", "cv_far_mean"),
+        ("logits past the float range", "cv_overflow"),
     )
 ]
 
@@ -1148,6 +1197,56 @@ def test_generated_bad_inputs_exit_with_documented_code(archive, trained, case):
     """
     expected, template, writers = case
     assert run_generated(archive, trained, template, writers) == (expected, False)
+
+
+EXTREMES = st.sampled_from([5e-324, 1e-320, 1e-300, 1e300, 1e308])
+NUMBERS = st.floats() | EXTREMES | EXTREMES.map(lambda x: -x)  # any magnitude, subnormals included
+STATS_LEAVES = st.one_of(NUMBERS, NUMBERS.map(repr), st.booleans(), st.none())  # repr: numeric strings
+STATS_FIELDS = st.one_of(
+    st.lists(NUMBERS, min_size=4, max_size=4),
+    st.lists(st.floats(min_value=5e-324) | EXTREMES, min_size=4, max_size=4),  # positive, as a std must be
+    st.lists(STATS_LEAVES, min_size=4, max_size=4),
+    st.recursive(STATS_LEAVES, lambda inner: st.lists(inner, max_size=5), max_leaves=10),  # nested or ragged
+)
+
+
+def with_feature_stats(source, stats, base):
+    payload = json.loads(Path(base[source]).read_text())
+    payload["feature_stats"] = stats
+    return json.dumps(payload).encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    argv=st.sampled_from(MODEL_ARGVS),
+    kind=st.sampled_from(models.KINDS),
+    stats=st.fixed_dictionaries({"mean": STATS_FIELDS, "std": STATS_FIELDS}),
+)
+def test_generated_feature_stats_exit_0_or_2(archive, trained, argv, kind, stats):
+    """A trained checkpoint with drawn feature_stats: a run exits 0 or 2, with
+    no traceback and, on 2, no --out left behind. A run that exits 0 scored
+    only finite standardized features, logits and probabilities."""
+    source = "checkpoint" if kind == "classical" else f"{kind}_checkpoint"
+    target = source if argv[0] == "noise-sweep" else "checkpoint"  # noise-sweep's slot for the kind
+    finite = []
+    real_standardize, real_predict = models.standardize, models.predict_batch
+
+    def standardize(model, features):
+        z = real_standardize(model, features)
+        finite.append(np.isfinite(z).all())
+        return z
+
+    def predict_batch(model, features):
+        logits, probs = real_predict(model, features)
+        finite.append(np.isfinite(logits).all() and np.isfinite(probs).all())
+        return logits, probs
+
+    writers = {target: functools.partial(with_feature_stats, source, stats)}
+    with mock.patch.object(models, "standardize", standardize), \
+            mock.patch.object(models, "predict_batch", predict_batch):
+        code, left = run_generated(archive, trained, argv, writers)
+    assert code in (0, 2)
+    assert all(finite) if code == 0 else not left
 
 
 def flipped(flips, base):

@@ -327,8 +327,8 @@ def output_adjoint(model, features, labels):
 def old_dv_circuit_grad(model, features, labels):
     """The DV circuit gradient before compiling the block: the stacked
     shift rule on every sample, contracted with the output adjoint."""
-    z = np.clip(models.standardize(model, features), -1.0, 1.0)
-    shifted = statevector.param_shift_grad_all(models.build_dv_circuit(), model.circuit_params, z)
+    angles, _ = models.dv_encoding(models.standardize(model, features))
+    shifted = statevector.param_shift_grad_all(models.build_dv_circuit(), model.circuit_params, angles)
     return np.einsum("jmq,mq->j", shifted, output_adjoint(model, features, labels))
 
 
@@ -421,8 +421,8 @@ class TestCompiledPathOracles:
     def test_dv_predictions_match_gate_by_gate_circuit(self, num_classes, rows):
         model = random_model("dv", num_classes, seed=rows + num_classes)
         features, _ = random_batch(model, rows, seed=rows)
-        z = np.clip(models.standardize(model, features), -1.0, 1.0)
-        outputs = statevector.circuit_expectations(models.build_dv_circuit(), model.circuit_params, z)
+        angles, _ = models.dv_encoding(models.standardize(model, features))
+        outputs = statevector.circuit_expectations(models.build_dv_circuit(), model.circuit_params, angles)
         logits, _ = models.predict_batch(model, features)
         expected = outputs @ model.head_weights.T + model.head_bias
         np.testing.assert_allclose(logits, expected, rtol=0, atol=1e-12)
@@ -431,15 +431,14 @@ class TestCompiledPathOracles:
     def test_dv_input_jacobian_matches_shift_rule(self, num_classes, rows):
         model = random_model("dv", num_classes, seed=rows + num_classes)
         features, _ = random_batch(model, rows, seed=rows)
-        z = models.standardize(model, features)
+        angles, slopes = models.dv_encoding(models.standardize(model, features))
         shifted = statevector.param_shift_grad_all(
-            models.build_dv_circuit(), model.circuit_params, np.clip(z, -1.0, 1.0), wrt="input_slot"
-        )  # (4 features, rows, 4 outputs)
-        active = np.abs(z) < 1.0
+            models.build_dv_circuit(), model.circuit_params, angles, wrt="input_slot"
+        )  # d outputs / d angles: (4 features, rows, 4 outputs)
         if rows > 1:
-            assert not active.all() and active.any()  # saturated and live inputs both occur
+            assert not slopes.all() and slopes.any()  # saturated and live inputs both occur
         for row in range(rows):
-            oracle = model.head_weights @ (shifted[:, row].T * active[row] / model.feature_std)
+            oracle = model.head_weights @ (shifted[:, row].T * slopes[row] / model.feature_std)
             jac = models.logit_input_jacobian(model, features[row])
             np.testing.assert_allclose(jac, oracle, rtol=0, atol=1e-12)
 

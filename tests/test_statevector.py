@@ -178,7 +178,7 @@ def shift_one_source(circuit, params, inputs, field, index):
             continue
         plus = sv.circuit_expectations(circuit, params, inputs, {pos: np.pi / 2.0})
         minus = sv.circuit_expectations(circuit, params, inputs, {pos: -np.pi / 2.0})
-        grad = grad + op.scale * 0.5 * (plus - minus)
+        grad = grad + 0.5 * (plus - minus)
     return grad
 
 
@@ -233,14 +233,14 @@ class TestParamShift:
 
     def test_stacked_all_params_matches_single_param_path(self):
         rng = Rng(8)
-        ops = [sv.Op("ry", (q,), input_slot=q, scale=np.pi) for q in range(3)]
+        ops = [sv.Op("ry", (q,), input_slot=q) for q in range(3)]
         for j in range(6):
             gate = "ry" if j % 2 else "rz"
             ops.append(sv.Op(gate, (j % 3,), param=j))
         ops.append(sv.Op("cnot", (0, 1)))
         circuit = sv.Circuit(num_qubits=3, ops=tuple(ops))
         params = np.array([rng.uniform(-np.pi, np.pi) for _ in range(6)])
-        inputs = np.array([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(4)])
+        inputs = np.array([[rng.uniform(-np.pi, np.pi) for _ in range(3)] for _ in range(4)])
         stacked = sv.param_shift_grad_all(circuit, params, inputs)
         assert stacked.shape == (6, 4, 3)
         for j in range(6):
@@ -258,9 +258,9 @@ class TestParamShift:
         circuit = sv.Circuit(
             num_qubits=2,
             ops=(
-                sv.Op("ry", (0,), input_slot=0, scale=np.pi),
-                sv.Op("rz", (1,), input_slot=1, scale=2.0),
-                sv.Op("ry", (1,), input_slot=1, scale=np.pi),
+                sv.Op("ry", (0,), input_slot=0),
+                sv.Op("rz", (1,), input_slot=1),
+                sv.Op("ry", (1,), input_slot=1),
                 sv.Op("ry", (0,), param=0),
                 sv.Op("cnot", (0, 1)),
                 sv.Op("ry", (1,), param=1),
@@ -268,7 +268,7 @@ class TestParamShift:
         )
         for _ in range(10):
             params = np.array([rng.uniform(-np.pi, np.pi) for _ in range(2)])
-            inputs = np.array([rng.uniform(-1, 1) for _ in range(2)])
+            inputs = np.array([rng.uniform(-np.pi, np.pi) for _ in range(2)])
             exact = sv.param_shift_grad_all(circuit, params, inputs, wrt="input_slot")
             for slot in range(2):
                 up, down = inputs.copy(), inputs.copy()
@@ -293,14 +293,14 @@ class TestParamShift:
         circuit = sv.Circuit(
             num_qubits=2,
             ops=(
-                sv.Op("ry", (0,), input_slot=0, scale=np.pi),
-                sv.Op("ry", (1,), input_slot=1, scale=np.pi),
+                sv.Op("ry", (0,), input_slot=0),
+                sv.Op("ry", (1,), input_slot=1),
                 sv.Op("rz", (0,), param=0),
                 sv.Op("cnot", (0, 1)),
             ),
         )
         params = np.array([0.37])
-        inputs = np.array([[0.1, -0.4], [0.9, 0.2], [-0.6, 0.6]])
+        inputs = np.pi * np.array([[0.1, -0.4], [0.9, 0.2], [-0.6, 0.6]])
         batched = sv.circuit_expectations(circuit, params, inputs)
         for row in range(3):
             single = sv.circuit_expectations(circuit, params, inputs[row])
@@ -309,9 +309,9 @@ class TestParamShift:
 
 
 def encoded_random_circuit(rng, num_qubits, block_ops):
-    """RY(pi * input) on every qubit, then a random block of rotations and
-    CNOTs whose parameters repeat and carry scales, as the shift rule allows."""
-    ops = [sv.Op("ry", (q,), input_slot=q, scale=np.pi) for q in range(num_qubits)]
+    """RY(input) on every qubit, then a random block of rotations and CNOTs
+    whose parameters repeat, as the shift rule allows."""
+    ops = [sv.Op("ry", (q,), input_slot=q) for q in range(num_qubits)]
     ops.append(sv.Op("ry", (0,), param=5))  # every parameter slot is used at least once
     for _ in range(block_ops):
         if rng.integer(4) == 0:
@@ -319,8 +319,7 @@ def encoded_random_circuit(rng, num_qubits, block_ops):
             ops.append(sv.Op("cnot", (c, (c + 1 + rng.integer(num_qubits - 1)) % num_qubits)))
         else:
             gate = "ry" if rng.integer(2) else "rz"
-            ops.append(sv.Op(gate, (rng.integer(num_qubits),), param=rng.integer(6),
-                             scale=rng.uniform(0.5, 2.0)))
+            ops.append(sv.Op(gate, (rng.integer(num_qubits),), param=rng.integer(6)))
     return sv.Circuit(num_qubits=num_qubits, ops=tuple(ops))
 
 
@@ -328,7 +327,7 @@ class TestCompiledBlock:
     def random_case(self, rng, rows):
         circuit = encoded_random_circuit(rng, 3, 14)
         params = np.array([rng.uniform(-np.pi, np.pi) for _ in range(circuit.num_params())])
-        inputs = np.array([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(rows)])
+        inputs = np.array([[rng.uniform(-np.pi, np.pi) for _ in range(3)] for _ in range(rows)])
         return circuit, params, inputs
 
     def test_product_state_is_the_encoding(self):
@@ -352,7 +351,7 @@ class TestCompiledBlock:
         rng = Rng(11)
         for _ in range(10):
             circuit, params, inputs = self.random_case(rng, 5)
-            states = sv.ry_product_state(np.pi * inputs)
+            states = sv.ry_product_state(inputs)
             block = sv.compile_block(circuit, params)
             np.testing.assert_allclose(
                 states @ block.transfer, sv.run_circuit(circuit, params, inputs), atol=1e-13
@@ -371,7 +370,7 @@ class TestCompiledBlock:
                 weights_per_row = np.array(
                     [[rng.uniform(-1, 1) for _ in range(3)] for _ in range(rows)]
                 )
-                states = sv.ry_product_state(np.pi * inputs)
+                states = sv.ry_product_state(inputs)
                 weights = np.einsum("mq,mi,mj->qij", weights_per_row, states, states)
                 exact = sv.block_adjoint_grad(sv.compile_block(circuit, params), weights)
                 shifted = sv.param_shift_grad_all(circuit, params, inputs)
@@ -379,15 +378,15 @@ class TestCompiledBlock:
                 np.testing.assert_allclose(exact, oracle, atol=1e-12)
 
     def test_moment_mixing_gates_with_a_repeated_parameter(self):
-        ops = [sv.Op("ry", (q,), input_slot=q, scale=np.pi) for q in range(3)]
+        ops = [sv.Op("ry", (q,), input_slot=q) for q in range(3)]
         ops += [
-            sv.Op("ry", (0,), param=0, scale=1.3),  # moment 0: RY and RZ, parameter 0 twice
-            sv.Op("rz", (1,), param=0, scale=-0.7),
+            sv.Op("ry", (0,), param=0),  # moment 0: RY and RZ, parameter 0 twice
+            sv.Op("rz", (1,), param=0),
             sv.Op("ry", (2,), param=1),
             sv.Op("cnot", (0, 1)),  # one CNOT run
             sv.Op("cnot", (1, 2)),
             sv.Op("rz", (2,), param=2),  # moment 1
-            sv.Op("ry", (0,), param=2, scale=0.5),
+            sv.Op("ry", (0,), param=2),
             sv.Op("rz", (1,), param=1),
             sv.Op("rz", (2,), param=0),  # qubit 2 again: moment 2
         ]
@@ -397,9 +396,9 @@ class TestCompiledBlock:
         assert plan.moment.tolist() == [0, 0, 0, 1, 1, 1, 2]
         rng = Rng(13)
         params = np.array([rng.uniform(-np.pi, np.pi) for _ in range(3)])
-        inputs = np.array([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(4)])
+        inputs = np.array([[rng.uniform(-np.pi, np.pi) for _ in range(3)] for _ in range(4)])
         weights_per_row = np.array([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(4)])
-        states = sv.ry_product_state(np.pi * inputs)
+        states = sv.ry_product_state(inputs)
         block = sv.compile_block(circuit, params)
         np.testing.assert_allclose(
             states @ block.transfer, sv.run_circuit(circuit, params, inputs), atol=1e-13
