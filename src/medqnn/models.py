@@ -365,11 +365,16 @@ def logit_input_jacobian(model: HybridModel, features: np.ndarray) -> np.ndarray
     """d logits / d features at one sample's features, shape (num_classes, 4).
 
     A one-row forward, then the head weights pulled back through its
-    input-side closure and the z-scoring.
+    input-side closure and the z-scoring; DataError unless every entry is
+    finite.
     """
     z = standardize(model, _check_features(features)).reshape(1, NUM_MODES)
     _, _, input_backward = _FORWARD_BY_KIND[model.kind](model.circuit_params, z)
-    return input_backward(model.head_weights) / model.feature_std
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        jac = input_backward(model.head_weights) / model.feature_std
+    if not np.all(np.isfinite(jac)):
+        raise DataError("a logit gradient is not finite: feature_stats do not fit the features")
+    return jac
 
 
 # --- persistence -------------------------------------------------------------

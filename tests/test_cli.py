@@ -511,10 +511,15 @@ def test_train_leaves_numpy_ma_unloaded(tmp_path, archive):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = ["train", "--archive", archive, "--dataset", "toyset", "--model", "classical",
             "--epochs", "1", "--out", str(tmp_path / "out")]
-    code = f"import sys, medqnn.cli\nassert medqnn.cli.main({argv!r}) == 0\nprint('numpy.ma' in sys.modules)"
+    code = (  # numpy before 2.0 imports numpy.ma with numpy itself; train must not add it
+        "import sys, numpy, medqnn.cli\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        f"assert medqnn.cli.main({argv!r}) == 0\n"
+        "print(before, 'numpy.ma' in sys.modules)"
+    )
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.split()[-2:] in (["False", "False"], ["True", "True"])
 
 
 class TestSaliencyCommand:
@@ -638,6 +643,10 @@ def bad_input_files(tmp_path, archive, trained):
     }
     for name, stats in stats_damages.items():
         damages[name] = lambda d, stats=stats: d["feature_stats"].update(stats)
+    # z = 0 at test row 0, so its logits are finite, yet d logits / d features overflow
+    (test_split,) = data.load_archive(archive, "toyset", ("test",))
+    row0 = pca.transform(pca.load(pca_path), data.unit_floats(test_split.pixels[0].reshape(-1)))
+    damages["row0_tiny_std"] = lambda d: d["feature_stats"].update(mean=row0.tolist(), std=[1e-320] * 4)
     for name, damage in damages.items():
         payload = json.loads(checkpoint.read_text())
         damage(payload)
@@ -678,7 +687,6 @@ def bad_input_files(tmp_path, archive, trained):
         "threads_cfg": "threads = 2\n",
         "nan_cfg": "learning_rate = nan\n",
         "pca_cfg": "pca_components = 8\n",
-        "epochs_cfg": "epochs = 3\n",
         "seed_cfg": "seed = 7\n",
     }
     for name, text in configs.items():
@@ -764,7 +772,6 @@ BAD_INPUTS = [  # (case, documented exit code, argv template)
     ("threads in config file", 3, f"{TRAIN} --model dv --config {{threads_cfg}}"),
     ("nan learning rate in config file", 3, f"{TRAIN} --model dv --config {{nan_cfg}}"),
     ("pca_components in train config file", 3, f"{TRAIN} --model dv --config {{pca_cfg}}"),
-    ("epochs in eval config file", 3, f"{EVAL} --checkpoint {{checkpoint}} --config {{epochs_cfg}}"),
     ("corrupt archive", 2, "train --dataset toyset --archive {corrupt} --model dv"),
     ("directory as --archive", 2, "pca-report --dataset toyset --archive {a_dir}"),
     ("classical overflow", 4, f"{TRAIN} --model classical --learning-rate 1e308 --epochs 1"),
@@ -778,6 +785,8 @@ BAD_INPUTS = [  # (case, documented exit code, argv template)
     ("checkpoint with boolean feature means", 2, f"{EVAL} --checkpoint {{bool_mean}}"),
     ("checkpoint with feature std 1e-320", 2, f"{EVAL} --checkpoint {{tiny_std}}"),
     ("checkpoint with feature mean 1e308 and std 1e-300", 2, f"{EVAL} --checkpoint {{far_mean}}"),
+    ("saliency of row 0 with feature mean row 0's features and std 1e-320", 2,
+     "saliency --dataset toyset --archive {archive} --checkpoint {row0_tiny_std} --pca {pca} --indices 0"),
     ("PCA file without k", 2, f"{EVAL_WITH_PCA} {{pca_no_k}}"),
     ("PCA file with a short mean", 2, f"{EVAL_WITH_PCA} {{pca_short_mean}}"),
     ("PCA file holding a JSON list", 2, f"{EVAL_WITH_PCA} {{pca_list}}"),
@@ -827,9 +836,8 @@ BAD_INPUTS = [  # (case, documented exit code, argv template)
     ("removed saliency --seed", 3, f"{SALIENCY} --indices 0 --seed 1"),
     ("removed stats --seed", 3, f"{STATS} --seed 1"),
     ("removed pca-report --seed", 3, f"{PCA_REPORT} --seed 1"),
-    ("seed in eval config file", 3, f"{EVAL} --checkpoint {{checkpoint}} --config {{seed_cfg}}"),
-    ("seed in saliency config file", 3, f"{SALIENCY} --indices 0 --config {{seed_cfg}}"),
-    ("seed in stats config file", 3, f"{STATS} --config {{seed_cfg}}"),
+    ("--config given to eval, which has no config key", 3,
+     f"{EVAL} --checkpoint {{checkpoint}} --config {{seed_cfg}}"),
     ("seed in pca-report config file", 3, f"{PCA_REPORT} --config {{seed_cfg}}"),
     ("--out naming a file", 3, f"{STATS} --out {{seed_cfg}}"),
     ("--out under a file", 3, f"{PCA_REPORT} --out {{seed_cfg}}/out"),
@@ -1225,11 +1233,13 @@ def with_feature_stats(source, stats, base):
 def test_generated_feature_stats_exit_0_or_2(archive, trained, argv, kind, stats):
     """A trained checkpoint with drawn feature_stats: a run exits 0 or 2, with
     no traceback and, on 2, no --out left behind. A run that exits 0 scored
-    only finite standardized features, logits and probabilities."""
+    only finite standardized features, logits, probabilities and logit
+    gradients."""
     source = "checkpoint" if kind == "classical" else f"{kind}_checkpoint"
     target = source if argv[0] == "noise-sweep" else "checkpoint"  # noise-sweep's slot for the kind
     finite = []
     real_standardize, real_predict = models.standardize, models.predict_batch
+    real_jacobian = models.logit_input_jacobian
 
     def standardize(model, features):
         z = real_standardize(model, features)
@@ -1241,9 +1251,15 @@ def test_generated_feature_stats_exit_0_or_2(archive, trained, argv, kind, stats
         finite.append(np.isfinite(logits).all() and np.isfinite(probs).all())
         return logits, probs
 
+    def logit_input_jacobian(model, features):
+        jac = real_jacobian(model, features)
+        finite.append(np.isfinite(jac).all())
+        return jac
+
     writers = {target: functools.partial(with_feature_stats, source, stats)}
     with mock.patch.object(models, "standardize", standardize), \
-            mock.patch.object(models, "predict_batch", predict_batch):
+            mock.patch.object(models, "predict_batch", predict_batch), \
+            mock.patch.object(models, "logit_input_jacobian", logit_input_jacobian):
         code, left = run_generated(archive, trained, argv, writers)
     assert code in (0, 2)
     assert all(finite) if code == 0 else not left
