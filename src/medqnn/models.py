@@ -11,7 +11,8 @@ Feature extractors, layer by layer (two layers, 16 parameters each):
   layer applies trainable displacements D(d_i, 0), rotations R(phi_i),
   squeezes S(r_i) per mode, then beamsplitters BS(theta, phi) on mode
   pairs (0,1) and (2,3); outputs are the four <x_i>.
-* DV: |0000>, encode RY(pi * clamp(z_i, -1, 1)) per qubit (``dv_encoding``);
+* DV: |0000>, encode RY(2 arctan z_i) per qubit (``dv_encoding``), one
+  state per value: no clamp, so no two feature values share a state;
   each layer is RY, RZ, RY, RZ per qubit followed by CNOT(0->1) and
   CNOT(2->3); outputs are the four <Z_i>.
 * Classical: two bias-free 4x4 dense maps with tanh after each.
@@ -59,7 +60,7 @@ NUM_CIRCUIT_PARAMS = NUM_LAYERS * PARAMS_PER_LAYER  # 32
 
 KINDS = ("cv", "dv", "classical")
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -241,9 +242,11 @@ _DV_CIRCUIT = build_dv_circuit()
 
 
 def dv_encoding(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """RY angles pi * clip(z, -1, 1) of standardized features, and their
-    derivative in z: pi where |z| < 1, else 0 (the clamp passes no gradient)."""
-    return np.pi * np.clip(z, -1.0, 1.0), np.pi * (np.abs(z) < 1.0)
+    """RY angles 2 arctan(z) of standardized features, in (-pi, pi), and
+    their derivative in z, 2 / (1 + z^2): injective and smooth, so every
+    value keeps its own state and its gradient."""
+    with np.errstate(over="ignore"):  # z^2 past the float range: the slope's limit, 0
+        return 2.0 * np.arctan(z), 2.0 / (1.0 + z * z)
 
 
 def _dv_forward(circuit_params: np.ndarray, z: np.ndarray):

@@ -19,9 +19,17 @@ sum (x - mean)(x - mean)^T = (n G - s s^T) / (255^2 n), in place of G;
 for bytes the numerator is an exact integer while n^2 * 255^2 < 2^53, so
 the division is the one rounding step. For other floats the difference
 cancels: a column loses about log10(1 + mean^2 / variance) digits, under
-one for pixels spread over [0, 1]. One symmetric eigendecomposition
-(``np.linalg.eigh``) of the 784 x 784 scatter then gives the top-k
-eigenpairs, accurate to rounding however close the eigenvalues lie.
+one for pixels spread over [0, 1]. LAPACK's ``dsyevr`` then gives the
+top-k eigenpairs of the 784 x 784 scatter and no others: it reduces a
+copy to tridiagonal form, finds the k eigenpairs of that (by bisection
+and inverse iteration for k < n, by MRRR for k = n: Dhillon, Parlett &
+Voemel, ACM TOMS 32(4), 2006) and transforms back only their k vectors,
+in O(n) workspace, accurate to rounding however close the eigenvalues
+lie. It is called through ctypes from the LAPACK that numpy itself links
+(``_dsyevr``); where numpy's build exports no ``dsyevr`` of its integer
+width, the fit falls back to ``np.linalg.eigh``, all n eigenpairs. The
+build decides the path, so components agree to rounding, not bit for
+bit, across numpy builds.
 ``fit`` is the two steps on one matrix.
 
 Component signs are fixed by making each row's largest-magnitude entry
@@ -32,6 +40,7 @@ and are rejected.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data
-from .errors import DataError, checked_arrays
+from .errors import DataError, NumericError, checked_arrays
 
 # moments() sanity guard for floats; noise-injected images can leave [0, 1]
 # but only clean training pixels ever reach a fit.
@@ -122,10 +131,7 @@ def from_moments(stats: Moments, k: int) -> PcaModel:
     total_variance = np.trace(scatter)
     if not total_variance > 0:
         raise DataError(f"all {stats.count} rows of the fit input are equal: there is no variance to fit")
-    eigvals, eigvecs = np.linalg.eigh(scatter)  # ascending
-    eigvals = eigvals[::-1][:k]
-    components = eigvecs[:, ::-1][:, :k].T.copy()  # (k, dim), descending
-
+    eigvals, components = _top_eigenpairs(scatter, k)
     for row in components:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0
@@ -137,6 +143,63 @@ def from_moments(stats: Moments, k: int) -> PcaModel:
         components=components,
         explained_variance_ratio=eigvals / total_variance,
     )
+
+
+@functools.cache
+def _dsyevr():
+    """numpy's own LAPACK ``dsyevr``, typed for ctypes, and the integer dtype
+    of numpy's build; None where the build exports no symbol of that width."""
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+
+    ilp64 = getattr(_umath_linalg, "_ilp64", None)
+    if ilp64 is None:
+        return None
+    integer = np.int64 if ilp64 else np.int32
+    names = ("scipy_dsyevr_64_", "dsyevr_64_") if ilp64 else ("scipy_dsyevr_", "dsyevr_")
+    try:
+        library = ctypes.CDLL(_umath_linalg.__file__)  # its symbols and those of the LAPACK it links
+    except OSError:
+        return None
+    function = next((getattr(library, name) for name in names if hasattr(library, name)), None)
+    if function is None:
+        return None
+    floats, ints = (np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS") for dtype in (np.float64, integer))
+    # JOBZ RANGE UPLO, N A LDA VL VU IL IU ABSTOL M W Z LDZ ISUPPZ WORK LWORK
+    # IWORK LIWORK INFO, then the hidden lengths of the three strings
+    function.argtypes = [ctypes.c_char_p] * 3 + [
+        ints, floats, ints, floats, floats, ints, ints, floats, ints,
+        floats, floats, ints, ints, floats, ints, ints, ints, ints,
+    ] + [ctypes.c_size_t] * 3
+    function.restype = None
+    return function, integer
+
+
+def _top_eigenpairs(scatter: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest eigenvalues of the symmetric ``scatter``, descending, and
+    their unit eigenvectors as the rows of a (k, n) array."""
+    lapack = _dsyevr()
+    if lapack is None:
+        eigvals, eigvecs = np.linalg.eigh(scatter)  # ascending, all n
+        return eigvals[::-1][:k], eigvecs[:, ::-1][:, :k].T.copy()
+    function, integer = lapack
+    n = len(scatter)
+    # dsyevr destroys one triangle of its input. The matrix is symmetric, so
+    # its C-order bytes, read column-major, are the same matrix.
+    matrix = scatter.copy()
+    eigvals, vectors = np.empty(n), np.empty((k, n))  # column-major n x k: row j is vector j
+    count, info = np.zeros(1, integer), np.zeros(1, integer)
+    dim, unused = np.array([n], integer), np.zeros(1)
+    work, iwork = np.empty(26 * n), np.empty(10 * n, integer)  # the documented minimums
+    function(
+        b"V", b"I", b"L", dim, matrix, dim, unused, unused, np.array([n - k + 1], integer), dim, unused,
+        count, eigvals, vectors, dim, np.empty(2 * k, integer),
+        work, np.array([len(work)], integer), iwork, np.array([len(iwork)], integer), info, 1, 1, 1,
+    )
+    if info[0] != 0 or count[0] != k:
+        raise NumericError(f"LAPACK dsyevr failed (INFO={info[0]}) or found {count[0]} of the top {k} eigenpairs")
+    return eigvals[k - 1 :: -1], vectors[::-1].copy()  # ascending: reversed
 
 
 def fit(images: np.ndarray, k: int) -> PcaModel:

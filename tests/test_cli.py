@@ -3,12 +3,14 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -399,6 +401,100 @@ class TestNoiseSweep:
         assert rows == expected
 
 
+@pytest.fixture(scope="module")
+def learning_archive(tmp_path_factory):
+    """600 train and 100 val rows of generator seed 1, and 2,000 test rows,
+    so that a sweep's F1 has binomial standard errors of at most 0.011."""
+    path = tmp_path_factory.mktemp("learning") / "toyset.npz"
+    return str(write_archive(path, m_train=600, m_val=100, m_test=2000, seed=1))
+
+
+@pytest.fixture(scope="module")
+def learned(tmp_path_factory, learning_archive):
+    """The run directory of ``train --epochs 10 --learning-rate 0.01`` for a
+    (kind, seed), trained once."""
+
+    @functools.cache
+    def run(kind, seed):
+        out = tmp_path_factory.mktemp(f"learned_{kind}_{seed}")
+        assert run_cli(
+            "train", "--archive", learning_archive, "--dataset", "toyset", "--model", kind,
+            "--out", str(out), "--seed", str(seed), "--epochs", "10", "--learning-rate", "0.01",
+        ) == 0
+        return out
+
+    return run
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", models.KINDS)
+def test_every_kind_learns(learned, kind, seed):
+    """Thresholding one PCA feature separates the generator's classes, so
+    every fold of a working kind scores at least 0.95."""
+    with open(learned(kind, seed) / "fold_metrics.csv", newline="") as handle:
+        f1 = [float(row["f1"]) for row in csv.DictReader(handle) if row["split"] == "val"]
+    assert len(f1) == 3 and min(f1) >= 0.95, f1
+
+
+def cv_margins(model, pca_model, pixels, labels):
+    """Each row's margin, its true class's logit less the other's, of a binary
+    CV checkpoint, and the norm of the margin's gradient in the unit pixels.
+    With <x> readout the logits are affine in the features, and these in the
+    pixels, so the gradient is the same at every row: the logits at 0 and at
+    each unit feature give it."""
+    logits, _ = models.predict_batch(model, pca.transform(pca_model, pixels))
+    corners, _ = models.predict_batch(model, np.vstack([np.zeros(4), np.eye(4)]))
+    slopes = corners[1:] - corners[0]  # (4 features, 2 classes)
+    rows = np.arange(len(labels))
+    margins = logits[rows, labels] - logits[rows, 1 - labels]
+    return margins, np.linalg.norm(pca_model.components.T @ (slopes[:, 1] - slopes[:, 0]))
+
+
+def expected_cv_f1(margins, norm, sigma):
+    """The closed-form expected micro F1, the accuracy here, under the unclipped
+    noise x + sigma n: a row's margin is normal, with mean its clean margin
+    and deviation sigma times the gradient's norm."""
+    if sigma == 0:
+        return float(np.mean(margins > 0))
+    return float(np.mean([0.5 * math.erfc(-m / (math.sqrt(2.0) * sigma * norm)) for m in margins]))
+
+
+@pytest.mark.parametrize("seed", [7, 2**63 + 3])
+def test_cv_sweep_matches_its_closed_form_expectation(tmp_path, learning_archive, learned, seed):
+    """Each row draws its own noise substream, so at every sigma the sampled
+    CV F1 lies within 4 binomial standard errors of the closed form."""
+    source = learned("cv", 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        (test,) = data.load_archive(learning_archive, "toyset", keep=("test",))
+    pixels = test.pixels.reshape(len(test), -1)
+    model, pca_model = models.load_checkpoint(source / "model_fold0.json"), pca.load(source / "pca_fold0.json")
+    # Trained, the model keeps every row several noise units from its
+    # boundary, and the curve would stay near 1. Its bias moved, the boundary
+    # runs half a unit (pixel-space distance) inside class 1, so the F1 falls
+    # over the whole grid.
+    margins, norm = cv_margins(model, pca_model, pixels, test.labels)
+    shift = np.median(margins[test.labels == 1]) - 0.5 * norm
+    model = replace(model, head_bias=model.head_bias + np.array([0.5, -0.5]) * shift)
+    checkpoint = tmp_path / "cv_moved.json"
+    models.save_checkpoint(model, checkpoint)
+    argv = ["noise-sweep", "--archive", learning_archive, "--dataset", "toyset",
+            "--out", str(tmp_path / "sweep"), "--seed", str(seed),
+            "--cv-checkpoint", str(checkpoint), "--cv-pca", str(source / "pca_fold0.json")]
+    for kind in ("dv", "classical"):
+        argv += [f"--{kind}-checkpoint", str(learned(kind, 0) / "model_fold0.json"),
+                 f"--{kind}-pca", str(learned(kind, 0) / "pca_fold0.json")]
+    assert run_cli(*argv) == 0
+    with open(tmp_path / "sweep" / "noise_sweep.csv", newline="") as handle:
+        sampled = {float(r["sigma"]): float(r["f1"]) for r in csv.DictReader(handle) if r["model_kind"] == "cv"}
+    margins, norm = cv_margins(model, pca_model, pixels, test.labels)
+    assert sorted(sampled) == data.noise_sweep_grid()
+    assert sampled[0.0] == 1.0 and sampled[1.0] < 0.9  # the curve the check needs to see
+    for sigma, f1 in sampled.items():
+        expected = expected_cv_f1(margins, norm, sigma)
+        assert abs(f1 - expected) <= 4 * math.sqrt(expected * (1 - expected) / len(test)), (sigma, f1, expected)
+
+
 def test_traced_memory_of_eval_and_noise_sweep_grows_with_the_split_bytes(tmp_path, trained):
     """Tripling the test split adds its bytes and little more to eval and the
     unclipped sweep, and a few times its bytes to the clipped sweep.
@@ -586,6 +682,36 @@ class TestStats:
                 assert 0.0 <= pair["p"] <= 1.0
 
 
+def test_commands_that_fit_nothing_never_resolve_dsyevr(tmp_path, archive, trained):
+    """Only train and pca-report fit a PCA; the others never look up LAPACK."""
+    source = ("--archive", archive, "--dataset", "toyset")
+    model = ("--checkpoint", str(trained["cv"] / "model_fold0.json"), "--pca", str(trained["cv"] / "pca_fold0.json"))
+    sweep = [flag for kind in models.KINDS for flag in (
+        f"--{kind}-checkpoint", str(trained[kind] / "model_fold0.json"),
+        f"--{kind}-pca", str(trained[kind] / "pca_fold0.json"),
+    )]
+    pca._dsyevr.cache_clear()
+    assert run_cli("eval", *source, *model, "--out", str(tmp_path / "eval")) == 0
+    assert run_cli("saliency", *source, *model, "--indices", "0", "--out", str(tmp_path / "saliency")) == 0
+    assert run_cli("noise-sweep", *source, *sweep, "--out", str(tmp_path / "sweep")) == 0
+    folds = [flag for kind in models.KINDS for flag in (f"--{kind}", str(trained[kind] / "fold_metrics.csv"))]
+    assert run_cli("stats", *folds, "--out", str(tmp_path / "stats")) == 0
+    assert pca._dsyevr.cache_info().misses == 0
+    assert run_cli("pca-report", *source, "--out", str(tmp_path / "report")) == 0
+    assert pca._dsyevr.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("command", ["train", "pca-report"])
+def test_a_failed_eigensolve_exits_4(tmp_path, archive, monkeypatch, command):
+    def failing(*args):  # INFO, args[20], > 0: no convergence
+        args[20][0] = 1
+
+    monkeypatch.setattr(pca, "_dsyevr", lambda: (failing, np.int64))
+    extra = ["--model", "classical", "--epochs", "1"] if command == "train" else []
+    code = run_cli(command, "--archive", archive, "--dataset", "toyset", *extra, "--out", str(tmp_path / "out"))
+    assert code == 4
+
+
 class TestPcaReport:
     def test_report_contents(self, tmp_path, archive):
         out = tmp_path / "pca_report"
@@ -633,6 +759,7 @@ def bad_input_files(tmp_path, archive, trained):
         "short_circuit": lambda d: d["circuit_params"].pop(),
         "nan_weight": lambda d: d["head_weights"][1].__setitem__(2, float("nan")),
         "version_true": lambda d: d.__setitem__("version", True),  # True == 1 in Python
+        "version_1": lambda d: d.__setitem__("version", 1),  # before the arctan DV encoding
         "huge_weight": lambda d: d["head_weights"][1].__setitem__(2, 10**400),  # past the float range
         "string_mean": lambda d: d["feature_stats"].__setitem__("mean", ["1", "2", "3", "4"]),
         "bool_mean": lambda d: d["feature_stats"].__setitem__("mean", [True] * 4),
@@ -780,6 +907,7 @@ BAD_INPUTS = [  # (case, documented exit code, argv template)
     ("checkpoint with 31 circuit params", 2, f"{EVAL} --checkpoint {{short_circuit}}"),
     ("checkpoint with a nan weight", 2, f"{EVAL} --checkpoint {{nan_weight}}"),
     ("checkpoint with version true", 2, f"{EVAL} --checkpoint {{version_true}}"),
+    ("version-1 checkpoint", 2, f"{EVAL} --checkpoint {{version_1}}"),
     ("checkpoint with a 400-digit weight", 2, f"{EVAL} --checkpoint {{huge_weight}}"),
     ("checkpoint with numeric-string feature means", 2, f"{EVAL} --checkpoint {{string_mean}}"),
     ("checkpoint with boolean feature means", 2, f"{EVAL} --checkpoint {{bool_mean}}"),

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -163,16 +164,26 @@ class TestForwardDv:
         np.testing.assert_allclose(single_logits(frozen, np.zeros(4)), expected, atol=1e-12)
 
     def test_single_feature_encoding_angle(self):
+        # <Z> after RY(2 arctan z)|0> is cos(2 arctan z) = (1 - z^2) / (1 + z^2)
         model = identity_head(make_model("dv", num_classes=4))
-        for value in (0.25, -0.6, 0.95):
+        for value in (0.25, -0.6, 0.95, 1.0, -2.5, 40.0):
             logits = single_logits(model, np.array([value, 0, 0, 0]))
-            assert logits[0] == pytest.approx(np.cos(np.pi * value), abs=1e-12)
+            assert logits[0] == pytest.approx((1 - value**2) / (1 + value**2), abs=1e-12)
 
-    def test_encoding_clamps(self):
+    def test_encoding_separates_values_past_one_sigma(self):
+        # No clamp: values at and beyond |z| = 1, of either sign, give distinct
+        # states, which RY(pi)|0> and RY(-pi)|0> would not be (one up to phase).
         model = identity_head(make_model("dv", num_classes=4))
-        inside = single_logits(model, np.array([1.0, 0, 0, 0]))[0]
-        outside = single_logits(model, np.array([2.5, 0, 0, 0]))[0]
-        assert outside == pytest.approx(inside, abs=1e-12)
+        values = (-40.0, -2.5, -1.0, 1.0, 2.5, 40.0)
+        states = [models.dv_final_state(model, np.array([value, 0, 0, 0])) for value in values]
+        for a, b in itertools.combinations(range(len(values)), 2):
+            assert abs(np.vdot(states[a], states[b])) < 1 - 1e-4, (values[a], values[b])
+
+    def test_encoding_slope_vanishes_past_the_float_range(self):
+        # z^2 overflows past |z| ~ 1.3e154; the slope is its limit, 0, with no warning
+        angles, slopes = models.dv_encoding(np.array([1e200, -1e200, 1e150]))
+        np.testing.assert_allclose(angles, [np.pi, -np.pi, np.pi], rtol=1e-15)
+        np.testing.assert_allclose(slopes, [0.0, 0.0, 2e-300], rtol=1e-15, atol=0)
 
     def test_batch_matches_single(self):
         model = make_model("dv", rng_seed=7)
@@ -435,8 +446,7 @@ class TestCompiledPathOracles:
         shifted = statevector.param_shift_grad_all(
             models.build_dv_circuit(), model.circuit_params, angles, wrt="input_slot"
         )  # d outputs / d angles: (4 features, rows, 4 outputs)
-        if rows > 1:
-            assert not slopes.all() and slopes.any()  # saturated and live inputs both occur
+        assert np.all(np.isfinite(slopes)) and np.all(slopes > 0)  # no dead zone: every input is live
         for row in range(rows):
             oracle = model.head_weights @ (shifted[:, row].T * slopes[row] / model.feature_std)
             jac = models.logit_input_jacobian(model, features[row])
@@ -516,6 +526,16 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.circuit_params, model.circuit_params)
         np.testing.assert_array_equal(loaded.head_weights, model.head_weights)
         np.testing.assert_array_equal(loaded.feature_std, model.feature_std)
+
+    @pytest.mark.parametrize("kind", models.KINDS)
+    def test_rejects_a_version_1_checkpoint_of_every_kind(self, tmp_path, kind):
+        # version 1 encoded DV inputs as pi * clip(z, -1, 1); the version is one for every kind
+        path = tmp_path / "old.json"
+        models.save_checkpoint(make_model(kind), path)
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, "version": 1}))
+        with pytest.raises(DataError, match="version-2"):
+            models.load_checkpoint(path)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,3 +1,6 @@
+import ast
+import ctypes
+import inspect
 import itertools
 import tracemalloc
 
@@ -5,7 +8,7 @@ import numpy as np
 import pytest
 
 from medqnn import data, pca
-from medqnn.errors import DataError
+from medqnn.errors import DataError, NumericError
 
 from conftest import make_class_images, pixels_with_spectrum
 
@@ -270,6 +273,75 @@ class TestMoments:
         finally:
             tracemalloc.stop()
         assert peak < 15e6
+
+
+@pytest.fixture
+def eigh_fallback(monkeypatch):
+    """The ``np.linalg.eigh`` path, which numpy builds exporting no ``dsyevr``
+    of their integer width take."""
+    monkeypatch.setattr(pca, "_dsyevr", lambda: None)
+
+
+@pytest.mark.usefixtures("eigh_fallback")
+class TestFitOnTheEighFallback(TestFit):
+    pass
+
+
+@pytest.mark.usefixtures("eigh_fallback")
+class TestMomentsOnTheEighFallback(TestMoments):
+    pass
+
+
+def dsyevr_or_skip():
+    if pca._dsyevr() is None:
+        pytest.skip("numpy's build exports no dsyevr of its integer width: every fit takes np.linalg.eigh")
+
+
+class TestEigensolver:
+    def test_dsyevr_is_taken_where_numpy_exports_it(self):
+        from numpy.linalg import _umath_linalg
+
+        ilp64 = getattr(_umath_linalg, "_ilp64", None)
+        names = {True: ["scipy_dsyevr_64_", "dsyevr_64_"], False: ["scipy_dsyevr_", "dsyevr_"]}.get(ilp64, [])
+        library = ctypes.CDLL(_umath_linalg.__file__)
+        exported = [name for name in names if hasattr(library, name)]
+        if not exported:
+            assert pca._dsyevr() is None
+        dsyevr_or_skip()
+        function, integer = pca._dsyevr()
+        assert function.__name__ == exported[0]
+        assert integer == (np.int64 if ilp64 else np.int32)
+
+    @pytest.mark.parametrize("k", [1, 4, 30])
+    def test_both_paths_agree_for_every_k_up_to_input_dim(self, request, k):
+        dsyevr_or_skip()
+        images = random_pixel_matrix(np.random.default_rng(40), 80, 30)
+        got = pca.fit(images, k)
+        request.getfixturevalue("eigh_fallback")
+        expected = pca.fit(images, k)
+        np.testing.assert_allclose(got.components, expected.components, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(got.explained_variance_ratio, expected.explained_variance_ratio, rtol=1e-12)
+        np.testing.assert_allclose(got.components @ got.components.T, np.eye(k), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("info, found", [(1, 4), (-6, 4), (0, 3)])
+    def test_a_lapack_failure_raises_numeric_error(self, monkeypatch, info, found):
+        def failing(*args):  # args[11] is M, the count found, and args[20] INFO
+            args[11][0], args[20][0] = found, info
+
+        monkeypatch.setattr(pca, "_dsyevr", lambda: (failing, np.int64))
+        with pytest.raises(NumericError, match="dsyevr"):
+            pca.fit(random_pixel_matrix(np.random.default_rng(41), 20, 8), 4)
+
+    def test_ctypes_is_imported_only_by_the_resolver(self):
+        tree = ast.parse(inspect.getsource(pca))
+        resolver = next(node for node in tree.body if getattr(node, "name", None) == "_dsyevr")
+        inside = {id(node) for node in ast.walk(resolver)}
+        imports = [
+            node for node in ast.walk(tree)
+            if (isinstance(node, ast.Import) and any(alias.name == "ctypes" for alias in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.module == "ctypes")
+        ]
+        assert imports and all(id(node) in inside for node in imports)
 
 
 class TestTransform:
