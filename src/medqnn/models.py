@@ -39,17 +39,22 @@ compiled once per call and all gradients are exact:
 * Head: softmax cross-entropy in closed form; classical net: backprop.
 * Inputs: CV's Jacobian is constant (its outputs are affine in z), DV's
   chains through the product state, the classical net's is backprop.
+
+The simulators load with the first call that runs them, or earlier
+through ``load_simulator``: the CV paths import ``gaussian`` and the DV
+paths ``statevector``, whose circuit is built once, on first use. So a
+command loads only its kind's simulator.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import gaussian, statevector
 from .errors import DataError, NumericError, checked_arrays
 from .rng import Rng
 
@@ -157,6 +162,8 @@ def _cv_transform(circuit_params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     constructor call builds one kind of stage for every layer and row.
     A squeeze past ``gaussian.SQUEEZE_LIMIT`` raises ``NumericError``.
     """
+    from . import gaussian
+
     n = NUM_MODES
     layers = circuit_params.reshape(circuit_params.shape[:-1] + (NUM_LAYERS, PARAMS_PER_LAYER))
     try:
@@ -216,6 +223,8 @@ def cv_final_state(model: HybridModel, features: np.ndarray) -> gaussian.Gaussia
     covariance alone, so the circuit's state is mean = S [sqrt(2) z; 0] + d
     and cov = S S^T.
     """
+    from . import gaussian
+
     _require_kind(model, "cv")
     z = standardize(model, _check_features(features))
     s_total, d_total = _cv_transform(model.circuit_params)
@@ -227,6 +236,8 @@ def cv_final_state(model: HybridModel, features: np.ndarray) -> gaussian.Gaussia
 
 def build_dv_circuit() -> statevector.Circuit:
     """The DV circuit gate by gate; input slot q is qubit q's ``dv_encoding`` angle."""
+    from . import statevector
+
     ops = [statevector.Op("ry", (q,), input_slot=q) for q in range(NUM_MODES)]
     for layer in range(NUM_LAYERS):
         base = layer * PARAMS_PER_LAYER
@@ -238,7 +249,20 @@ def build_dv_circuit() -> statevector.Circuit:
     return statevector.Circuit(num_qubits=NUM_MODES, ops=tuple(ops))
 
 
-_DV_CIRCUIT = build_dv_circuit()
+_dv_circuit = functools.cache(build_dv_circuit)  # built on first DV use
+
+
+def load_simulator(kind: str) -> None:
+    """Load ``kind``'s simulator now, as its first forward would.
+
+    ``training.cross_validate`` calls it before its first fold's PCA:
+    loaded between two folds' PCAs instead, ``statevector`` raised the
+    peak RSS of ``train --model dv`` by about 0.5 MB.
+    """
+    if kind == "cv":
+        from . import gaussian  # noqa: F401
+    elif kind == "dv":
+        _dv_circuit()
 
 
 def dv_encoding(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -252,12 +276,14 @@ def dv_encoding(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _dv_forward(circuit_params: np.ndarray, z: np.ndarray):
     """<Z_q> for standardized inputs z of shape (m, 4), and the backward passes.
 
-    The encoding ops of ``_DV_CIRCUIT`` make the real product state of
+    The encoding ops of ``_dv_circuit()`` make the real product state of
     the ``dv_encoding`` angles; the block after them is compiled once.
     """
+    from . import statevector
+
     angles, slopes = dv_encoding(z)
     states = statevector.ry_product_state(angles)
-    block = statevector.compile_block(_DV_CIRCUIT, circuit_params)
+    block = statevector.compile_block(_dv_circuit(), circuit_params)
     outputs = statevector.block_expectations(block, states)
 
     def backward(d_outputs: np.ndarray) -> np.ndarray:
@@ -277,9 +303,11 @@ def _dv_forward(circuit_params: np.ndarray, z: np.ndarray):
 
 def dv_final_state(model: HybridModel, features: np.ndarray) -> np.ndarray:
     """The circuit's 16 amplitudes for one sample's features."""
+    from . import statevector
+
     _require_kind(model, "dv")
     z = standardize(model, _check_features(features))
-    block = statevector.compile_block(_DV_CIRCUIT, model.circuit_params)
+    block = statevector.compile_block(_dv_circuit(), model.circuit_params)
     return statevector.ry_product_state(dv_encoding(z)[0]) @ block.transfer
 
 

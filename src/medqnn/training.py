@@ -242,6 +242,7 @@ def cross_validate(
     lowest fold index); its model is the one a caller should evaluate on
     the held-out test split.
     """
+    models.load_simulator(kind)
     images = np.asarray(images)
     labels = np.asarray(labels, dtype=int)
     splits = stratified_kfold(labels, config.folds, config.seed)

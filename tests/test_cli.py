@@ -587,24 +587,62 @@ def test_traced_memory_does_not_grow_with_the_splits_a_command_does_not_read(tmp
         assert peaks[1] - peaks[0] < 0.1 * 10_000 * data.NUM_PIXELS, command
 
 
-def test_cli_import_leaves_command_modules_unloaded():
-    """training, saliency and stats load only inside the commands that use them."""
+def checkout_python(*argv) -> subprocess.CompletedProcess:
+    """``python *argv`` in a new interpreter that imports this checkout's
+    medqnn, with stdout into a pipe block-buffered, as by default."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (
-        "import sys, medqnn.cli\n"
-        "print(sorted(m for m in ('medqnn.training', 'medqnn.saliency', 'medqnn.stats')"
-        " if m in sys.modules))"
-    )
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
+COMMAND_MODULES = ("medqnn.metrics", "medqnn.training", "medqnn.saliency", "medqnn.stats")
+SIMULATORS = ("medqnn.gaussian", "medqnn.statevector")
+
+
+def loaded_modules(*argv) -> list[str]:
+    """Which of the command modules and simulators a fresh interpreter has
+    loaded after importing medqnn.cli and medqnn.models, and after
+    ``cli.main(argv)`` when argv is given."""
+    code = "import sys, medqnn.cli, medqnn.models\n"
+    if argv:
+        code += f"assert medqnn.cli.main({list(argv)!r}) == 0\n"
+    code += f"print(*sorted(m for m in {COMMAND_MODULES + SIMULATORS!r} if m in sys.modules))"
+    result = checkout_python("-c", code)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.split()
+
+
+def test_cli_import_leaves_command_modules_unloaded():
+    """metrics, training, saliency and stats load only inside the commands
+    that use them, and models loads a simulator only for the kind it runs."""
+    assert loaded_modules() == []
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+@pytest.mark.parametrize("kind, simulators", [
+    ("classical", []), ("cv", ["medqnn.gaussian"]), ("dv", ["medqnn.statevector"]),
+])
+def test_a_command_loads_only_its_kinds_simulator(tmp_path, archive, trained, command, kind, simulators):
+    argv = ["--archive", archive, "--dataset", "toyset", "--out", str(tmp_path / "out")]
+    if command == "eval":
+        argv += ["--checkpoint", str(trained[kind] / "model_fold0.json"), "--pca", str(trained[kind] / "pca_fold0.json")]
+        expected = ["medqnn.metrics", *simulators]
+    else:
+        argv += ["--model", kind, "--epochs", "1"]
+        expected = ["medqnn.metrics", "medqnn.training", *simulators]
+    assert loaded_modules(command, *argv) == sorted(expected)
+
+
+def test_stats_and_pca_report_load_no_simulator(tmp_path, archive, trained):
+    folds = [flag for kind in models.KINDS for flag in (f"--{kind}", str(trained[kind] / "fold_metrics.csv"))]
+    assert loaded_modules("stats", *folds, "--out", str(tmp_path / "stats")) == ["medqnn.stats"]
+    report = ["pca-report", "--archive", archive, "--dataset", "toyset", "--out", str(tmp_path / "report")]
+    assert loaded_modules(*report) == []
 
 
 def test_train_leaves_numpy_ma_unloaded(tmp_path, archive):
     """numpy.ma costs a train process about 18 ms to import; no step of train needs it."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = ["train", "--archive", archive, "--dataset", "toyset", "--model", "classical",
             "--epochs", "1", "--out", str(tmp_path / "out")]
     code = (  # numpy before 2.0 imports numpy.ma with numpy itself; train must not add it
@@ -613,9 +651,72 @@ def test_train_leaves_numpy_ma_unloaded(tmp_path, archive):
         f"assert medqnn.cli.main({argv!r}) == 0\n"
         "print(before, 'numpy.ma' in sys.modules)"
     )
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    result = checkout_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split()[-2:] in (["False", "False"], ["True", "True"])
+
+
+# ``python -m medqnn.cli`` and the medqnn console script end in ``cli.run``,
+# which skips interpreter finalization; only a new process takes that path.
+
+def test_the_command_exits_with_mains_code_and_stderr_line(tmp_path, archive, trained):
+    model = ("--checkpoint", str(trained["cv"] / "model_fold0.json"), "--pca", str(trained["cv"] / "pca_fold0.json"))
+    source = ("--archive", archive, "--dataset", "toyset")
+    (tmp_path / "afile").touch()
+    cases = [
+        (0, "acc ", ["eval", *source, *model, "--out", str(tmp_path / "eval")]),
+        (2, "data error: archive not found", ["eval", "--archive", str(tmp_path / "missing.npz"),
+                                              "--dataset", "toyset", *model, "--out", str(tmp_path / "e2")]),
+        (3, "config error: cannot create --out", ["pca-report", *source, "--out", str(tmp_path / "afile" / "out")]),
+        (4, "numeric failure: squeeze magnitude", ["train", *source, "--model", "cv", "--learning-rate", "1e6",
+                                                   "--out", str(tmp_path / "train")]),
+    ]
+    for code, line, argv in cases:
+        result = checkout_python("-m", "medqnn.cli", *argv)
+        assert result.returncode == code, (argv, result.stderr)
+        assert line in result.stderr.splitlines()[-1], (argv, result.stderr)
+        assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "saliency"])
+def test_the_command_writes_what_main_writes(tmp_path, archive, trained, command):
+    """Every file is complete when the process exits: the same non-manifest
+    bytes as an in-process run, and a manifest that names them all."""
+    model = ("--checkpoint", str(trained["dv"] / "model_fold0.json"), "--pca", str(trained["dv"] / "pca_fold0.json"))
+    argv = {
+        "train": ["train", "--model", "dv", "--epochs", "2", "--seed", "3"],
+        "eval": ["eval", *model],
+        "saliency": ["saliency", *model, "--indices", "0,5", "--signed"],
+    }[command] + ["--archive", archive, "--dataset", "toyset", "--out", "{out}"]
+    written = {}
+    for how in ("main", "process"):
+        out = tmp_path / how
+        filled = [token.format(out=out) for token in argv]
+        if how == "main":
+            assert run_cli(*filled) == 0
+        else:
+            result = checkout_python("-m", "medqnn.cli", *filled)
+            assert result.returncode == 0, result.stderr
+        written[how] = {p.name: p.read_bytes() for p in out.iterdir()}
+    manifest = json.loads(written["process"].pop("manifest.json"))
+    written["main"].pop("manifest.json")
+    assert written["process"] == written["main"]
+    assert manifest["command"] == [token.format(out=tmp_path / "process") for token in argv]
+    assert "finished_at" in manifest
+    assert set(manifest["artifacts"]) == set(written["process"])
+
+
+def test_help_reaches_a_pipe():
+    """stdout into a pipe is block-buffered: the exit must flush it."""
+    result = checkout_python("-m", "medqnn.cli", "--help")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: medqnn")
+
+
+def test_an_exception_that_escapes_main_exits_1_with_a_traceback():
+    result = checkout_python("-c", "import medqnn.cli as cli; cli.main = lambda: 1 / 0; cli.run()")
+    assert result.returncode == 1
+    assert "Traceback" in result.stderr and "ZeroDivisionError" in result.stderr
 
 
 class TestSaliencyCommand:
@@ -758,7 +859,10 @@ def bad_input_files(tmp_path, archive, trained):
         "no_stats": lambda d: d.pop("feature_stats"),
         "short_circuit": lambda d: d["circuit_params"].pop(),
         "nan_weight": lambda d: d["head_weights"][1].__setitem__(2, float("nan")),
-        "version_true": lambda d: d.__setitem__("version", True),  # True == 1 in Python
+        # The version must be the int CHECKPOINT_VERSION: 2.0 == 2 in Python,
+        # and True == 1 would pass a value-only check against a version 1.
+        "version_true": lambda d: d.__setitem__("version", True),
+        "version_float": lambda d: d.__setitem__("version", float(models.CHECKPOINT_VERSION)),
         "version_1": lambda d: d.__setitem__("version", 1),  # before the arctan DV encoding
         "huge_weight": lambda d: d["head_weights"][1].__setitem__(2, 10**400),  # past the float range
         "string_mean": lambda d: d["feature_stats"].__setitem__("mean", ["1", "2", "3", "4"]),
@@ -907,6 +1011,7 @@ BAD_INPUTS = [  # (case, documented exit code, argv template)
     ("checkpoint with 31 circuit params", 2, f"{EVAL} --checkpoint {{short_circuit}}"),
     ("checkpoint with a nan weight", 2, f"{EVAL} --checkpoint {{nan_weight}}"),
     ("checkpoint with version true", 2, f"{EVAL} --checkpoint {{version_true}}"),
+    ("checkpoint with the current version as a float", 2, f"{EVAL} --checkpoint {{version_float}}"),
     ("version-1 checkpoint", 2, f"{EVAL} --checkpoint {{version_1}}"),
     ("checkpoint with a 400-digit weight", 2, f"{EVAL} --checkpoint {{huge_weight}}"),
     ("checkpoint with numeric-string feature means", 2, f"{EVAL} --checkpoint {{string_mean}}"),
