@@ -52,6 +52,9 @@ _CONFIG_DEFAULTS = {
 
 # stats' model order, which fixes its pair order: C-DV, C-CV, DV-CV
 _MODEL_LABELS = {"classical": "C", "dv": "DV", "cv": "CV"}
+# Rows per block that eval and noise-sweep score, and that noise-sweep draws
+# its noise field for (pca.row_blocks).
+_SCORE_ROWS = 1024
 
 
 def log(message: str) -> None:
@@ -212,13 +215,27 @@ def _load_model(
     return model, pca_model
 
 
+def _predict(model, features) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's predicted class and its (m, classes) probabilities, from
+    ``models.predict_batch`` a block of at most ``_SCORE_ROWS`` rows at a
+    time, so no prediction temporary grows with the split. No block has a
+    single row (``pca.row_blocks``), so each row gets the bits it would get
+    in one batch wherever BLAS gives a row of a batch the same bits."""
+    predicted = np.empty(len(features), int)
+    probs = np.empty((len(features), model.num_classes))
+    for rows in pca.row_blocks(len(features), _SCORE_ROWS):
+        logits, probs[rows] = models.predict_batch(model, features[rows])
+        predicted[rows] = logits.argmax(axis=1)
+    return predicted, probs
+
+
 def _evaluate_model(model, pca_model, dataset) -> tuple[dict, dict[str, metrics.Curve]]:
     """eval.json's row, and each curve keyed by its file-name stem."""
     from . import metrics
 
     features = pca.transform(pca_model, dataset.pixels.reshape(len(dataset), -1))
-    logits, probs = models.predict_batch(model, features)
-    cm = metrics.confusion_matrix(dataset.labels, logits.argmax(axis=1), dataset.num_classes)
+    predicted, probs = _predict(model, features)
+    cm = metrics.confusion_matrix(dataset.labels, predicted, dataset.num_classes)
     row = metrics.metric_set(cm) | {
         "confusion_matrix": cm.counts.tolist(),
         "split": dataset.split,
@@ -333,7 +350,7 @@ def cmd_eval(args, config: dict, out: Path, dataset) -> tuple[list[Path], dict]:
     row, curves = _evaluate_model(model, pca_model, dataset)
     artifacts = []
     for name, curve in curves.items():
-        rows = np.column_stack([curve.points, curve.thresholds]).tolist()
+        rows = map(np.ndarray.tolist, np.column_stack([curve.points, curve.thresholds]))  # one at a time
         artifacts.append(_write_csv(out / f"curve_{name}.csv", ["x", "y", "threshold"], rows))
     eval_path = out / "eval.json"
     _write_json(eval_path, row)
@@ -363,21 +380,25 @@ def cmd_eval(args, config: dict, out: Path, dataset) -> tuple[list[Path], dict]:
 # --- noise sweep ---------------------------------------------------------
 
 def _noise_sums(pixels, components, seed: int, sigmas: list[float], clip: bool) -> np.ndarray:
-    """The noise field of ``seed`` walked once, a block of columns at a time,
-    so the whole of it never exists, and projected on ``components`` C:
-    n C^T, of shape (m, c), or with ``clip`` each sigma's clip(x + sigma n) C^T,
-    of shape (sigmas, m, c), for the pixels x on [0, 1]."""
+    """The noise field of ``seed`` walked once, a block of at most
+    ``_SCORE_ROWS`` rows and 32 columns at a time, so the whole of it never
+    exists, and projected on ``components`` C: n C^T, of shape (m, c), or
+    with ``clip`` each sigma's clip(x + sigma n) C^T, of shape (sigmas, m, c),
+    for the pixels x on [0, 1]. Each row draws from its own stream, so the
+    row blocks draw the field that one walk of all rows would."""
     shape = (len(pixels), len(components))
     sums = np.zeros((len(sigmas), *shape) if clip else shape)
-    for start, field in rng.normal_blocks(data.noise_seeds(len(pixels), seed), data.NUM_PIXELS):
-        cols = slice(start, start + field.shape[1])
-        block = components[:, cols].T
-        if not clip:
-            sums += field @ block
-            continue
-        x = data.unit_floats(pixels[:, cols])
-        for into, sigma in zip(sums, sigmas):
-            into += data.inject_gaussian_noise(x, sigma, field, clip=True) @ block
+    seeds = data.noise_seeds(len(pixels), seed)
+    for rows in pca.row_blocks(len(pixels), _SCORE_ROWS):
+        for start, field in rng.normal_blocks(seeds[rows], data.NUM_PIXELS):
+            cols = slice(start, start + field.shape[1])
+            block = components[:, cols].T
+            if not clip:
+                sums[rows] += field @ block
+                continue
+            x = data.unit_floats(pixels[rows, cols])
+            for into, sigma in zip(sums, sigmas):
+                into[rows] += data.inject_gaussian_noise(x, sigma, field, clip=True) @ block
     return sums
 
 
@@ -405,8 +426,8 @@ def cmd_noise_sweep(args, config: dict, out: Path, test) -> tuple[list[Path], di
     for i, sigma in enumerate(sigmas):
         for j, (kind, model, _) in enumerate(loaded):
             features = sums[j][i] - offsets[j] if args.clip else bases[j] + sigma * sums[j]
-            logits, _ = models.predict_batch(model, features)
-            cm = metrics.confusion_matrix(test.labels, logits.argmax(axis=1), test.num_classes)
+            predicted, _ = _predict(model, features)
+            cm = metrics.confusion_matrix(test.labels, predicted, test.num_classes)
             _, _, _, f1 = metrics.micro_metrics(cm)
             rows.append((sigma, kind, f1))
         log(f"sigma {sigma:.2f} done")

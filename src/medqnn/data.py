@@ -8,11 +8,12 @@ object arrays are refused; every way a damaged or foreign file can fail
 becomes a DataError. Every member is read to its end and checked on
 load, but only the splits asked for keep their bytes: a command gets the
 one split it reads, and the other image members stream past, 256 KB at a
-time. No dataset holds floats. The commands read the bytes a block at a
-time: PCA moments are integer byte sums, ``pca.transform`` makes each
-block of rows floats on [0, 1] (``unit_floats``: ``astype(float) /
-255.0``) before projecting it, and ``noise-sweep`` converts a block of
-columns at a time.
+time; ``sha256_of_file`` reads the archive through one 256 KB buffer too.
+No dataset holds floats. The commands read the bytes a block at a time:
+PCA moments are integer byte sums, ``pca.transform`` converts each block
+of rows into one reused buffer of floats on [0, 1] (the bits of
+``unit_floats``: ``astype(float) / 255.0``) before projecting it, and
+``noise-sweep`` converts a block of rows and columns at a time.
 
 Noise injection adds independent N(0, sigma^2) draws on the [0, 1] pixel
 scale and intentionally does not clip: clipping would censor the noise
@@ -25,7 +26,6 @@ by scale.
 
 from __future__ import annotations
 
-import hashlib
 import lzma
 import math
 import tokenize
@@ -216,10 +216,13 @@ def noise_sweep_grid() -> list[float]:
 
 
 def sha256_of_file(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
+    """The file's sha256, read ``_READ_BYTES`` at a time into one reused buffer."""
+    import hashlib  # OpenSSL is loaded only where a digest is taken
+
+    digest, buffer = hashlib.sha256(), memoryview(bytearray(_READ_BYTES))
+    with open(path, "rb", buffering=0) as handle:
+        while size := handle.readinto(buffer):
+            digest.update(buffer[:size])
     return digest.hexdigest()
 
 

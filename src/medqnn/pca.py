@@ -20,17 +20,21 @@ for bytes the numerator is an exact integer while n^2 * 255^2 < 2^53, so
 the division is the one rounding step. For other floats the difference
 cancels: a column loses about log10(1 + mean^2 / variance) digits, under
 one for pixels spread over [0, 1]. LAPACK's ``dsyevr`` then gives the
-top-k eigenpairs of the 784 x 784 scatter and no others: it reduces a
-copy to tridiagonal form, finds the k eigenpairs of that (by bisection
-and inverse iteration for k < n, by MRRR for k = n: Dhillon, Parlett &
-Voemel, ACM TOMS 32(4), 2006) and transforms back only their k vectors,
-in O(n) workspace, accurate to rounding however close the eigenvalues
-lie. It is called through ctypes from the LAPACK that numpy itself links
-(``_dsyevr``); where numpy's build exports no ``dsyevr`` of its integer
-width, the fit falls back to ``np.linalg.eigh``, all n eigenpairs. The
-build decides the path, so components agree to rounding, not bit for
-bit, across numpy builds.
+top-k eigenpairs of the 784 x 784 scatter and no others: it reduces the
+scatter itself, in place, to tridiagonal form, finds the k eigenpairs of
+that (by bisection and inverse iteration for k < n, by MRRR for k = n:
+Dhillon, Parlett & Voemel, ACM TOMS 32(4), 2006) and transforms back
+only their k vectors, in O(n) workspace, accurate to rounding however
+close the eigenvalues lie. It is called through ctypes from the LAPACK
+that numpy itself links (``_dsyevr``); where numpy's build exports no
+``dsyevr`` of its integer width, the fit falls back to
+``np.linalg.eigh``, all n eigenpairs. The build decides the path, so
+components agree to rounding, not bit for bit, across numpy builds.
 ``fit`` is the two steps on one matrix.
+
+``transform`` converts at most ``TRANSFORM_ROWS`` rows at a time into one
+reused float buffer, centres them there and projects them into the
+output, so a split of any size costs its features and 0.4 MB of floats.
 
 Component signs are fixed by making each row's largest-magnitude entry
 positive. Explained-variance ratios divide by the scatter's trace, the
@@ -47,15 +51,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data
 from .errors import DataError, NumericError, checked_arrays
 
 # moments() sanity guard for floats; noise-injected images can leave [0, 1]
 # but only clean training pixels ever reach a fit.
 _PIXEL_LO, _PIXEL_HI = -0.5, 1.5
-# Rows per block of moments() and transform(): the float32 Gram of 256
-# byte rows is exact.
+# Rows per block of moments(): the float32 Gram of 256 byte rows is exact.
 BLOCK_ROWS = 256
+# Rows per block of transform(): its one reused float64 buffer of 784-pixel
+# rows takes 0.4 MB.
+TRANSFORM_ROWS = 64
 
 MAGIC = "PCA1"
 
@@ -178,22 +183,23 @@ def _dsyevr():
 
 def _top_eigenpairs(scatter: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k largest eigenvalues of the symmetric ``scatter``, descending, and
-    their unit eigenvectors as the rows of a (k, n) array."""
+    their unit eigenvectors as the rows of a (k, n) array. ``dsyevr`` works
+    on ``scatter`` in place, so it cannot be used again."""
     lapack = _dsyevr()
     if lapack is None:
         eigvals, eigvecs = np.linalg.eigh(scatter)  # ascending, all n
         return eigvals[::-1][:k], eigvecs[:, ::-1][:, :k].T.copy()
     function, integer = lapack
     n = len(scatter)
-    # dsyevr destroys one triangle of its input. The matrix is symmetric, so
-    # its C-order bytes, read column-major, are the same matrix.
-    matrix = scatter.copy()
+    # dsyevr destroys one triangle of its input, here the scatter itself. The
+    # matrix is symmetric, so its C-order bytes, read column-major, are the
+    # same matrix.
     eigvals, vectors = np.empty(n), np.empty((k, n))  # column-major n x k: row j is vector j
     count, info = np.zeros(1, integer), np.zeros(1, integer)
     dim, unused = np.array([n], integer), np.zeros(1)
     work, iwork = np.empty(26 * n), np.empty(10 * n, integer)  # the documented minimums
     function(
-        b"V", b"I", b"L", dim, matrix, dim, unused, unused, np.array([n - k + 1], integer), dim, unused,
+        b"V", b"I", b"L", dim, scatter, dim, unused, unused, np.array([n - k + 1], integer), dim, unused,
         count, eigvals, vectors, dim, np.empty(2 * k, integer),
         work, np.array([len(work)], integer), iwork, np.array([len(iwork)], integer), info, 1, 1, 1,
     )
@@ -207,21 +213,40 @@ def fit(images: np.ndarray, k: int) -> PcaModel:
     return from_moments(moments(images), k)
 
 
+def row_blocks(count: int, most: int) -> list[slice]:
+    """``count`` rows as the fewest near-equal blocks of at most ``most``
+    rows (``np.array_split``'s sizes), so that no block has a single row
+    unless ``count`` is 1: a 1-row product takes BLAS's matrix-vector path,
+    whose bits differ from those of the same row in a batch."""
+    n = max(1, -(-count // most))
+    size, extra = divmod(count, n)
+    starts = [i * size + min(i, extra) for i in range(n + 1)]
+    return [slice(a, b) for a, b in zip(starts, starts[1:])]
+
+
 def transform(model: PcaModel, images: np.ndarray) -> np.ndarray:
     """The (..., k) features of ``images`` (..., input_dim): stored unsigned
     bytes, projected as their unit floats (``data.unit_floats``), or floats.
-    The rows are converted, checked, centred and projected ``BLOCK_ROWS``
-    at a time, so only one block of them is ever floats."""
+    The rows are converted into one reused float buffer a block of at most
+    ``TRANSFORM_ROWS`` at a time (``row_blocks``), centred there and
+    projected into the output, so only one block of them is ever floats.
+    Bytes are finite; floats are checked."""
     images = np.asarray(images)
     if images.shape[-1] != model.input_dim:
         raise ValueError(f"expected length {model.input_dim}, got {images.shape[-1]}")
     rows = images.reshape(-1, model.input_dim)
     features = np.empty((len(rows), model.k))
-    for start in range(0, len(rows), BLOCK_ROWS):
-        block = data.unit_floats(rows[start : start + BLOCK_ROWS])
-        if not np.all(np.isfinite(block)):
-            raise DataError("non-finite values in transform input")
-        features[start : start + len(block)] = (block - model.mean) @ model.components.T
+    buffer = np.empty((min(TRANSFORM_ROWS, len(rows)), model.input_dim))
+    for block in row_blocks(len(rows), TRANSFORM_ROWS):
+        floats = buffer[: block.stop - block.start]
+        if rows.dtype == np.uint8:
+            np.divide(rows[block], 255.0, out=floats)  # the bits of unit_floats
+        else:
+            floats[...] = rows[block]
+            if not np.all(np.isfinite(floats)):
+                raise DataError("non-finite values in transform input")
+        floats -= model.mean
+        np.matmul(floats, model.components.T, out=features[block])
     return features.reshape(*images.shape[:-1], model.k)
 
 

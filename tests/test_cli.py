@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medqnn import cli, data, metrics, models, pca
+from medqnn import rng as rng_module
 from medqnn.rng import Rng, normal_field
 
 from conftest import make_class_images, write_archive
@@ -401,6 +402,82 @@ class TestNoiseSweep:
         assert rows == expected
 
 
+class TestScoringBlocks:
+    """eval and noise-sweep score a 2,049-row test split in three blocks of
+    683 rows, and noise-sweep draws its noise field in the same row blocks;
+    each gives the bits of one batch over all rows. That holds while BLAS
+    gives a row of a block of 2 or more rows the bits it gives the same row
+    in the whole batch, which can depend on the thread count: CI also runs
+    these tests on one BLAS thread."""
+
+    M = 2049
+
+    @pytest.fixture(scope="class")
+    def archives(self, tmp_path_factory):
+        """A 2-class and an 11-class archive with 2,049 test rows, by class count."""
+        root = tmp_path_factory.mktemp("blocks")
+        return {
+            classes: write_archive(root / f"toyset{classes}.npz", m_train=44, m_val=11, m_test=self.M,
+                                   num_classes=classes, seed=12, balanced=True)
+            for classes in (2, 11)
+        }
+
+    @pytest.mark.parametrize("classes", [2, 11])
+    @pytest.mark.parametrize("kind", models.KINDS)
+    def test_eval_scores_in_blocks_with_the_bits_of_one_batch(self, tmp_path, monkeypatch, archives, kind, classes):
+        archive = archives[classes]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            (train,) = data.load_archive(archive, "toyset", ("train",))
+        pixels = train.pixels.reshape(len(train), -1)
+        pca_model = pca.fit(pixels, models.NUM_MODES)
+        features = pca.transform(pca_model, pixels)
+        model = models.init_model(kind, classes, Rng(classes), features.mean(axis=0), features.std(axis=0))
+        models.save_checkpoint(model, tmp_path / "model.json")
+        pca.save(pca_model, tmp_path / "pca.json")
+        argv = ["eval", "--archive", str(archive), "--dataset", "toyset",
+                "--checkpoint", str(tmp_path / "model.json"), "--pca", str(tmp_path / "pca.json")]
+
+        batches = []
+        predict_batch = models.predict_batch
+
+        def counting(model, features):
+            batches.append(len(features))
+            return predict_batch(model, features)
+
+        monkeypatch.setattr(models, "predict_batch", counting)
+        assert run_cli(*argv, "--out", str(tmp_path / "blocks")) == 0
+        assert batches == [683] * 3
+        monkeypatch.setattr(cli, "_SCORE_ROWS", self.M)  # one predict_batch over all rows
+        assert run_cli(*argv, "--out", str(tmp_path / "batch")) == 0
+        assert batches[3:] == [self.M]
+        names = sorted(p.name for p in (tmp_path / "batch").iterdir() if p.name != "manifest.json")
+        assert len(names) == 1 + 2 * (1 if classes == 2 else classes)
+        for name in names:
+            assert (tmp_path / "blocks" / name).read_bytes() == (tmp_path / "batch" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("clip", [False, True])
+    def test_noise_walk_in_row_blocks_is_the_whole_field_projection(self, archives, clip):
+        """The whole field from ``rng.normal_field``, projected in the walk's
+        32-column blocks: one 784-long product sums in another order."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            (test,) = data.load_archive(archives[2], "toyset", ("test",))
+        pixels = test.pixels.reshape(self.M, -1)
+        components = np.linalg.qr(np.random.default_rng(45).normal(size=(data.NUM_PIXELS, 12)))[0].T.copy()
+        sigmas = data.noise_sweep_grid()
+        got = cli._noise_sums(pixels, components, 2**63 + 3, sigmas, clip)
+
+        field = normal_field(data.noise_seeds(self.M, 2**63 + 3), data.NUM_PIXELS)
+        copies = [data.inject_gaussian_noise(test.flat_images(), sigma, field, clip=True) for sigma in sigmas]
+        expected = np.zeros(((len(sigmas),) if clip else ()) + (self.M, len(components)))
+        for start in range(0, data.NUM_PIXELS, rng_module._BLOCK_COLUMNS):
+            cols = slice(start, start + rng_module._BLOCK_COLUMNS)
+            projected = [copy[:, cols] for copy in copies] if clip else field[:, cols]
+            expected += np.asarray(projected) @ components[:, cols].T
+        assert np.array_equal(got, expected)
+
+
 @pytest.fixture(scope="module")
 def learning_archive(tmp_path_factory):
     """600 train and 100 val rows of generator seed 1, and 2,000 test rows,
@@ -496,25 +573,26 @@ def test_cv_sweep_matches_its_closed_form_expectation(tmp_path, learning_archive
 
 
 def test_traced_memory_of_eval_and_noise_sweep_grows_with_the_split_bytes(tmp_path, trained):
-    """Tripling the test split adds its bytes and little more to eval and the
-    unclipped sweep, and a few times its bytes to the clipped sweep.
+    """Tripling the test split adds its bytes and little more to eval (of
+    each kind) and the unclipped sweep, and a few times its bytes to the
+    clipped sweep.
 
     As floats each 1,000 extra rows take 6.3 MB, as bytes 0.8 MB. The split
-    is projected from its bytes a block of rows at a time, and both sweeps
-    walk the noise field a block of columns at a time, so per row eval and
-    the unclipped sweep keep only features, logits and curve points. The
-    clipped sweep also keeps every sigma's features (1,920 bytes a row) and
-    a block of columns of the field, the pixels and one noisy copy.
+    is projected from its bytes through one reused buffer of rows, both
+    commands score it a block of rows at a time, and both sweeps walk the
+    noise field a block of rows and columns at a time, so per row eval and
+    the unclipped sweep keep only features, predictions, probabilities and
+    curve points. The clipped sweep also keeps every sigma's features
+    (1,920 bytes a row).
     """
     images, labels = make_class_images(1000, 2, np.random.default_rng(40), balanced=True)
     small, small_labels = make_class_images(20, 2, np.random.default_rng(41), balanced=True)
-    sweep = []
+    sweep, commands = [], {}  # commands: name: (argv, bound on the growth in extra bytes)
     for kind in models.KINDS:
         model_path, pca_path = best_fold_paths(trained[kind])
         sweep += [f"--{kind}-checkpoint", str(model_path), f"--{kind}-pca", str(pca_path)]
-    model_path, pca_path = best_fold_paths(trained["dv"])
-    commands = {  # name: (argv, bound on the growth in extra bytes)
-        "eval": (["eval", "--checkpoint", str(model_path), "--pca", str(pca_path)], 1.5),
+        commands[f"eval-{kind}"] = (["eval", "--checkpoint", str(model_path), "--pca", str(pca_path)], 1.5)
+    commands |= {
         "noise-sweep": (["noise-sweep", *sweep, "--seed", "3"], 1.5),
         "noise-sweep-clip": (["noise-sweep", *sweep, "--seed", "3", "--clip"], 6),
     }
@@ -543,7 +621,8 @@ def test_traced_memory_does_not_grow_with_the_splits_a_command_does_not_read(tmp
     read add less than a tenth of their bytes to its traced peak: those
     members are checked as they stream past, 256 KB at a time, and dropped.
 
-    Every archive is over 1 MB, so each one's checksum reads whole 1 MB chunks.
+    Every archive is over 1 MB, so each one's checksum fills its one 256 KB
+    buffer several times.
     """
     pool, pool_labels = make_class_images(11_500, 2, np.random.default_rng(42), balanced=True)
     small, small_labels = make_class_images(20, 2, np.random.default_rng(43), balanced=True)
@@ -598,16 +677,17 @@ def checkout_python(*argv) -> subprocess.CompletedProcess:
 
 COMMAND_MODULES = ("medqnn.metrics", "medqnn.training", "medqnn.saliency", "medqnn.stats")
 SIMULATORS = ("medqnn.gaussian", "medqnn.statevector")
+OPENSSL = "_hashlib"  # hashlib's OpenSSL binding, loaded by the archive's digest
 
 
 def loaded_modules(*argv) -> list[str]:
-    """Which of the command modules and simulators a fresh interpreter has
-    loaded after importing medqnn.cli and medqnn.models, and after
-    ``cli.main(argv)`` when argv is given."""
+    """Which of the command modules, the simulators and OpenSSL a fresh
+    interpreter has loaded after importing medqnn.cli and medqnn.models,
+    and after ``cli.main(argv)`` when argv is given."""
     code = "import sys, medqnn.cli, medqnn.models\n"
     if argv:
         code += f"assert medqnn.cli.main({list(argv)!r}) == 0\n"
-    code += f"print(*sorted(m for m in {COMMAND_MODULES + SIMULATORS!r} if m in sys.modules))"
+    code += f"print(*sorted(m for m in {(*COMMAND_MODULES, *SIMULATORS, OPENSSL)!r} if m in sys.modules))"
     result = checkout_python("-c", code)
     assert result.returncode == 0, result.stderr
     return result.stdout.split()
@@ -615,7 +695,8 @@ def loaded_modules(*argv) -> list[str]:
 
 def test_cli_import_leaves_command_modules_unloaded():
     """metrics, training, saliency and stats load only inside the commands
-    that use them, and models loads a simulator only for the kind it runs."""
+    that use them, models loads a simulator only for the kind it runs, and
+    OpenSSL loads only where an archive's digest is taken."""
     assert loaded_modules() == []
 
 
@@ -627,18 +708,19 @@ def test_a_command_loads_only_its_kinds_simulator(tmp_path, archive, trained, co
     argv = ["--archive", archive, "--dataset", "toyset", "--out", str(tmp_path / "out")]
     if command == "eval":
         argv += ["--checkpoint", str(trained[kind] / "model_fold0.json"), "--pca", str(trained[kind] / "pca_fold0.json")]
-        expected = ["medqnn.metrics", *simulators]
+        expected = [OPENSSL, "medqnn.metrics", *simulators]
     else:
         argv += ["--model", kind, "--epochs", "1"]
-        expected = ["medqnn.metrics", "medqnn.training", *simulators]
+        expected = [OPENSSL, "medqnn.metrics", "medqnn.training", *simulators]
     assert loaded_modules(command, *argv) == sorted(expected)
 
 
 def test_stats_and_pca_report_load_no_simulator(tmp_path, archive, trained):
+    """stats reads no archive, so it does not load OpenSSL either."""
     folds = [flag for kind in models.KINDS for flag in (f"--{kind}", str(trained[kind] / "fold_metrics.csv"))]
     assert loaded_modules("stats", *folds, "--out", str(tmp_path / "stats")) == ["medqnn.stats"]
     report = ["pca-report", "--archive", archive, "--dataset", "toyset", "--out", str(tmp_path / "report")]
-    assert loaded_modules(*report) == []
+    assert loaded_modules(*report) == [OPENSSL]
 
 
 def test_train_leaves_numpy_ma_unloaded(tmp_path, archive):

@@ -1,5 +1,7 @@
+import hashlib
 import io
 import pickle
+import tracemalloc
 import warnings
 import zipfile
 
@@ -411,3 +413,25 @@ class TestChecksums:
         manifest.write_text("# empty\n")
         with pytest.raises(DataError, match="no entry"):
             data.verify_checksums(manifest, {"toyset": data.sha256_of_file(path)})
+
+    @pytest.mark.parametrize("size", [
+        0, 1, data._READ_BYTES - 1, data._READ_BYTES, data._READ_BYTES + 1, 3 * data._READ_BYTES,
+    ])
+    def test_digest_of_every_buffer_fill(self, tmp_path, size):
+        blob = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+        path = tmp_path / "blob"
+        path.write_bytes(blob)
+        assert data.sha256_of_file(path) == hashlib.sha256(blob).hexdigest()
+
+    def test_traced_memory_of_a_digest(self, tmp_path):
+        # The file is read into one reused 256 KB buffer, not as 1 MB bytes objects.
+        path = tmp_path / "blob"
+        path.write_bytes(np.random.default_rng(44).integers(0, 256, 17 * data._READ_BYTES, dtype=np.uint8).tobytes())
+        data.sha256_of_file(path)  # first-call allocations
+        tracemalloc.start()
+        try:
+            data.sha256_of_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6

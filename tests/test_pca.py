@@ -253,12 +253,22 @@ class TestMoments:
         with pytest.raises(DataError):
             pca.moments(images)
 
-    def test_scatter_formed_in_place_is_the_outer_product_formula_bit_for_bit(self):
+    def test_scatter_formed_in_place_is_the_outer_product_formula_bit_for_bit(self, monkeypatch):
         # floats, so the scatter rounds: each entry is still count * G - s_i s_j, divided once
         stats = pca.moments(random_pixel_matrix(np.random.default_rng(34), 50, 30))
         expected = scatter(pca.Moments(stats.count, stats.sums.copy(), stats.gram.copy()))
+        received = []
+        solve = pca._top_eigenpairs
+
+        def capturing(matrix, k):  # dsyevr overwrites the scatter it is given
+            received.append((matrix, matrix.copy()))
+            return solve(matrix, k)
+
+        monkeypatch.setattr(pca, "_top_eigenpairs", capturing)
         pca.from_moments(stats, 3)
-        assert np.array_equal(stats.gram, expected)  # from_moments forms the scatter in place of the Gram
+        [(matrix, formed)] = received
+        assert matrix is stats.gram  # from_moments forms the scatter in place of the Gram
+        assert np.array_equal(formed, expected)
 
     def test_traced_memory_of_a_fit_on_stored_bytes(self):
         # As floats, the 4708 x 784 split alone takes 29.5 MB and a centered
@@ -331,6 +341,19 @@ class TestEigensolver:
         monkeypatch.setattr(pca, "_dsyevr", lambda: (failing, np.int64))
         with pytest.raises(NumericError, match="dsyevr"):
             pca.fit(random_pixel_matrix(np.random.default_rng(41), 20, 8), 4)
+
+    def test_traced_memory_of_a_784_dim_solve(self):
+        # dsyevr works on the scatter in place: its workspace and the k
+        # vectors, no copy of the 4.9 MB scatter and no n eigenvectors.
+        dsyevr_or_skip()
+        stats = pca.moments(make_class_images(300, 2, np.random.default_rng(42))[0].reshape(300, -1))
+        tracemalloc.start()
+        try:
+            pca.from_moments(stats, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_ctypes_is_imported_only_by_the_resolver(self):
         tree = ast.parse(inspect.getsource(pca))
@@ -408,15 +431,31 @@ class TestTransformBlocks:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_value_in_the_last_block_rejected(self, model, bad):
-        images = np.random.default_rng(37).uniform(0.0, 1.0, size=(2 * pca.BLOCK_ROWS + 1, model.input_dim))
+        images = np.random.default_rng(37).uniform(0.0, 1.0, size=(2 * pca.TRANSFORM_ROWS + 1, model.input_dim))
         images[-1, 5] = bad
         with pytest.raises(DataError):
             pca.transform(model, images)
 
+    @pytest.mark.parametrize("m", [1, pca.TRANSFORM_ROWS - 1, pca.TRANSFORM_ROWS, pca.TRANSFORM_ROWS + 1, 4708])
+    def test_rows_get_the_bits_of_one_batch(self, model, m):
+        """Bytes and their unit floats both give ``(unit_floats(x) - mean) @ C^T``
+        bit for bit. Up to a few hundred rows that product is one batch. BLAS
+        can give a larger batch other bits (this OpenBLAS does from about 513
+        rows of 784 on), so 4,708 rows are compared with it in moments'
+        256-row blocks: a row's bits do not depend on the block it is in."""
+        stored = np.random.default_rng(39).integers(0, 256, size=(m, model.input_dim)).astype(np.uint8)
+        batch = min(m, pca.BLOCK_ROWS)
+        expected = np.concatenate([
+            (data.unit_floats(stored[start : start + batch]) - model.mean) @ model.components.T
+            for start in range(0, m, batch)
+        ])
+        assert np.array_equal(pca.transform(model, stored), expected)
+        assert np.array_equal(pca.transform(model, data.unit_floats(stored)), expected)
+
     def test_traced_memory_of_a_transform_on_stored_bytes(self, model):
         # As floats the 4708 x 784 split takes 29.5 MB and a centred copy as
-        # much again; projected a block at a time, it costs two float blocks
-        # of 1.6 MB each and the 0.15 MB of features.
+        # much again; projected a block at a time, it costs one reused float
+        # buffer of 0.4 MB and the 0.15 MB of features.
         images, _ = make_class_images(4708, 2, np.random.default_rng(38))
         stored = images.reshape(len(images), -1)
         tracemalloc.start()
@@ -425,7 +464,7 @@ class TestTransformBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 5e6
+        assert peak < 1e6
 
 
 class TestInverseTransform:
