@@ -52,10 +52,6 @@ _CONFIG_DEFAULTS = {
 
 # stats' model order, which fixes its pair order: C-DV, C-CV, DV-CV
 _MODEL_LABELS = {"classical": "C", "dv": "DV", "cv": "CV"}
-# Rows per block that eval and noise-sweep score, and that noise-sweep draws
-# its noise field for (pca.row_blocks).
-_SCORE_ROWS = 1024
-
 
 def log(message: str) -> None:
     stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
@@ -215,27 +211,13 @@ def _load_model(
     return model, pca_model
 
 
-def _predict(model, features) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's predicted class and its (m, classes) probabilities, from
-    ``models.predict_batch`` a block of at most ``_SCORE_ROWS`` rows at a
-    time, so no prediction temporary grows with the split. No block has a
-    single row (``pca.row_blocks``), so each row gets the bits it would get
-    in one batch wherever BLAS gives a row of a batch the same bits."""
-    predicted = np.empty(len(features), int)
-    probs = np.empty((len(features), model.num_classes))
-    for rows in pca.row_blocks(len(features), _SCORE_ROWS):
-        logits, probs[rows] = models.predict_batch(model, features[rows])
-        predicted[rows] = logits.argmax(axis=1)
-    return predicted, probs
-
-
 def _evaluate_model(model, pca_model, dataset) -> tuple[dict, dict[str, metrics.Curve]]:
     """eval.json's row, and each curve keyed by its file-name stem."""
     from . import metrics
 
     features = pca.transform(pca_model, dataset.pixels.reshape(len(dataset), -1))
-    predicted, probs = _predict(model, features)
-    cm = metrics.confusion_matrix(dataset.labels, predicted, dataset.num_classes)
+    logits, probs = models.predict_rows(model, features)
+    cm = metrics.confusion_matrix(dataset.labels, logits.argmax(axis=1), dataset.num_classes)
     row = metrics.metric_set(cm) | {
         "confusion_matrix": cm.counts.tolist(),
         "split": dataset.split,
@@ -379,27 +361,23 @@ def cmd_eval(args, config: dict, out: Path, dataset) -> tuple[list[Path], dict]:
 
 # --- noise sweep ---------------------------------------------------------
 
-def _noise_sums(pixels, components, seed: int, sigmas: list[float], clip: bool) -> np.ndarray:
-    """The noise field of ``seed`` walked once, a block of at most
-    ``_SCORE_ROWS`` rows and 32 columns at a time, so the whole of it never
-    exists, and projected on ``components`` C: n C^T, of shape (m, c), or
-    with ``clip`` each sigma's clip(x + sigma n) C^T, of shape (sigmas, m, c),
-    for the pixels x on [0, 1]. Each row draws from its own stream, so the
-    row blocks draw the field that one walk of all rows would."""
-    shape = (len(pixels), len(components))
-    sums = np.zeros((len(sigmas), *shape) if clip else shape)
-    seeds = data.noise_seeds(len(pixels), seed)
-    for rows in pca.row_blocks(len(pixels), _SCORE_ROWS):
-        for start, field in rng.normal_blocks(seeds[rows], data.NUM_PIXELS):
-            cols = slice(start, start + field.shape[1])
-            block = components[:, cols].T
-            if not clip:
-                sums[rows] += field @ block
-                continue
-            x = data.unit_floats(pixels[rows, cols])
-            for into, sigma in zip(sums, sigmas):
-                into[rows] += data.inject_gaussian_noise(x, sigma, field, clip=True) @ block
-    return sums
+def _noise_sums(pixels, components, seeds, sigmas: list[float], clip: bool, into: np.ndarray) -> None:
+    """Add into ``into`` the noise field of the rows of ``pixels`` whose
+    streams ``seeds`` seed, walked 32 columns at a time, so the whole of it
+    never exists, and projected on ``components`` C: n C^T, for ``into`` of
+    shape (rows, c), or with ``clip`` each sigma's clip(x + sigma n) C^T, for
+    ``into`` of shape (sigmas, rows, c), for the pixels x on [0, 1]. Each row
+    draws from its own stream, so blocks of rows draw the field that one
+    walk of all rows would."""
+    for start, field in rng.normal_blocks(seeds, data.NUM_PIXELS):
+        cols = slice(start, start + field.shape[1])
+        block = components[:, cols].T
+        if not clip:
+            into += field @ block
+            continue
+        x = data.unit_floats(pixels[:, cols])
+        for sums, sigma in zip(into, sigmas):
+            sums += data.inject_gaussian_noise(x, sigma, field, clip=True) @ block
 
 
 def cmd_noise_sweep(args, config: dict, out: Path, test) -> tuple[list[Path], dict]:
@@ -415,19 +393,38 @@ def cmd_noise_sweep(args, config: dict, out: Path, test) -> tuple[list[Path], di
 
     sigmas, pixels = data.noise_sweep_grid(), test.pixels.reshape(len(test), -1)
     components = np.concatenate([p.components for _, _, p in loaded])
-    sums = np.split(_noise_sums(pixels, components, config["seed"], sigmas, args.clip), len(loaded), axis=-1)
-    # A model's features are (x + sigma n - mean) C^T, with x + sigma n clipped
-    # under --clip: there, the walk's clip(x + sigma n) C^T less mean C^T.
+    seeds = data.noise_seeds(len(pixels), config["seed"])
+    # The field is walked a row block of models.predict_rows at a time.
+    blocks = pca.row_blocks(len(pixels), models.SCORE_ROWS)
     if args.clip:
+        # A model's features are clip(x + sigma n) C^T less mean C^T. Each row
+        # block's are scored as soon as its walk ends, in one buffer sized for
+        # the first, largest block, so only the predictions outlive the block.
         offsets = [p.mean @ p.components.T for _, _, p in loaded]
+        buffer = np.empty((len(sigmas), blocks[0].stop, len(components)))
+        predicted = np.empty((len(sigmas), len(loaded), len(pixels)), int)
+        for block in blocks:
+            sums = buffer[:, : block.stop - block.start]
+            sums.fill(0.0)
+            _noise_sums(pixels[block], components, seeds[block], sigmas, True, sums)
+            for i, per_sigma in enumerate(sums):
+                for j, features in enumerate(np.split(per_sigma, len(loaded), axis=-1)):
+                    logits, _ = models.predict_rows(loaded[j][1], features - offsets[j])  # one block
+                    predicted[i, j, block] = logits.argmax(axis=1)
     else:  # affine in sigma: base + sigma proj, with base the clean split's features
+        projected = np.zeros((len(pixels), len(components)))
+        for block in blocks:
+            _noise_sums(pixels[block], components, seeds[block], sigmas, False, projected[block])
+        projected = np.split(projected, len(loaded), axis=-1)
         bases = [pca.transform(p, pixels) for _, _, p in loaded]
     rows = []
     for i, sigma in enumerate(sigmas):
         for j, (kind, model, _) in enumerate(loaded):
-            features = sums[j][i] - offsets[j] if args.clip else bases[j] + sigma * sums[j]
-            predicted, _ = _predict(model, features)
-            cm = metrics.confusion_matrix(test.labels, predicted, test.num_classes)
+            if args.clip:
+                classes = predicted[i, j]
+            else:
+                classes = models.predict_rows(model, bases[j] + sigma * projected[j])[0].argmax(axis=1)
+            cm = metrics.confusion_matrix(test.labels, classes, test.num_classes)
             _, _, _, f1 = metrics.micro_metrics(cm)
             rows.append((sigma, kind, f1))
         log(f"sigma {sigma:.2f} done")

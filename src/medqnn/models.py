@@ -19,8 +19,9 @@ Feature extractors, layer by layer (two layers, 16 parameters each):
 
 Every kind runs through one forward function that returns the outputs
 and two backward closures, to the circuit parameters and to the inputs z;
-``predict_batch`` (training, evaluation and saliency), ``loss_and_grad``
-and ``logit_input_jacobian`` all use it. The input-side closure works
+``predict_batch`` (training, evaluation and saliency, and through
+``predict_rows`` any number of rows), ``loss_and_grad`` and
+``logit_input_jacobian`` all use it. The input-side closure works
 only when called, so training pays nothing for it. ``cv_final_state``
 and ``dv_final_state`` expose one sample's full circuit state for dumps.
 Neither circuit's variational block depends on the batch, so each is
@@ -56,6 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericError, checked_arrays
+from .pca import row_blocks
 from .rng import Rng
 
 NUM_MODES = 4
@@ -66,6 +68,10 @@ NUM_CIRCUIT_PARAMS = NUM_LAYERS * PARAMS_PER_LAYER  # 32
 KINDS = ("cv", "dv", "classical")
 
 CHECKPOINT_VERSION = 2
+
+# Rows per block of predict_rows, which scores for train, eval and
+# noise-sweep; noise-sweep also draws its noise field in these row blocks.
+SCORE_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -351,6 +357,19 @@ def predict_batch(model: HybridModel, features: np.ndarray) -> tuple[np.ndarray,
         probs = softmax(logits)
     if not np.all(np.isfinite(logits)):
         raise DataError("a logit is not finite: the checkpoint does not fit the features")
+    return logits, probs
+
+
+def predict_rows(model: HybridModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``predict_batch`` of any number of rows, a block of at most
+    ``SCORE_ROWS`` at a time, so no prediction temporary grows with the rows.
+    No block has a single row (``pca.row_blocks``), so each row gets the
+    bits it would get in one batch wherever BLAS gives a row of a batch the
+    same bits."""
+    logits = np.empty((len(features), model.num_classes))
+    probs = np.empty_like(logits)
+    for rows in row_blocks(len(features), SCORE_ROWS):
+        logits[rows], probs[rows] = predict_batch(model, features[rows])
     return logits, probs
 
 

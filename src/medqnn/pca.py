@@ -3,13 +3,21 @@
 A fit is built from moments in byte units, y = 255 x: the row count n,
 the column sums s = sum y and the Gram matrix G = sum y y^T.
 ``moments`` gathers the rows it is given by index, ``BLOCK_ROWS`` at a
-time, so a cross-validation fold's training rows are read in place and
-never copied whole. A block of stored bytes is cast to float32 and gives
-its Gram in one product, exactly, since every partial sum is an integer
-of at most 256 * 255^2 < 2^24; added into float64, the sums stay exact
-while below 2^53 (fewer than 1.3e11 rows). Floats take the same loop in
-float64: unit floats of bytes become the same integers, so they give
-bit-identical sums, and other floats round as any float sum does.
+time, into the block buffers of a ``Workspace``, so a cross-validation
+fold's training rows are read in place and never copied whole. A block
+of stored bytes is converted there to float32 and gives its Gram in
+column panels of ``PANEL_COLUMNS``: panel [c0, c1) is
+block[:, c0:c1]^T block[:, :c1], the Gram's rows c0:c1 left of column
+c1, so only the lower panels are formed and added into the float64 Gram,
+and the upper triangle is mirrored from the lower once, at the end. Each
+panel is exact, since every partial sum is an integer of at most
+256 * 255^2 < 2^24; added into float64, the sums stay exact while below
+2^53 (fewer than 1.3e11 rows). Floats take the same loop in float64:
+unit floats of bytes become the same integers, so they give
+bit-identical sums, and other floats round as any float sum does. A
+workspace holds the Gram, the sums, the block buffers and one panel
+(0.6 MB at 784 columns), and each call overwrites what the last one
+returned, so ``training.cross_validate`` fits every fold in one.
 
 For bytes the sums are exact, so they do not depend on the order of the
 rows, on how the rows fall into blocks, or on the number of BLAS threads:
@@ -58,6 +66,8 @@ from .errors import DataError, NumericError, checked_arrays
 _PIXEL_LO, _PIXEL_HI = -0.5, 1.5
 # Rows per block of moments(): the float32 Gram of 256 byte rows is exact.
 BLOCK_ROWS = 256
+# Columns per panel of a block's Gram in moments(): a quarter of 784.
+PANEL_COLUMNS = 196
 # Rows per block of transform(): its one reused float64 buffer of 784-pixel
 # rows takes 0.4 MB.
 TRANSFORM_ROWS = 64
@@ -88,24 +98,54 @@ class Moments:
         return self.sums / (255.0 * self.count)
 
 
-def moments(images: np.ndarray, rows: np.ndarray | None = None) -> Moments:
+class Workspace:
+    """The buffers of ``moments`` for rows of ``dim`` values of ``dtype``: the
+    float64 sums and Gram it returns, a block of gathered rows, the block as
+    floats (float32 for bytes, else float64) and one panel of its Gram."""
+
+    def __init__(self, dim: int, dtype):
+        self.dtype = np.dtype(dtype)
+        floats = np.dtype(np.float32 if self.dtype == np.uint8 else np.float64)
+        self.sums, self.gram = np.empty(dim), np.empty((dim, dim))
+        self.gathered = np.empty((BLOCK_ROWS, dim), self.dtype)
+        self.block = self.gathered if self.dtype == floats else np.empty((BLOCK_ROWS, dim), floats)
+        self.panel = np.empty(min(PANEL_COLUMNS, dim) * dim, floats)  # viewed as (c1 - c0, c1)
+
+
+def moments(images: np.ndarray, rows: np.ndarray | None = None, workspace: Workspace | None = None) -> Moments:
     """The moments of the rows of ``images`` (m x input_dim), stored unsigned
     bytes or floats, that ``rows`` indexes (at least one; all of them by
-    default), gathered ``BLOCK_ROWS`` indices at a time. A block of bytes
-    gives its Gram in float32, exactly."""
+    default), in the sums and Gram of ``workspace`` (a new one by default),
+    which the next call on it overwrites. The rows are gathered and
+    converted ``BLOCK_ROWS`` at a time in the workspace's buffers, and each
+    block's Gram is added a column panel at a time (see the module
+    docstring), so a call on a reused workspace allocates nothing large.
+    For bytes every sum is an exact integer."""
     images = np.asarray(images)
     if images.ndim != 2:
         raise ValueError(f"expected a 2-d sample matrix, got shape {images.shape}")
     rows = np.arange(len(images)) if rows is None else np.asarray(rows)
     if len(rows) == 0:
         raise DataError("no samples to fit")
+    if rows.min() < -len(images) or rows.max() >= len(images):
+        raise IndexError(f"a row index lies outside the {len(images)} rows")
     dim = images.shape[1]
-    dtype = np.float32 if images.dtype == np.uint8 else float
-    stats = Moments(count=len(rows), sums=np.zeros(dim), gram=np.zeros((dim, dim)))
-    gram = np.empty((dim, dim), dtype)  # one block's, reused
+    work = Workspace(dim, images.dtype) if workspace is None else workspace
+    if work.gram.shape != (dim, dim) or work.dtype != images.dtype:
+        raise ValueError(f"the workspace holds {work.dtype} rows of {len(work.gram)}, not {images.dtype} of {dim}")
+    sums, gram = work.sums, work.gram
+    sums.fill(0.0)
+    gram.fill(0.0)
+    panels = [(c0, min(c0 + PANEL_COLUMNS, dim)) for c0 in range(0, dim, PANEL_COLUMNS)]
     for start in range(0, len(rows), BLOCK_ROWS):
-        block = images[rows[start : start + BLOCK_ROWS]].astype(dtype, copy=False)  # a gathered copy
-        if dtype is float:
+        index = rows[start : start + BLOCK_ROWS]
+        block = work.block[: len(index)]
+        # "wrap" is Python's indexing for the rows checked above, and, unlike
+        # the default "raise", writes into the buffer without a copy.
+        np.take(images, index, axis=0, out=work.gathered[: len(index)], mode="wrap")
+        if work.block is not work.gathered:
+            np.copyto(block, work.gathered[: len(index)])
+        if block.dtype == np.float64:
             if not np.all(np.isfinite(block)):
                 raise DataError("non-finite pixel values in fit input")
             if block.min() < _PIXEL_LO or block.max() > _PIXEL_HI:
@@ -113,9 +153,13 @@ def moments(images: np.ndarray, rows: np.ndarray | None = None) -> Moments:
                     f"pixel values outside [{_PIXEL_LO}, {_PIXEL_HI}]; normalize to [0, 1] before fit"
                 )
             block *= 255.0
-        stats.sums += block.sum(axis=0)
-        stats.gram += np.matmul(block.T, block, out=gram)
-    return stats
+        sums += block.sum(axis=0)
+        for c0, c1 in panels:
+            panel = work.panel[: (c1 - c0) * c1].reshape(c1 - c0, c1)
+            gram[c0:c1, :c1] += np.matmul(block[:, c0:c1].T, block[:, :c1], out=panel)
+    for i in range(dim - 1):  # the upper triangle, from the lower
+        gram[i, i + 1 :] = gram[i + 1 :, i]
+    return Moments(count=len(rows), sums=sums, gram=gram)
 
 
 def from_moments(stats: Moments, k: int) -> PcaModel:

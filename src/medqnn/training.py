@@ -135,7 +135,8 @@ def train_model(
     """Fixed-epoch Adam run; returns the final model and per-epoch curves.
 
     The training curve uses running minibatch losses and predictions; the
-    validation curve is a full pass at each epoch end. Feature
+    validation curve is a full pass at each epoch end, scored in row blocks
+    (``models.predict_rows``). Feature
     standardization statistics must already be baked into the caller's
     data flow (they live on the model).
     """
@@ -153,7 +154,7 @@ def train_model(
     val_labels = np.asarray(val_labels, dtype=int)
 
     for epoch in range(config.epochs):
-        order = list(indices)
+        order = indices.tolist()  # Python ints: no numpy scalar object per row
         rng.shuffle(order)
         order = np.array(order, dtype=int)
         epoch_losses = []
@@ -175,7 +176,7 @@ def train_model(
         train_stats = metrics.metric_set(train_cm)
         train_loss = float(np.sum(epoch_losses) / len(order))
         curves.append(EpochRecord(epoch=epoch, split="train", loss=train_loss, **train_stats))
-        val_logits, _ = models.predict_batch(model, val_features)
+        val_logits, _ = models.predict_rows(model, val_features)
         val_loss = models.batch_loss_from_logits(val_logits, val_labels)
         val_cm = metrics.confusion_matrix(val_labels, val_logits.argmax(axis=1), num_classes)
         val_stats = metrics.metric_set(val_cm)
@@ -206,8 +207,8 @@ def _train_one_fold(
         config,
         rng,
     )
-    train_logits, _ = models.predict_batch(model, train_features)
-    val_logits, _ = models.predict_batch(model, val_features)
+    train_logits, _ = models.predict_rows(model, train_features)
+    val_logits, _ = models.predict_rows(model, val_features)
     train_cm = metrics.confusion_matrix(labels[train_idx], train_logits.argmax(axis=1), num_classes)
     val_cm = metrics.confusion_matrix(labels[val_idx], val_logits.argmax(axis=1), num_classes)
     return FoldResult(
@@ -231,13 +232,19 @@ def cross_validate(
     unsigned bytes, or floats on [0, 1].
 
     Each fold fits its own PCA and feature statistics on its training
-    rows only, just before it trains, so one fold's 784 x 784 moments are
-    alive at a time. ``pca.moments`` reads those rows by index, a block at
-    a time; for stored bytes the sums are exact integers, so the fit does
-    not depend on the order of the rows either. The fold's model then
-    projects the split, which ``pca.transform`` converts a block of rows
-    at a time. So the rows are floats only a block at a time, never a
-    fold or the split.
+    rows only. Every fold's PCA is fitted first: ``pca.moments`` reads the
+    fold's rows by index, a block at a time, into one ``pca.Workspace``
+    that every fold reuses (one 784 x 784 Gram, its sums, the block
+    buffers and one Gram panel), so no fold after the first allocates
+    anything large and the heap does not grow with the fold count. The
+    workspace is dropped before the first fold trains, so training never
+    holds a Gram. For stored bytes the sums are exact integers, so the fit
+    does not depend on the order of the rows either. Each fold's model
+    then projects the split, which ``pca.transform`` converts a block of
+    rows at a time, and its predictions are scored in row blocks
+    (``models.predict_rows``). So the rows are floats only a block at a
+    time, never a fold or the split, and nothing but per-row features,
+    labels, fold indices and predictions grows with the split.
     The best fold is the highest final validation F1 (ties go to the
     lowest fold index); its model is the one a caller should evaluate on
     the held-out test split.
@@ -246,13 +253,16 @@ def cross_validate(
     images = np.asarray(images)
     labels = np.asarray(labels, dtype=int)
     splits = stratified_kfold(labels, config.folds, config.seed)
-    folds = []
-    for fold_index, (train_idx, val_idx) in enumerate(splits):
-        pca_model = pca.from_moments(pca.moments(images, train_idx), models.NUM_MODES)
-        folds.append(_train_one_fold(
+    workspace = pca.Workspace(images.shape[1], images.dtype)
+    pca_models = [pca.from_moments(pca.moments(images, rows, workspace), models.NUM_MODES) for rows, _ in splits]
+    del workspace  # no fold trains beside a Gram
+    folds = [
+        _train_one_fold(
             kind, pca.transform(pca_model, images), labels, fold_index, train_idx, val_idx,
             pca_model, num_classes, config,
-        ))
+        )
+        for fold_index, ((train_idx, val_idx), pca_model) in enumerate(zip(splits, pca_models))
+    ]
 
     summary = {}
     for split_name in ("train", "val"):

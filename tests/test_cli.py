@@ -448,13 +448,47 @@ class TestScoringBlocks:
         monkeypatch.setattr(models, "predict_batch", counting)
         assert run_cli(*argv, "--out", str(tmp_path / "blocks")) == 0
         assert batches == [683] * 3
-        monkeypatch.setattr(cli, "_SCORE_ROWS", self.M)  # one predict_batch over all rows
+        monkeypatch.setattr(models, "SCORE_ROWS", self.M)  # one predict_batch over all rows
         assert run_cli(*argv, "--out", str(tmp_path / "batch")) == 0
         assert batches[3:] == [self.M]
         names = sorted(p.name for p in (tmp_path / "batch").iterdir() if p.name != "manifest.json")
         assert len(names) == 1 + 2 * (1 if classes == 2 else classes)
         for name in names:
             assert (tmp_path / "blocks" / name).read_bytes() == (tmp_path / "batch" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("clip", [False, True])
+    def test_noise_sweep_scores_in_blocks_with_the_bits_of_one_batch(self, tmp_path, monkeypatch, archives, clip):
+        """With --clip each row block is scored as soon as its walk ends."""
+        archive = archives[2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            (train,) = data.load_archive(archive, "toyset", ("train",))
+        pixels = train.pixels.reshape(len(train), -1)
+        pca_model = pca.fit(pixels, models.NUM_MODES)
+        pca.save(pca_model, tmp_path / "pca.json")
+        features = pca.transform(pca_model, pixels)
+        argv = ["noise-sweep", "--archive", str(archive), "--dataset", "toyset", "--seed", "7"]
+        for index, kind in enumerate(models.KINDS):
+            model = models.init_model(kind, 2, Rng(index), features.mean(axis=0), features.std(axis=0))
+            models.save_checkpoint(model, tmp_path / f"{kind}.json")
+            argv += [f"--{kind}-checkpoint", str(tmp_path / f"{kind}.json"), f"--{kind}-pca", str(tmp_path / "pca.json")]
+        argv += ["--clip"] if clip else []
+
+        batches = []
+        predict_batch = models.predict_batch
+
+        def counting(model, features):
+            batches.append(len(features))
+            return predict_batch(model, features)
+
+        monkeypatch.setattr(models, "predict_batch", counting)
+        assert run_cli(*argv, "--out", str(tmp_path / "blocks")) == 0
+        assert batches == [683] * 3 * 20 * 3
+        monkeypatch.setattr(models, "SCORE_ROWS", self.M)  # one walk block, one predict_batch over all rows
+        assert run_cli(*argv, "--out", str(tmp_path / "batch")) == 0
+        assert batches[180:] == [self.M] * 20 * 3
+        sweep = "noise_sweep.csv"
+        assert (tmp_path / "blocks" / sweep).read_bytes() == (tmp_path / "batch" / sweep).read_bytes()
 
     @pytest.mark.parametrize("clip", [False, True])
     def test_noise_walk_in_row_blocks_is_the_whole_field_projection(self, archives, clip):
@@ -466,7 +500,10 @@ class TestScoringBlocks:
         pixels = test.pixels.reshape(self.M, -1)
         components = np.linalg.qr(np.random.default_rng(45).normal(size=(data.NUM_PIXELS, 12)))[0].T.copy()
         sigmas = data.noise_sweep_grid()
-        got = cli._noise_sums(pixels, components, 2**63 + 3, sigmas, clip)
+        seeds = data.noise_seeds(self.M, 2**63 + 3)
+        got = np.zeros(((len(sigmas),) if clip else ()) + (self.M, len(components)))
+        for rows in pca.row_blocks(self.M, models.SCORE_ROWS):  # noise-sweep's three blocks of 683
+            cli._noise_sums(pixels[rows], components, seeds[rows], sigmas, clip, got[..., rows, :])
 
         field = normal_field(data.noise_seeds(self.M, 2**63 + 3), data.NUM_PIXELS)
         copies = [data.inject_gaussian_noise(test.flat_images(), sigma, field, clip=True) for sigma in sigmas]
@@ -574,16 +611,18 @@ def test_cv_sweep_matches_its_closed_form_expectation(tmp_path, learning_archive
 
 def test_traced_memory_of_eval_and_noise_sweep_grows_with_the_split_bytes(tmp_path, trained):
     """Tripling the test split adds its bytes and little more to eval (of
-    each kind) and the unclipped sweep, and a few times its bytes to the
-    clipped sweep.
+    each kind) and to both sweeps.
 
     As floats each 1,000 extra rows take 6.3 MB, as bytes 0.8 MB. The split
     is projected from its bytes through one reused buffer of rows, both
     commands score it a block of rows at a time, and both sweeps walk the
     noise field a block of rows and columns at a time, so per row eval and
     the unclipped sweep keep only features, predictions, probabilities and
-    curve points. The clipped sweep also keeps every sigma's features
-    (1,920 bytes a row).
+    curve points. The clipped sweep walks each row block into one reused
+    buffer of every sigma's features, scores them as soon as the block's
+    walk ends and keeps only every sigma's predictions (480 bytes a row;
+    keeping every sigma's features, 1,920 bytes a row, put its growth at
+    3.5 times the extra bytes).
     """
     images, labels = make_class_images(1000, 2, np.random.default_rng(40), balanced=True)
     small, small_labels = make_class_images(20, 2, np.random.default_rng(41), balanced=True)
@@ -594,7 +633,7 @@ def test_traced_memory_of_eval_and_noise_sweep_grows_with_the_split_bytes(tmp_pa
         commands[f"eval-{kind}"] = (["eval", "--checkpoint", str(model_path), "--pca", str(pca_path)], 1.5)
     commands |= {
         "noise-sweep": (["noise-sweep", *sweep, "--seed", "3"], 1.5),
-        "noise-sweep-clip": (["noise-sweep", *sweep, "--seed", "3", "--clip"], 6),
+        "noise-sweep-clip": (["noise-sweep", *sweep, "--seed", "3", "--clip"], 2),
     }
     peaks = {command: [] for command in commands}
     for copies in (1, 3):

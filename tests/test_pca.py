@@ -270,10 +270,69 @@ class TestMoments:
         assert matrix is stats.gram  # from_moments forms the scatter in place of the Gram
         assert np.array_equal(formed, expected)
 
+    @pytest.mark.parametrize("dim", [1, pca.PANEL_COLUMNS - 1, pca.PANEL_COLUMNS + 1, 2 * pca.PANEL_COLUMNS + 5])
+    @pytest.mark.parametrize("m", [1, pca.BLOCK_ROWS - 1, 2 * pca.BLOCK_ROWS + 3])
+    def test_panel_gram_is_the_outer_product_formula_bit_for_bit(self, dim, m):
+        # Widths that are not a multiple of the panel width leave a narrow last
+        # panel, row counts that are not a multiple of BLOCK_ROWS a short last
+        # block; the largest bytes put every panel at its float32 bound.
+        rng = np.random.default_rng(dim * 1000 + m)
+        stored = rng.integers(0, 256, size=(m, dim)).astype(np.uint8)
+        stored[: pca.BLOCK_ROWS : 2] = 255
+        wide = stored.astype(np.int64)
+        gram = sum(np.outer(row, row) for row in wide)  # sum y y^T, exactly
+        for images in (stored, data.unit_floats(stored)):
+            got = pca.moments(images)
+            assert got.count == m
+            assert np.array_equal(got.sums, wide.sum(axis=0))
+            assert np.array_equal(got.gram, gram)
+            if m > 4 and dim >= 4:  # and so the fit, on this eigensolver path
+                expected = pca.from_moments(pca.Moments(m, wide.sum(axis=0).astype(float), gram.astype(float)), 4)
+                fitted = pca.from_moments(got, 4)
+                for name in ("mean", "components", "explained_variance_ratio"):
+                    assert np.array_equal(getattr(fitted, name), getattr(expected, name)), name
+
+    def test_a_reused_workspace_gives_the_bits_of_a_new_one(self):
+        # One workspace serves every fold: each call overwrites the last one's
+        # sums and Gram, even after from_moments has formed a scatter there.
+        rng = np.random.default_rng(35)
+        stored = rng.integers(0, 256, size=(3 * pca.BLOCK_ROWS, 30)).astype(np.uint8)
+        workspace = pca.Workspace(30, np.uint8)
+        for rows in (np.arange(2 * pca.BLOCK_ROWS + 9), rng.permutation(len(stored))[:100], [5, 0, 7, 3, 9]):
+            expected = pca.moments(stored, rows)
+            got = pca.moments(stored, rows, workspace)
+            assert got.gram is workspace.gram and got.sums is workspace.sums
+            assert got.count == expected.count
+            assert np.array_equal(got.sums, expected.sums)
+            assert np.array_equal(got.gram, expected.gram)
+            pca.from_moments(got, 4)
+
+    @pytest.mark.parametrize("images, workspace", [
+        (np.zeros((5, 6), np.uint8), (7, np.uint8)),
+        (np.zeros((5, 6), np.uint8), (6, np.float64)),
+        (np.zeros((5, 6)), (6, np.uint8)),
+    ])
+    def test_a_workspace_of_another_width_or_dtype_rejected(self, images, workspace):
+        with pytest.raises(ValueError, match="workspace"):
+            pca.moments(images, workspace=pca.Workspace(*workspace))
+
+    @pytest.mark.parametrize("rows", [[0, 5], [-6, 1]])
+    def test_a_row_index_out_of_range_rejected(self, rows):
+        with pytest.raises(IndexError):
+            pca.moments(np.zeros((5, 6), np.uint8), rows)
+
+    def test_negative_row_indices_count_from_the_end(self):
+        stored = np.random.default_rng(36).integers(0, 256, size=(9, 6)).astype(np.uint8)
+        got, expected = pca.moments(stored, [-1, -9, 4]), pca.moments(stored, [8, 0, 4])
+        assert np.array_equal(got.gram, expected.gram) and np.array_equal(got.sums, expected.sums)
+
     def test_traced_memory_of_a_fit_on_stored_bytes(self):
         # As floats, the 4708 x 784 split alone takes 29.5 MB and a centered
-        # copy as much again; a fit on its bytes holds one float32 block, its
-        # Gram (2.5 MB) and the float64 Gram (4.9 MB) that becomes the scatter.
+        # copy as much again. A fit on its bytes holds its workspace: the
+        # float64 Gram (4.9 MB) that becomes the scatter, one block gathered
+        # (0.2 MB) and as float32 (0.8 MB), and one Gram panel (0.6 MB); 6.8 MB
+        # in all on the dsyevr path. np.linalg.eigh adds a copy of the scatter
+        # and all 784 eigenvectors (9.9 MB in all).
         images, _ = make_class_images(4708, 2, np.random.default_rng(33))
         stored = images.reshape(len(images), -1)
         tracemalloc.start()
@@ -282,7 +341,22 @@ class TestMoments:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 15e6
+        assert peak < (7.5e6 if pca._dsyevr() is not None else 10.5e6)
+
+    def test_traced_memory_of_moments_on_a_reused_workspace(self):
+        # A fold after the first gathers, converts and multiplies in the
+        # workspace's buffers: 0.2 MB of ufunc buffers and per-block sums.
+        images, _ = make_class_images(4708, 2, np.random.default_rng(37))
+        stored = images.reshape(len(images), -1)
+        workspace = pca.Workspace(stored.shape[1], stored.dtype)
+        pca.moments(stored, np.arange(0, 4708, 3), workspace)
+        tracemalloc.start()
+        try:
+            pca.moments(stored, np.arange(1, 4708, 3), workspace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6
 
 
 @pytest.fixture

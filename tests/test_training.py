@@ -175,6 +175,34 @@ class TestTrainModel:
             for value in (record.acc, record.precision, record.recall, record.f1):
                 assert 0.0 <= value <= 1.0
 
+    def test_epoch_orders_are_pinned(self, monkeypatch):
+        """Each epoch visits the rows in the Fisher-Yates order the fold's
+        stream draws after the model's initial values, whatever type the
+        shuffled items have."""
+        m = 300
+        features = np.zeros((m, 4))
+        features[:, 0] = np.arange(m)  # each batch row names its index
+        batches = []
+        loss_and_grad = models.loss_and_grad
+
+        def recording(model, batch, labels):
+            batches.append(batch[:, 0].astype(int))
+            return loss_and_grad(model, batch, labels)
+
+        monkeypatch.setattr(models, "loss_and_grad", recording)
+        config = training.TrainConfig(batch_size=64, learning_rate=0.0, epochs=3, seed=4)
+        labels = np.arange(m) % 2
+        training.train_model("classical", features, labels, features[:10], labels[:10], 2, config, Rng(4))
+        orders = np.concatenate(batches).reshape(3, m)
+        assert orders[:, :8].tolist() == [
+            [249, 185, 175, 98, 159, 255, 116, 126],
+            [15, 234, 43, 288, 101, 213, 85, 198],
+            [124, 160, 225, 169, 163, 118, 3, 175],
+        ]
+        assert all(np.array_equal(np.sort(order), np.arange(m)) for order in orders)
+        digest = hashlib.sha256(orders.astype("<i8").tobytes()).hexdigest()
+        assert digest == "ec4fdc202b711220c2fcb866e4f068b50c272cb115b73638515c55afde2591f9"
+
     def test_single_epoch_single_batch_is_one_adam_step(self):
         features, labels = separable_toy(m=12)
         config = training.TrainConfig(batch_size=64, epochs=1, seed=2)
@@ -325,10 +353,10 @@ class TestFoldPca:
                     assert np.array_equal(getattr(fold.pca_model, name), getattr(expected, name)), name
 
     @staticmethod
-    def traced_peak(images, labels, config) -> int:
+    def traced_peak(images, labels, config, kind="classical") -> int:
         tracemalloc.start()
         try:
-            training.cross_validate("classical", images, labels, 2, config)
+            training.cross_validate(kind, images, labels, 2, config)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -340,7 +368,7 @@ class TestFoldPca:
         # become floats a block at a time, so three copies of the split must
         # cost only their bytes and a little more. The largest live arrays are
         # one fold's 784 x 784 float64 sums (4.9 MB), then the scatter they
-        # become, with one block's float32 Gram or the eigenvectors beside them.
+        # become, with one block as floats and one Gram panel beside them.
         images, labels = make_class_images(4708, 2, np.random.default_rng(18))
         flat = images.reshape(len(images), -1)
         config = training.TrainConfig(epochs=0, seed=6)
@@ -353,13 +381,96 @@ class TestFoldPca:
         assert peaks[1] - peaks[0] < 10e6
 
     def test_traced_memory_does_not_grow_with_the_fold_count(self):
-        # Each fold fits its PCA just before it trains, so one fold's sums are
-        # alive at a time, however many folds there are.
+        # Every fold fits its PCA in one workspace, dropped before training, so
+        # one fold's sums are alive at a time, however many folds there are,
+        # and training scores its rows in blocks.
         images, labels = make_class_images(4708, 2, np.random.default_rng(18))
         flat = images.reshape(len(images), -1)
-        self.traced_peak(flat[:60], labels[:60], training.TrainConfig(epochs=0, seed=6))  # first-call allocations
-        peaks = [
-            self.traced_peak(flat, labels, training.TrainConfig(epochs=0, folds=folds, seed=6)) for folds in (3, 6)
-        ]
-        assert abs(peaks[1] - peaks[0]) < 1e6
-        assert max(peaks) < 12.5e6
+        for kind, epochs in (("classical", 0), ("dv", 1)):
+            self.traced_peak(flat[:60], labels[:60], training.TrainConfig(epochs=epochs, seed=6), kind)  # first calls
+            peaks = [
+                self.traced_peak(flat, labels, training.TrainConfig(epochs=epochs, folds=folds, seed=6), kind)
+                for folds in (3, 6)
+            ]
+            assert abs(peaks[1] - peaks[0]) < 1e6, kind
+            assert max(peaks) < 12.5e6, kind
+
+    @pytest.mark.parametrize("kind", ["dv", "cv"])
+    def test_traced_memory_of_training_grows_only_by_per_row_results(self, monkeypatch, kind):
+        # Every fold's PCA is fitted in one workspace (6.5 MB: one Gram, its
+        # block buffers and one Gram panel), which is dropped before the first
+        # fold trains; a new Gram for each fold, beside one block's float32
+        # Gram, put the peak at 9.4 MB. A fold then trains on per-row features,
+        # labels, fold indices and predictions, about 150 bytes a row, and
+        # scores its rows a block of at most models.SCORE_ROWS at a time: a
+        # whole-fold predict_batch added about 770 bytes for each of a fold's
+        # training rows with DV.
+        images, labels = make_class_images(4708, 2, np.random.default_rng(18))
+        flat = images.reshape(len(images), -1)
+        config = training.TrainConfig(epochs=1, seed=6)
+        train_one_fold = training._train_one_fold
+
+        def peaks(copies) -> tuple[int, int]:
+            """The traced peak of cross_validate, and that of its folds' training."""
+            peak, training_peak = 0, 0
+
+            def traced(*args, **kwargs):
+                nonlocal peak, training_peak
+                peak = max(peak, tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
+                result = train_one_fold(*args, **kwargs)
+                training_peak = max(training_peak, tracemalloc.get_traced_memory()[1])
+                return result
+
+            monkeypatch.setattr(training, "_train_one_fold", traced)
+            split, split_labels = np.concatenate([flat] * copies), np.tile(labels, copies)
+            tracemalloc.start()
+            try:
+                training.cross_validate(kind, split, split_labels, 2, config)
+                return max(peak, tracemalloc.get_traced_memory()[1]), training_peak
+            finally:
+                tracemalloc.stop()
+
+        self.traced_peak(flat[:60], labels[:60], config, kind)  # first calls
+        (once, training_once), (thrice, training_thrice) = peaks(1), peaks(3)
+        extra_rows = 2 * len(flat)
+        assert once < 7.6e6
+        assert thrice - once < 64 * extra_rows
+        assert training_thrice - training_once < 250 * extra_rows
+
+
+class TestScoringBlocks:
+    """Training scores a fold's rows through ``models.predict_rows``, a block
+    of at most ``models.SCORE_ROWS`` rows at a time, with the bits of one
+    ``predict_batch`` over all of them. That holds while BLAS gives a row of
+    a block of 2 or more rows the bits it gives the same row in the whole
+    batch, which can depend on the thread count: CI also runs these tests
+    on one BLAS thread."""
+
+    M = 2112  # 192 rows of each of 11 classes: two folds of 1,056 rows, each scored in two blocks of 528
+
+    @pytest.mark.parametrize("classes", [2, 11])
+    @pytest.mark.parametrize("kind", models.KINDS)
+    def test_training_scores_in_blocks_with_the_bits_of_one_batch(self, monkeypatch, kind, classes):
+        images, labels = make_class_images(self.M, classes, np.random.default_rng(classes), balanced=True)
+        flat = images.reshape(self.M, -1)
+        config = training.TrainConfig(batch_size=64, learning_rate=0.01, epochs=1, folds=2, seed=classes)
+        batches = []
+        predict_batch = models.predict_batch
+
+        def counting(model, features):
+            batches.append(len(features))
+            return predict_batch(model, features)
+
+        monkeypatch.setattr(models, "predict_batch", counting)
+        blocks = training.cross_validate(kind, flat, labels, classes, config)
+        # per fold: the epoch's validation pass, then the training and validation rows
+        assert batches == [528] * 12
+        monkeypatch.setattr(models, "SCORE_ROWS", self.M)  # one predict_batch over all of a fold's rows
+        whole = training.cross_validate(kind, flat, labels, classes, config)
+        assert batches[12:] == [1056] * 6
+        for got, expected in zip(blocks.folds, whole.folds):
+            assert got.curves == expected.curves
+            assert got.train_metrics == expected.train_metrics
+            assert got.val_metrics == expected.val_metrics
+            assert np.array_equal(models.flat_params(got.model), models.flat_params(expected.model))
