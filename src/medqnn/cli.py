@@ -216,7 +216,7 @@ def _evaluate_model(model, pca_model, dataset) -> tuple[dict, dict[str, metrics.
     from . import metrics
 
     features = pca.transform(pca_model, dataset.pixels.reshape(len(dataset), -1))
-    logits, probs = models.predict_rows(model, features)
+    logits, probs = models.predict_batch(model, features)
     cm = metrics.confusion_matrix(dataset.labels, logits.argmax(axis=1), dataset.num_classes)
     row = metrics.metric_set(cm) | {
         "confusion_matrix": cm.counts.tolist(),
@@ -362,18 +362,18 @@ def cmd_eval(args, config: dict, out: Path, dataset) -> tuple[list[Path], dict]:
 # --- noise sweep ---------------------------------------------------------
 
 def _noise_sums(pixels, components, seeds, sigmas: list[float], clip: bool, into: np.ndarray) -> None:
-    """Add into ``into`` the noise field of the rows of ``pixels`` whose
-    streams ``seeds`` seed, walked 32 columns at a time, so the whole of it
-    never exists, and projected on ``components`` C: n C^T, for ``into`` of
-    shape (rows, c), or with ``clip`` each sigma's clip(x + sigma n) C^T, for
-    ``into`` of shape (sigmas, rows, c), for the pixels x on [0, 1]. Each row
-    draws from its own stream, so blocks of rows draw the field that one
-    walk of all rows would."""
+    """Add into ``into``, of shape (sigmas if ``clip`` else 1, rows, c), the
+    noise field of the rows of ``pixels`` whose streams ``seeds`` seed,
+    walked 32 columns at a time, so the whole of it never exists, and
+    projected on ``components`` C: n C^T, or with ``clip`` each sigma's
+    clip(x + sigma n) C^T for the pixels x on [0, 1]. Each row draws from
+    its own stream, so blocks of rows draw the field that one walk of all
+    rows would."""
     for start, field in rng.normal_blocks(seeds, data.NUM_PIXELS):
         cols = slice(start, start + field.shape[1])
         block = components[:, cols].T
         if not clip:
-            into += field @ block
+            into[0] += field @ block
             continue
         x = data.unit_floats(pixels[:, cols])
         for sums, sigma in zip(into, sigmas):
@@ -394,40 +394,35 @@ def cmd_noise_sweep(args, config: dict, out: Path, test) -> tuple[list[Path], di
     sigmas, pixels = data.noise_sweep_grid(), test.pixels.reshape(len(test), -1)
     components = np.concatenate([p.components for _, _, p in loaded])
     seeds = data.noise_seeds(len(pixels), config["seed"])
-    # The field is walked a row block of models.predict_rows at a time.
-    blocks = pca.row_blocks(len(pixels), models.SCORE_ROWS)
-    if args.clip:
-        # A model's features are clip(x + sigma n) C^T less mean C^T. Each row
-        # block's are scored as soon as its walk ends, in one buffer sized for
-        # the first, largest block, so only the predictions outlive the block.
+    if args.clip:  # a model's features are clip(x + sigma n) C^T less mean C^T
         offsets = [p.mean @ p.components.T for _, _, p in loaded]
-        buffer = np.empty((len(sigmas), blocks[0].stop, len(components)))
-        predicted = np.empty((len(sigmas), len(loaded), len(pixels)), int)
-        for block in blocks:
-            sums = buffer[:, : block.stop - block.start]
-            sums.fill(0.0)
-            _noise_sums(pixels[block], components, seeds[block], sigmas, True, sums)
-            for i, per_sigma in enumerate(sums):
-                for j, features in enumerate(np.split(per_sigma, len(loaded), axis=-1)):
-                    logits, _ = models.predict_rows(loaded[j][1], features - offsets[j])  # one block
-                    predicted[i, j, block] = logits.argmax(axis=1)
-    else:  # affine in sigma: base + sigma proj, with base the clean split's features
-        projected = np.zeros((len(pixels), len(components)))
-        for block in blocks:
-            _noise_sums(pixels[block], components, seeds[block], sigmas, False, projected[block])
-        projected = np.split(projected, len(loaded), axis=-1)
+    else:  # affine in sigma: base + sigma n C^T, with base the clean split's features
         bases = [pca.transform(p, pixels) for _, _, p in loaded]
-    rows = []
-    for i, sigma in enumerate(sigmas):
-        for j, (kind, model, _) in enumerate(loaded):
-            if args.clip:
-                classes = predicted[i, j]
-            else:
-                classes = models.predict_rows(model, bases[j] + sigma * projected[j])[0].argmax(axis=1)
-            cm = metrics.confusion_matrix(test.labels, classes, test.num_classes)
-            _, _, _, f1 = metrics.micro_metrics(cm)
-            rows.append((sigma, kind, f1))
-        log(f"sigma {sigma:.2f} done")
+    # Each row block of the field is walked into one buffer sized for the
+    # first, largest block and scored as soon as its walk ends; confusion
+    # counts add up over blocks, so only they outlive the block.
+    blocks = pca.row_blocks(len(pixels), models.SCORE_ROWS)
+    buffer = np.empty((len(sigmas) if args.clip else 1, blocks[0].stop, len(components)))
+    counts = np.zeros((len(sigmas), len(loaded), test.num_classes, test.num_classes), np.int64)
+    for block in blocks:
+        sums = buffer[:, : block.stop - block.start]
+        sums.fill(0.0)
+        _noise_sums(pixels[block], components, seeds[block], sigmas, args.clip, sums)
+        for i, sigma in enumerate(sigmas):
+            for j, (_, model, _) in enumerate(loaded):
+                cols = slice(j * models.NUM_MODES, (j + 1) * models.NUM_MODES)
+                if args.clip:
+                    features = sums[i, :, cols] - offsets[j]
+                else:
+                    features = bases[j][block] + sigma * sums[0, :, cols]
+                classes = models.predict_batch(model, features)[0].argmax(axis=1)
+                counts[i, j] += metrics.confusion_matrix(test.labels[block], classes, test.num_classes).counts
+        log(f"rows {block.start}-{block.stop} of {len(pixels)} scored")
+    rows = [
+        (sigma, kind, metrics.micro_metrics(metrics.ConfusionMatrix(counts[i, j]))[3])
+        for i, sigma in enumerate(sigmas)
+        for j, (kind, _, _) in enumerate(loaded)
+    ]
 
     sweep_path = _write_csv(out / "noise_sweep.csv", ["sigma", "model_kind", "f1"], rows)
     baseline = {kind: f1 for sigma, kind, f1 in rows if sigma == 0.0}

@@ -19,8 +19,8 @@ Feature extractors, layer by layer (two layers, 16 parameters each):
 
 Every kind runs through one forward function that returns the outputs
 and two backward closures, to the circuit parameters and to the inputs z;
-``predict_batch`` (training, evaluation and saliency, and through
-``predict_rows`` any number of rows), ``loss_and_grad`` and
+``predict_batch`` (the one scorer: training, evaluation, noise sweeps and
+saliency, any number of rows, in row blocks), ``loss_and_grad`` and
 ``logit_input_jacobian`` all use it. The input-side closure works
 only when called, so training pays nothing for it. ``cv_final_state``
 and ``dv_final_state`` expose one sample's full circuit state for dumps.
@@ -69,8 +69,8 @@ KINDS = ("cv", "dv", "classical")
 
 CHECKPOINT_VERSION = 2
 
-# Rows per block of predict_rows, which scores for train, eval and
-# noise-sweep; noise-sweep also draws its noise field in these row blocks.
+# Rows per block of predict_batch; noise-sweep also draws its noise field
+# in these row blocks.
 SCORE_ROWS = 1024
 
 
@@ -348,8 +348,23 @@ _FORWARD_BY_KIND = {
 
 
 def predict_batch(model: HybridModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(logits, probabilities) for a (m, 4) feature matrix; DataError unless
-    every logit is finite."""
+    """(logits, probabilities) for a (m, 4) feature matrix of any number of
+    rows, scored a block of at most ``SCORE_ROWS`` at a time, so no
+    prediction temporary grows with the rows. No block has a single row
+    (``pca.row_blocks``), so each row gets the bits it would get in one
+    batch wherever BLAS gives a row of a batch the same bits. DataError
+    unless every logit is finite."""
+    if np.ndim(features) != 2:  # one row's (4,) would fill every row of the output
+        raise ValueError(f"expected an (m, {NUM_MODES}) feature matrix, got shape {np.shape(features)}")
+    logits = np.empty((len(features), model.num_classes))
+    probs = np.empty_like(logits)
+    for rows in row_blocks(len(features), SCORE_ROWS):
+        logits[rows], probs[rows] = _score_block(model, features[rows])
+    return logits, probs
+
+
+def _score_block(model: HybridModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``predict_batch`` of one block; its temporaries go when it returns."""
     z = standardize(model, _check_features(features))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         outputs, _, _ = _FORWARD_BY_KIND[model.kind](model.circuit_params, z)
@@ -357,19 +372,6 @@ def predict_batch(model: HybridModel, features: np.ndarray) -> tuple[np.ndarray,
         probs = softmax(logits)
     if not np.all(np.isfinite(logits)):
         raise DataError("a logit is not finite: the checkpoint does not fit the features")
-    return logits, probs
-
-
-def predict_rows(model: HybridModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``predict_batch`` of any number of rows, a block of at most
-    ``SCORE_ROWS`` at a time, so no prediction temporary grows with the rows.
-    No block has a single row (``pca.row_blocks``), so each row gets the
-    bits it would get in one batch wherever BLAS gives a row of a batch the
-    same bits."""
-    logits = np.empty((len(features), model.num_classes))
-    probs = np.empty_like(logits)
-    for rows in row_blocks(len(features), SCORE_ROWS):
-        logits[rows], probs[rows] = predict_batch(model, features[rows])
     return logits, probs
 
 

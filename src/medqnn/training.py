@@ -136,9 +136,8 @@ def train_model(
 
     The training curve uses running minibatch losses and predictions; the
     validation curve is a full pass at each epoch end, scored in row blocks
-    (``models.predict_rows``). Feature
-    standardization statistics must already be baked into the caller's
-    data flow (they live on the model).
+    (``models.predict_batch``). Feature standardization statistics must
+    already be baked into the caller's data flow (they live on the model).
     """
     feature_mean = train_features.mean(axis=0)
     feature_std = train_features.std(axis=0)
@@ -176,7 +175,7 @@ def train_model(
         train_stats = metrics.metric_set(train_cm)
         train_loss = float(np.sum(epoch_losses) / len(order))
         curves.append(EpochRecord(epoch=epoch, split="train", loss=train_loss, **train_stats))
-        val_logits, _ = models.predict_rows(model, val_features)
+        val_logits, _ = models.predict_batch(model, val_features)
         val_loss = models.batch_loss_from_logits(val_logits, val_labels)
         val_cm = metrics.confusion_matrix(val_labels, val_logits.argmax(axis=1), num_classes)
         val_stats = metrics.metric_set(val_cm)
@@ -207,8 +206,8 @@ def _train_one_fold(
         config,
         rng,
     )
-    train_logits, _ = models.predict_rows(model, train_features)
-    val_logits, _ = models.predict_rows(model, val_features)
+    train_logits, _ = models.predict_batch(model, train_features)
+    val_logits, _ = models.predict_batch(model, val_features)
     train_cm = metrics.confusion_matrix(labels[train_idx], train_logits.argmax(axis=1), num_classes)
     val_cm = metrics.confusion_matrix(labels[val_idx], val_logits.argmax(axis=1), num_classes)
     return FoldResult(
@@ -242,7 +241,7 @@ def cross_validate(
     does not depend on the order of the rows either. Each fold's model
     then projects the split, which ``pca.transform`` converts a block of
     rows at a time, and its predictions are scored in row blocks
-    (``models.predict_rows``). So the rows are floats only a block at a
+    (``models.predict_batch``). So the rows are floats only a block at a
     time, never a fold or the split, and nothing but per-row features,
     labels, fold indices and predictions grows with the split.
     The best fold is the highest final validation F1 (ties go to the

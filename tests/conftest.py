@@ -4,6 +4,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from medqnn import models
 from medqnn.rng import Rng
 
 
@@ -27,6 +28,20 @@ def make_class_images(
         col = 2 + 8 * (label // 5)
         images[i, row : row + 6, col : col + 8] += 160
     return np.clip(images, 0, 255).astype(np.uint8), labels.astype(np.uint8)
+
+
+def counted_blocks(monkeypatch) -> list[int]:
+    """The sizes of the row blocks ``models.predict_batch`` scores from now
+    on, in the order it scores them."""
+    sizes = []
+    score_block = models._score_block
+
+    def counting(model, features):
+        sizes.append(len(features))
+        return score_block(model, features)
+
+    monkeypatch.setattr(models, "_score_block", counting)
+    return sizes
 
 
 def pixels_with_spectrum(rng: np.random.Generator, m: int, eigvals) -> np.ndarray:

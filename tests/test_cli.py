@@ -23,7 +23,7 @@ from medqnn import cli, data, metrics, models, pca
 from medqnn import rng as rng_module
 from medqnn.rng import Rng, normal_field
 
-from conftest import make_class_images, write_archive
+from conftest import counted_blocks, make_class_images, write_archive
 
 
 def run_cli(*argv):
@@ -438,17 +438,10 @@ class TestScoringBlocks:
         argv = ["eval", "--archive", str(archive), "--dataset", "toyset",
                 "--checkpoint", str(tmp_path / "model.json"), "--pca", str(tmp_path / "pca.json")]
 
-        batches = []
-        predict_batch = models.predict_batch
-
-        def counting(model, features):
-            batches.append(len(features))
-            return predict_batch(model, features)
-
-        monkeypatch.setattr(models, "predict_batch", counting)
+        batches = counted_blocks(monkeypatch)
         assert run_cli(*argv, "--out", str(tmp_path / "blocks")) == 0
         assert batches == [683] * 3
-        monkeypatch.setattr(models, "SCORE_ROWS", self.M)  # one predict_batch over all rows
+        monkeypatch.setattr(models, "SCORE_ROWS", self.M)  # one block of all rows
         assert run_cli(*argv, "--out", str(tmp_path / "batch")) == 0
         assert batches[3:] == [self.M]
         names = sorted(p.name for p in (tmp_path / "batch").iterdir() if p.name != "manifest.json")
@@ -456,10 +449,12 @@ class TestScoringBlocks:
         for name in names:
             assert (tmp_path / "blocks" / name).read_bytes() == (tmp_path / "batch" / name).read_bytes(), name
 
+    @pytest.mark.parametrize("classes", [2, 11])
     @pytest.mark.parametrize("clip", [False, True])
-    def test_noise_sweep_scores_in_blocks_with_the_bits_of_one_batch(self, tmp_path, monkeypatch, archives, clip):
-        """With --clip each row block is scored as soon as its walk ends."""
-        archive = archives[2]
+    def test_noise_sweep_scores_in_blocks_with_the_bits_of_one_batch(self, tmp_path, monkeypatch, archives, clip, classes):
+        """Each row block is scored as soon as its walk ends, and its
+        confusion counts are added to those of the blocks before it."""
+        archive = archives[classes]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             (train,) = data.load_archive(archive, "toyset", ("train",))
@@ -469,22 +464,15 @@ class TestScoringBlocks:
         features = pca.transform(pca_model, pixels)
         argv = ["noise-sweep", "--archive", str(archive), "--dataset", "toyset", "--seed", "7"]
         for index, kind in enumerate(models.KINDS):
-            model = models.init_model(kind, 2, Rng(index), features.mean(axis=0), features.std(axis=0))
+            model = models.init_model(kind, classes, Rng(index), features.mean(axis=0), features.std(axis=0))
             models.save_checkpoint(model, tmp_path / f"{kind}.json")
             argv += [f"--{kind}-checkpoint", str(tmp_path / f"{kind}.json"), f"--{kind}-pca", str(tmp_path / "pca.json")]
         argv += ["--clip"] if clip else []
 
-        batches = []
-        predict_batch = models.predict_batch
-
-        def counting(model, features):
-            batches.append(len(features))
-            return predict_batch(model, features)
-
-        monkeypatch.setattr(models, "predict_batch", counting)
+        batches = counted_blocks(monkeypatch)
         assert run_cli(*argv, "--out", str(tmp_path / "blocks")) == 0
         assert batches == [683] * 3 * 20 * 3
-        monkeypatch.setattr(models, "SCORE_ROWS", self.M)  # one walk block, one predict_batch over all rows
+        monkeypatch.setattr(models, "SCORE_ROWS", self.M)  # one walk block, one scored block of all rows
         assert run_cli(*argv, "--out", str(tmp_path / "batch")) == 0
         assert batches[180:] == [self.M] * 20 * 3
         sweep = "noise_sweep.csv"
@@ -501,13 +489,13 @@ class TestScoringBlocks:
         components = np.linalg.qr(np.random.default_rng(45).normal(size=(data.NUM_PIXELS, 12)))[0].T.copy()
         sigmas = data.noise_sweep_grid()
         seeds = data.noise_seeds(self.M, 2**63 + 3)
-        got = np.zeros(((len(sigmas),) if clip else ()) + (self.M, len(components)))
+        got = np.zeros((len(sigmas) if clip else 1, self.M, len(components)))
         for rows in pca.row_blocks(self.M, models.SCORE_ROWS):  # noise-sweep's three blocks of 683
             cli._noise_sums(pixels[rows], components, seeds[rows], sigmas, clip, got[..., rows, :])
 
         field = normal_field(data.noise_seeds(self.M, 2**63 + 3), data.NUM_PIXELS)
         copies = [data.inject_gaussian_noise(test.flat_images(), sigma, field, clip=True) for sigma in sigmas]
-        expected = np.zeros(((len(sigmas),) if clip else ()) + (self.M, len(components)))
+        expected = np.zeros((len(sigmas) if clip else 1, self.M, len(components)))
         for start in range(0, data.NUM_PIXELS, rng_module._BLOCK_COLUMNS):
             cols = slice(start, start + rng_module._BLOCK_COLUMNS)
             projected = [copy[:, cols] for copy in copies] if clip else field[:, cols]
@@ -614,15 +602,17 @@ def test_traced_memory_of_eval_and_noise_sweep_grows_with_the_split_bytes(tmp_pa
     each kind) and to both sweeps.
 
     As floats each 1,000 extra rows take 6.3 MB, as bytes 0.8 MB. The split
-    is projected from its bytes through one reused buffer of rows, both
-    commands score it a block of rows at a time, and both sweeps walk the
-    noise field a block of rows and columns at a time, so per row eval and
-    the unclipped sweep keep only features, predictions, probabilities and
-    curve points. The clipped sweep walks each row block into one reused
-    buffer of every sigma's features, scores them as soon as the block's
-    walk ends and keeps only every sigma's predictions (480 bytes a row;
-    keeping every sigma's features, 1,920 bytes a row, put its growth at
-    3.5 times the extra bytes).
+    is projected from its bytes through one reused buffer of rows and both
+    commands score it a block of rows at a time, so per row eval keeps only
+    features, predictions, probabilities and curve points. Both sweeps walk
+    the noise field a block of rows and columns at a time into one reused
+    buffer, score each block as soon as its walk ends and add its confusion
+    counts to those of the blocks before it, so no prediction outlives its
+    block: per row the unclipped sweep keeps only the clean features and the
+    clipped sweep nothing. (Keeping every sigma's predictions, 480 bytes a
+    row, put the clipped sweep's growth at 1.66 times the extra bytes, and
+    the unclipped sweep's whole-split noise projection put its growth at
+    1.36 times.)
     """
     images, labels = make_class_images(1000, 2, np.random.default_rng(40), balanced=True)
     small, small_labels = make_class_images(20, 2, np.random.default_rng(41), balanced=True)
@@ -632,8 +622,8 @@ def test_traced_memory_of_eval_and_noise_sweep_grows_with_the_split_bytes(tmp_pa
         sweep += [f"--{kind}-checkpoint", str(model_path), f"--{kind}-pca", str(pca_path)]
         commands[f"eval-{kind}"] = (["eval", "--checkpoint", str(model_path), "--pca", str(pca_path)], 1.5)
     commands |= {
-        "noise-sweep": (["noise-sweep", *sweep, "--seed", "3"], 1.5),
-        "noise-sweep-clip": (["noise-sweep", *sweep, "--seed", "3", "--clip"], 2),
+        "noise-sweep": (["noise-sweep", *sweep, "--seed", "3"], 1.25),
+        "noise-sweep-clip": (["noise-sweep", *sweep, "--seed", "3", "--clip"], 1.25),
     }
     peaks = {command: [] for command in commands}
     for copies in (1, 3):

@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from medqnn import gaussian, models, statevector
+from medqnn import gaussian, models, pca, statevector
 from medqnn.errors import DataError, NumericError
 from medqnn.rng import Rng
+
+from conftest import counted_blocks
 
 
 def batch_loss(model, features, labels):
@@ -508,12 +510,53 @@ class TestPrediction:
             assert np.all(probabilities > 0)
             assert np.argmax(logits[0]) == np.argmax(probabilities[0])
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4)])
+    def test_features_not_a_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match="feature matrix"):
+            models.predict_batch(make_model("classical"), np.zeros(shape))
+
     def test_deterministic(self):
         model = make_model("dv", rng_seed=13)
         features = np.array([0.1, 0.2, 0.3, 0.4])
         a = single_logits(model, features)
         b = single_logits(model, features)
         np.testing.assert_array_equal(a, b)
+
+
+class TestScoringBlocks:
+    """``predict_batch`` scores any number of rows in ``pca.row_blocks``
+    blocks of at most ``models.SCORE_ROWS``, with the bits of one block of
+    all of them. That holds while BLAS gives a row of a block of 2 or more
+    rows the bits it gives the same row in the whole batch, which can
+    depend on the thread count: CI also runs these tests on one BLAS
+    thread."""
+
+    @pytest.mark.parametrize("rows", [1, 2, models.SCORE_ROWS, models.SCORE_ROWS + 1, 2 * models.SCORE_ROWS + 1])
+    @pytest.mark.parametrize("classes", [2, 11])
+    @pytest.mark.parametrize("kind", models.KINDS)
+    def test_blocks_have_the_bits_of_one_batch_and_check_every_block(self, monkeypatch, kind, classes, rows):
+        model = random_model(kind, classes, seed=rows)
+        features, _ = random_batch(model, rows, seed=rows)
+        blocks = [b.stop - b.start for b in pca.row_blocks(rows, models.SCORE_ROWS)]
+        assert len(blocks) == -(-rows // models.SCORE_ROWS)
+        sizes = counted_blocks(monkeypatch)
+        logits, probs = models.predict_batch(model, features)
+        assert sizes == blocks
+        assert logits.shape == probs.shape == (rows, classes)
+
+        score_rows = models.SCORE_ROWS
+        monkeypatch.setattr(models, "SCORE_ROWS", rows + 1)  # one block of all rows
+        whole_logits, whole_probs = models.predict_batch(model, features)
+        assert sizes[len(blocks):] == [rows]
+        assert np.array_equal(logits, whole_logits)
+        assert np.array_equal(probs, whole_probs)
+
+        monkeypatch.setattr(models, "SCORE_ROWS", score_rows)
+        del sizes[:]
+        features[-1, 2] = np.nan
+        with pytest.raises(DataError):
+            models.predict_batch(model, features)
+        assert sizes == blocks  # the last block raised
 
 
 class TestCheckpoint:

@@ -8,7 +8,7 @@ from medqnn import data, models, pca, training
 from medqnn.errors import ConfigError, DataError
 from medqnn.rng import Rng
 
-from conftest import make_class_images, pixels_with_spectrum
+from conftest import counted_blocks, make_class_images, pixels_with_spectrum
 
 
 def separable_toy(m=48, seed=0):
@@ -402,9 +402,9 @@ class TestFoldPca:
         # fold trains; a new Gram for each fold, beside one block's float32
         # Gram, put the peak at 9.4 MB. A fold then trains on per-row features,
         # labels, fold indices and predictions, about 150 bytes a row, and
-        # scores its rows a block of at most models.SCORE_ROWS at a time: a
-        # whole-fold predict_batch added about 770 bytes for each of a fold's
-        # training rows with DV.
+        # scores its rows a block of at most models.SCORE_ROWS at a time:
+        # scoring a whole fold at once added about 770 bytes for each of a
+        # fold's training rows with DV.
         images, labels = make_class_images(4708, 2, np.random.default_rng(18))
         flat = images.reshape(len(images), -1)
         config = training.TrainConfig(epochs=1, seed=6)
@@ -440,9 +440,9 @@ class TestFoldPca:
 
 
 class TestScoringBlocks:
-    """Training scores a fold's rows through ``models.predict_rows``, a block
-    of at most ``models.SCORE_ROWS`` rows at a time, with the bits of one
-    ``predict_batch`` over all of them. That holds while BLAS gives a row of
+    """Training scores a fold's rows through ``models.predict_batch``, a
+    block of at most ``models.SCORE_ROWS`` rows at a time, with the bits of
+    one block of all of them. That holds while BLAS gives a row of
     a block of 2 or more rows the bits it gives the same row in the whole
     batch, which can depend on the thread count: CI also runs these tests
     on one BLAS thread."""
@@ -455,18 +455,11 @@ class TestScoringBlocks:
         images, labels = make_class_images(self.M, classes, np.random.default_rng(classes), balanced=True)
         flat = images.reshape(self.M, -1)
         config = training.TrainConfig(batch_size=64, learning_rate=0.01, epochs=1, folds=2, seed=classes)
-        batches = []
-        predict_batch = models.predict_batch
-
-        def counting(model, features):
-            batches.append(len(features))
-            return predict_batch(model, features)
-
-        monkeypatch.setattr(models, "predict_batch", counting)
+        batches = counted_blocks(monkeypatch)
         blocks = training.cross_validate(kind, flat, labels, classes, config)
         # per fold: the epoch's validation pass, then the training and validation rows
         assert batches == [528] * 12
-        monkeypatch.setattr(models, "SCORE_ROWS", self.M)  # one predict_batch over all of a fold's rows
+        monkeypatch.setattr(models, "SCORE_ROWS", self.M)  # one block of all of a fold's rows
         whole = training.cross_validate(kind, flat, labels, classes, config)
         assert batches[12:] == [1056] * 6
         for got, expected in zip(blocks.folds, whole.folds):
