@@ -216,8 +216,9 @@ def _evaluate_model(model, pca_model, dataset) -> tuple[dict, dict[str, metrics.
     from . import metrics
 
     features = pca.transform(pca_model, dataset.pixels.reshape(len(dataset), -1))
-    logits, probs = models.predict_batch(model, features)
+    logits = models.predict_batch(model, features)
     cm = metrics.confusion_matrix(dataset.labels, logits.argmax(axis=1), dataset.num_classes)
+    probs = models.softmax(logits)
     row = metrics.metric_set(cm) | {
         "confusion_matrix": cm.counts.tolist(),
         "split": dataset.split,
@@ -320,9 +321,12 @@ def _eval_config(args, config: dict) -> None:
         return
     if Path(args.dump_state).is_dir():
         raise ConfigError(f"--dump-state {args.dump_state} is a directory, not a file")
-    folder = Path(os.path.abspath(args.dump_state)).parent
-    if not (folder.is_dir() or folder == Path(os.path.abspath(args.out))):  # _run makes --out
+    dump, out = Path(os.path.realpath(args.dump_state)), Path(os.path.realpath(args.out))
+    if not (dump.parent.is_dir() or dump.parent == out):  # _run makes --out
         raise ConfigError(f"--dump-state {args.dump_state}: no such directory")
+    if dump.parent == out and (dump.name in ("eval.json", "manifest.json", "manifest.json.tmp")
+                               or dump.match("curve_*.csv")):
+        raise ConfigError(f"--dump-state {args.dump_state} would overwrite one of eval's own outputs")
 
 
 def cmd_eval(args, config: dict, out: Path, dataset) -> tuple[list[Path], dict]:
@@ -346,7 +350,7 @@ def cmd_eval(args, config: dict, out: Path, dataset) -> tuple[list[Path], dict]:
             amplitudes = models.dv_final_state(model, features)
             dump = {"kind": "dv", "amplitudes": [[float(a.real), float(a.imag)] for a in amplitudes]}
         else:
-            logits, _ = models.predict_batch(model, features[None, :])  # 1-row batch
+            logits = models.predict_batch(model, features[None, :])  # 1-row batch
             dump = {"kind": "classical", "logits": logits[0].tolist()}
         dump_path = Path(args.dump_state)
         try:
@@ -415,7 +419,7 @@ def cmd_noise_sweep(args, config: dict, out: Path, test) -> tuple[list[Path], di
                     features = sums[i, :, cols] - offsets[j]
                 else:
                     features = bases[j][block] + sigma * sums[0, :, cols]
-                classes = models.predict_batch(model, features)[0].argmax(axis=1)
+                classes = models.predict_batch(model, features).argmax(axis=1)
                 counts[i, j] += metrics.confusion_matrix(test.labels[block], classes, test.num_classes).counts
         log(f"rows {block.start}-{block.stop} of {len(pixels)} scored")
     rows = [

@@ -19,11 +19,12 @@ Feature extractors, layer by layer (two layers, 16 parameters each):
 
 Every kind runs through one forward function that returns the outputs
 and two backward closures, to the circuit parameters and to the inputs z;
-``predict_batch`` (the one scorer: training, evaluation, noise sweeps and
-saliency, any number of rows, in row blocks), ``loss_and_grad`` and
-``logit_input_jacobian`` all use it. The input-side closure works
-only when called, so training pays nothing for it. ``cv_final_state``
-and ``dv_final_state`` expose one sample's full circuit state for dumps.
+``predict_batch`` (the one scorer: logits of any number of rows, in row
+blocks; eval's curves and saliency take ``softmax`` of them),
+``loss_and_grad`` and ``logit_input_jacobian`` all use it. The input-side
+closure works only when called, so training pays nothing for it.
+``cv_final_state`` and ``dv_final_state`` expose one sample's full
+circuit state for dumps.
 Neither circuit's variational block depends on the batch, so each is
 compiled once per call and all gradients are exact:
 
@@ -347,32 +348,31 @@ _FORWARD_BY_KIND = {
 }
 
 
-def predict_batch(model: HybridModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(logits, probabilities) for a (m, 4) feature matrix of any number of
-    rows, scored a block of at most ``SCORE_ROWS`` at a time, so no
-    prediction temporary grows with the rows. No block has a single row
+def predict_batch(model: HybridModel, features: np.ndarray) -> np.ndarray:
+    """The (m, num_classes) logits of a (m, 4) feature matrix of any number
+    of rows, scored a block of at most ``SCORE_ROWS`` at a time, so no
+    prediction temporary grows with the rows; callers that want
+    probabilities take ``softmax`` of them. No block has a single row
     (``pca.row_blocks``), so each row gets the bits it would get in one
     batch wherever BLAS gives a row of a batch the same bits. DataError
     unless every logit is finite."""
     if np.ndim(features) != 2:  # one row's (4,) would fill every row of the output
         raise ValueError(f"expected an (m, {NUM_MODES}) feature matrix, got shape {np.shape(features)}")
     logits = np.empty((len(features), model.num_classes))
-    probs = np.empty_like(logits)
     for rows in row_blocks(len(features), SCORE_ROWS):
-        logits[rows], probs[rows] = _score_block(model, features[rows])
-    return logits, probs
+        logits[rows] = _score_block(model, features[rows])
+    return logits
 
 
-def _score_block(model: HybridModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _score_block(model: HybridModel, features: np.ndarray) -> np.ndarray:
     """``predict_batch`` of one block; its temporaries go when it returns."""
     z = standardize(model, _check_features(features))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         outputs, _, _ = _FORWARD_BY_KIND[model.kind](model.circuit_params, z)
         logits = _head(model, outputs)
-        probs = softmax(logits)
     if not np.all(np.isfinite(logits)):
         raise DataError("a logit is not finite: the checkpoint does not fit the features")
-    return logits, probs
+    return logits
 
 
 def batch_loss_from_logits(logits: np.ndarray, labels: np.ndarray) -> float:

@@ -69,7 +69,9 @@ BLOCK_ROWS = 256
 # Columns per panel of a block's Gram in moments(): a quarter of 784.
 PANEL_COLUMNS = 196
 # Rows per block of transform(): its one reused float64 buffer of 784-pixel
-# rows takes 0.4 MB.
+# rows takes 0.4 MB. The value is part of every artifact's bytes: on OpenBLAS
+# 0.3.31 one product of about 513 or more rows gives other bits than blocks of
+# up to 256, so a change to it shows only against the earlier artifacts' bytes.
 TRANSFORM_ROWS = 64
 
 MAGIC = "PCA1"

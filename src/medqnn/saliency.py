@@ -6,8 +6,8 @@ into (d logit / d features) @ components, PCA being affine. The absolute
 gradient is used by default so influential dark regions also light up; a
 signed variant is available for callers that want direction.
 
-The predicted class and its confidence come from ``models.predict_batch``
-on a 1-row batch, the path evaluation uses.
+The predicted class and its confidence are read from the softmax of
+``models.predict_batch`` on a 1-row batch, the scorer evaluation uses.
 
 A consequence worth knowing: the CV circuit acts affinely on the encoded
 features, so its map does not depend on which image is attributed.
@@ -44,8 +44,8 @@ def input_gradient_map(
     if image.shape[0] != pca_model.input_dim:
         raise ValueError(f"expected {pca_model.input_dim} pixels, got {image.shape[0]}")
     features = pca.transform(pca_model, image)
-    _, probabilities = models.predict_batch(model, features[None, :])  # 1-row batch
-    predicted = int(np.argmax(probabilities[0]))
+    probabilities = models.softmax(models.predict_batch(model, features[None, :]))[0]  # 1-row batch
+    predicted = int(np.argmax(probabilities))
     if target_class is None:
         target_class = predicted
     if not 0 <= target_class < model.num_classes:
@@ -60,7 +60,7 @@ def input_gradient_map(
     return SaliencyMap(
         heat=heat,
         predicted_class=predicted,
-        confidence=float(probabilities[0, predicted]),
+        confidence=float(probabilities[predicted]),
         signed=signed,
     )
 

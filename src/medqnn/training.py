@@ -136,8 +136,9 @@ def train_model(
 
     The training curve uses running minibatch losses and predictions; the
     validation curve is a full pass at each epoch end, scored in row blocks
-    (``models.predict_batch``). Feature standardization statistics must
-    already be baked into the caller's data flow (they live on the model).
+    (``models.predict_batch``). The model's feature statistics are those
+    of ``train_features``. ``cross_validate`` scores the returned model
+    itself, so no pass after the last epoch is made here.
     """
     feature_mean = train_features.mean(axis=0)
     feature_std = train_features.std(axis=0)
@@ -175,49 +176,12 @@ def train_model(
         train_stats = metrics.metric_set(train_cm)
         train_loss = float(np.sum(epoch_losses) / len(order))
         curves.append(EpochRecord(epoch=epoch, split="train", loss=train_loss, **train_stats))
-        val_logits, _ = models.predict_batch(model, val_features)
+        val_logits = models.predict_batch(model, val_features)
         val_loss = models.batch_loss_from_logits(val_logits, val_labels)
         val_cm = metrics.confusion_matrix(val_labels, val_logits.argmax(axis=1), num_classes)
         val_stats = metrics.metric_set(val_cm)
         curves.append(EpochRecord(epoch=epoch, split="val", loss=float(val_loss), **val_stats))
     return model, curves
-
-
-def _train_one_fold(
-    kind: str,
-    features: np.ndarray,
-    labels: np.ndarray,
-    fold_index: int,
-    train_idx: np.ndarray,
-    val_idx: np.ndarray,
-    pca_model: pca.PcaModel,
-    num_classes: int,
-    config: TrainConfig,
-) -> FoldResult:
-    train_features, val_features = features[train_idx], features[val_idx]
-    rng = Rng(substream_seed(config.seed, fold_index))
-    model, curves = train_model(
-        kind,
-        train_features,
-        labels[train_idx],
-        val_features,
-        labels[val_idx],
-        num_classes,
-        config,
-        rng,
-    )
-    train_logits, _ = models.predict_batch(model, train_features)
-    val_logits, _ = models.predict_batch(model, val_features)
-    train_cm = metrics.confusion_matrix(labels[train_idx], train_logits.argmax(axis=1), num_classes)
-    val_cm = metrics.confusion_matrix(labels[val_idx], val_logits.argmax(axis=1), num_classes)
-    return FoldResult(
-        fold_index=fold_index,
-        curves=curves,
-        model=model,
-        pca_model=pca_model,
-        train_metrics=metrics.metric_set(train_cm),
-        val_metrics=metrics.metric_set(val_cm),
-    )
 
 
 def cross_validate(
@@ -238,12 +202,15 @@ def cross_validate(
     anything large and the heap does not grow with the fold count. The
     workspace is dropped before the first fold trains, so training never
     holds a Gram. For stored bytes the sums are exact integers, so the fit
-    does not depend on the order of the rows either. Each fold's model
+    does not depend on the order of the rows either. Each fold's PCA
     then projects the split, which ``pca.transform`` converts a block of
-    rows at a time, and its predictions are scored in row blocks
-    (``models.predict_batch``). So the rows are floats only a block at a
-    time, never a fold or the split, and nothing but per-row features,
-    labels, fold indices and predictions grows with the split.
+    rows at a time; ``train_model`` trains on the fold's rows, and its
+    final model scores every row of the split once, in row blocks
+    (``models.predict_batch``), from which the fold's train and
+    validation metrics are read by index (at ``epochs=0`` the initial
+    model's). So the rows are floats only a block at a time, never a fold
+    or the split, and nothing but per-row features, labels, fold indices
+    and predictions grows with the split.
     The best fold is the highest final validation F1 (ties go to the
     lowest fold index); its model is the one a caller should evaluate on
     the held-out test split.
@@ -255,13 +222,19 @@ def cross_validate(
     workspace = pca.Workspace(images.shape[1], images.dtype)
     pca_models = [pca.from_moments(pca.moments(images, rows, workspace), models.NUM_MODES) for rows, _ in splits]
     del workspace  # no fold trains beside a Gram
-    folds = [
-        _train_one_fold(
-            kind, pca.transform(pca_model, images), labels, fold_index, train_idx, val_idx,
-            pca_model, num_classes, config,
+    folds = []
+    for fold_index, ((train_idx, val_idx), pca_model) in enumerate(zip(splits, pca_models)):
+        features = pca.transform(pca_model, images)
+        model, curves = train_model(
+            kind, features[train_idx], labels[train_idx], features[val_idx], labels[val_idx],
+            num_classes, config, Rng(substream_seed(config.seed, fold_index)),
         )
-        for fold_index, ((train_idx, val_idx), pca_model) in enumerate(zip(splits, pca_models))
-    ]
+        predicted = models.predict_batch(model, features).argmax(axis=1)  # the whole split, once
+        train_metrics, val_metrics = (
+            metrics.metric_set(metrics.confusion_matrix(labels[rows], predicted[rows], num_classes))
+            for rows in (train_idx, val_idx)
+        )
+        folds.append(FoldResult(fold_index, curves, model, pca_model, train_metrics, val_metrics))
 
     summary = {}
     for split_name in ("train", "val"):
@@ -271,7 +244,7 @@ def cross_validate(
             )
             summary[f"{split_name}_{metric}"] = {
                 "mean": float(values.mean()),
-                "std": float(values.std(ddof=1)) if len(values) > 1 else 0.0,
+                "std": float(values.std(ddof=1)),  # TrainConfig holds folds >= 2
             }
     best = select_best_fold([f.val_metrics["f1"] for f in folds])
     return CrossValResult(folds=folds, summary=summary, best_fold_index=best)

@@ -75,7 +75,8 @@ def reproduce(dataset_name: str, kind: str, seed: int):
     )
     best = result.folds[result.best_fold_index]
     features = pca.transform(best.pca_model, test_split.flat_images())
-    logits, probs = models.predict_batch(best.model, features)
+    logits = models.predict_batch(best.model, features)
+    probs = models.softmax(logits)
     cm = metrics.confusion_matrix(test_split.labels, logits.argmax(axis=1), test_split.num_classes)
     acc, _, _, f1 = metrics.micro_metrics(cm)
     if test_split.num_classes == 2:
@@ -417,7 +418,7 @@ def test_noise_degradation_on_pneumonia(tmp_path):
         for sigma in grid:
             noisy = data.inject_gaussian_noise(test_split.flat_images(), sigma, noise)
             feats = pca.transform(best.pca_model, noisy)
-            logits, _ = models.predict_batch(best.model, feats)
+            logits = models.predict_batch(best.model, feats)
             cm = metrics.confusion_matrix(test_split.labels, logits.argmax(axis=1), 2)
             f1_by_sigma[sigma] = metrics.micro_metrics(cm)[3]
         clean = reproduce("pneumoniamnist", kind, REPRO_SEED)["f1"]

@@ -316,7 +316,7 @@ class TestEval:
                     warnings.simplefilter("ignore")
                     image = data.load_archive(archive, "toyset")[2].flat_images()[0]
                 features = pca.transform(pca.load(pca_path), image)
-                logits, _ = models.predict_batch(models.load_checkpoint(model_path), features[None, :])
+                logits = models.predict_batch(models.load_checkpoint(model_path), features[None, :])
                 assert payload["logits"] == logits[0].tolist()
             else:
                 assert len(payload["amplitudes"]) == 16
@@ -396,7 +396,7 @@ class TestNoiseSweep:
         for sigma in data.noise_sweep_grid():
             noisy = data.inject_gaussian_noise(images, sigma, noise, clip=clip)
             for kind, model, pca_model in loaded:
-                logits, _ = models.predict_batch(model, pca.transform(pca_model, noisy))
+                logits = models.predict_batch(model, pca.transform(pca_model, noisy))
                 cm = metrics.confusion_matrix(test.labels, logits.argmax(axis=1), test.num_classes)
                 expected.append((sigma, kind, metrics.micro_metrics(cm)[3]))
         assert rows == expected
@@ -544,8 +544,8 @@ def cv_margins(model, pca_model, pixels, labels):
     With <x> readout the logits are affine in the features, and these in the
     pixels, so the gradient is the same at every row: the logits at 0 and at
     each unit feature give it."""
-    logits, _ = models.predict_batch(model, pca.transform(pca_model, pixels))
-    corners, _ = models.predict_batch(model, np.vstack([np.zeros(4), np.eye(4)]))
+    logits = models.predict_batch(model, pca.transform(pca_model, pixels))
+    corners = models.predict_batch(model, np.vstack([np.zeros(4), np.eye(4)]))
     slopes = corners[1:] - corners[0]  # (4 features, 2 classes)
     rows = np.arange(len(labels))
     margins = logits[rows, labels] - logits[rows, 1 - labels]
@@ -1046,6 +1046,9 @@ def bad_input_files(tmp_path, archive, trained):
     (tmp_path / "long_int.json").write_text("[" + "9" * 5000 + "]")  # past int's digit limit
     files["nope"] = str(tmp_path / "nope.csv")
     files["a_dir"] = str(tmp_path)
+    files["out_link"] = str(tmp_path / "out_link")
+    (tmp_path / "e3").mkdir()
+    (tmp_path / "out_link").symlink_to(tmp_path / "e3", target_is_directory=True)
     files["missing_archive"] = str(tmp_path / "missing.npz")
     rng = np.random.default_rng(8)
     arrays = {}
@@ -1196,6 +1199,12 @@ BAD_INPUTS = [  # (case, documented exit code, argv template)
     ("--dump-state in a missing directory with a missing archive", 3,
      "eval --dataset toyset --archive {missing_archive} --checkpoint {checkpoint} --pca {pca}"
      " --dump-state {nope}/state.json"),
+    ("--dump-state naming eval's own eval.json", 3,
+     f"{EVAL} --checkpoint {{checkpoint}} --out {{a_dir}}/e --dump-state {{a_dir}}/e/eval.json"),
+    ("--dump-state naming eval's own manifest.json", 3,
+     f"{EVAL} --checkpoint {{checkpoint}} --out {{a_dir}}/e2 --dump-state {{a_dir}}/e2/manifest.json"),
+    ("--dump-state naming eval's own eval.json through a link to --out", 3,
+     f"{EVAL} --checkpoint {{checkpoint}} --out {{a_dir}}/e3 --dump-state {{out_link}}/eval.json"),
     ("stats with different fold counts", 2, "stats --classical {folds2} --dv {dv_folds} --cv {cv_folds}"),
     ("stats with one validation row per file", 2, "stats --classical {folds1} --dv {folds1} --cv {folds1}"),
     ("stats with a nan score", 2, "stats --classical {nan_folds} --dv {dv_folds} --cv {cv_folds}"),
@@ -1591,9 +1600,9 @@ def test_generated_feature_stats_exit_0_or_2(archive, trained, argv, kind, stats
         return z
 
     def predict_batch(model, features):
-        logits, probs = real_predict(model, features)
-        finite.append(np.isfinite(logits).all() and np.isfinite(probs).all())
-        return logits, probs
+        logits = real_predict(model, features)
+        finite.append(np.isfinite(logits).all() and np.isfinite(models.softmax(logits)).all())
+        return logits
 
     def logit_input_jacobian(model, features):
         jac = real_jacobian(model, features)

@@ -12,7 +12,7 @@ from conftest import counted_blocks
 
 
 def batch_loss(model, features, labels):
-    logits, _ = models.predict_batch(model, features)
+    logits = models.predict_batch(model, features)
     return models.batch_loss_from_logits(logits, np.asarray(labels, dtype=int))
 
 
@@ -37,7 +37,7 @@ def make_model(kind, rng_seed=0, num_classes=2):
 
 def single_logits(model, features):
     """Logits of one sample through the batched path, as a 1-row batch."""
-    logits, _ = models.predict_batch(model, np.asarray(features, dtype=float)[None, :])
+    logits = models.predict_batch(model, np.asarray(features, dtype=float)[None, :])
     return logits[0]
 
 
@@ -127,7 +127,7 @@ class TestForwardCv:
     def test_batch_path_matches_state_evolution(self):
         model = make_model("cv", rng_seed=5)
         features = np.array([[0.2, -0.5, 0.9, 0.1], [1.2, 0.0, -0.3, 0.4]])
-        logits, _ = models.predict_batch(model, features)
+        logits = models.predict_batch(model, features)
         for row in range(2):
             oracle = gate_by_gate_cv_state(model, features[row])
             expected = model.head_weights @ oracle.mean[:4] + model.head_bias
@@ -190,7 +190,7 @@ class TestForwardDv:
     def test_batch_matches_single(self):
         model = make_model("dv", rng_seed=7)
         features = np.array([[0.2, -0.5, 0.9, 0.1], [0.6, 0.3, -0.2, -0.8]])
-        logits, _ = models.predict_batch(model, features)
+        logits = models.predict_batch(model, features)
         for row in range(2):
             state = models.dv_final_state(model, features[row])
             outputs = np.abs(state) ** 2 @ statevector.z_eigenvalues(4)
@@ -331,8 +331,7 @@ def random_batch(model, rows, seed):
 
 def output_adjoint(model, features, labels):
     """d loss / d circuit outputs, the vector the circuit gradient contracts."""
-    logits, probs = models.predict_batch(model, features)
-    dlogits = probs.copy()
+    dlogits = models.softmax(models.predict_batch(model, features))
     dlogits[np.arange(len(labels)), labels] -= 1.0
     return dlogits / len(labels) @ model.head_weights
 
@@ -436,7 +435,7 @@ class TestCompiledPathOracles:
         features, _ = random_batch(model, rows, seed=rows)
         angles, _ = models.dv_encoding(models.standardize(model, features))
         outputs = statevector.circuit_expectations(models.build_dv_circuit(), model.circuit_params, angles)
-        logits, _ = models.predict_batch(model, features)
+        logits = models.predict_batch(model, features)
         expected = outputs @ model.head_weights.T + model.head_bias
         np.testing.assert_allclose(logits, expected, rtol=0, atol=1e-12)
 
@@ -489,12 +488,12 @@ class TestCompiledPathOracles:
         params = models.flat_params(model)
         params[8] = gaussian.SQUEEZE_LIMIT - 0.5
         near = models.with_params(model, params)
-        assert np.all(np.isfinite(models.predict_batch(near, features)[0]))
+        assert np.all(np.isfinite(models.predict_batch(near, features)))
         with pytest.raises(NumericError):
             models.loss_and_grad(near, features, labels)
         params[8] = gaussian.SQUEEZE_LIMIT - np.arcsinh(1.0) - 0.01
         inside = models.with_params(model, params)
-        assert np.all(np.isfinite(models.predict_batch(inside, features)[0]))
+        assert np.all(np.isfinite(models.predict_batch(inside, features)))
         assert np.all(np.isfinite(models.loss_and_grad(inside, features, labels)[1]))
 
 
@@ -505,7 +504,8 @@ class TestPrediction:
         rng = Rng(12)
         for _ in range(10):
             features = np.array([rng.uniform(-2, 2) for _ in range(4)])
-            logits, probabilities = models.predict_batch(model, features[None, :])
+            logits = models.predict_batch(model, features[None, :])
+            probabilities = models.softmax(logits)
             assert probabilities[0].sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(probabilities > 0)
             assert np.argmax(logits[0]) == np.argmax(probabilities[0])
@@ -540,16 +540,16 @@ class TestScoringBlocks:
         blocks = [b.stop - b.start for b in pca.row_blocks(rows, models.SCORE_ROWS)]
         assert len(blocks) == -(-rows // models.SCORE_ROWS)
         sizes = counted_blocks(monkeypatch)
-        logits, probs = models.predict_batch(model, features)
+        logits = models.predict_batch(model, features)
         assert sizes == blocks
-        assert logits.shape == probs.shape == (rows, classes)
+        assert logits.shape == models.softmax(logits).shape == (rows, classes)
 
         score_rows = models.SCORE_ROWS
         monkeypatch.setattr(models, "SCORE_ROWS", rows + 1)  # one block of all rows
-        whole_logits, whole_probs = models.predict_batch(model, features)
+        whole_logits = models.predict_batch(model, features)
         assert sizes[len(blocks):] == [rows]
         assert np.array_equal(logits, whole_logits)
-        assert np.array_equal(probs, whole_probs)
+        assert np.array_equal(models.softmax(logits), models.softmax(whole_logits))
 
         monkeypatch.setattr(models, "SCORE_ROWS", score_rows)
         del sizes[:]

@@ -27,7 +27,7 @@ def make_model(kind, seed=0, spread=4.0):
 
 
 def one_logit(model, features, target):
-    logits, _ = models.predict_batch(model, features[None, :])  # 1-row batch
+    logits = models.predict_batch(model, features[None, :])  # 1-row batch
     return logits[0, target]
 
 

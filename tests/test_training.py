@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from medqnn import data, models, pca, training
+from medqnn import cli, data, metrics, models, pca, training
 from medqnn.errors import ConfigError, DataError
 from medqnn.rng import Rng
 
@@ -100,6 +101,11 @@ class TestTrainConfig:
 
     def test_zero_learning_rate_allowed(self):
         assert training.TrainConfig(learning_rate=0.0).learning_rate == 0.0
+
+    def test_cli_defaults_are_its_defaults(self):
+        defaults = dataclasses.asdict(training.TrainConfig())
+        assert len(defaults) == 5
+        assert {name: cli._CONFIG_DEFAULTS[name] for name in defaults} == defaults
 
 
 class TestAdam:
@@ -254,6 +260,25 @@ class TestCrossValidate:
             )
             assert fold_a.val_metrics == fold_b.val_metrics
 
+    @pytest.mark.parametrize("epochs", [0, 2])
+    @pytest.mark.parametrize("kind", models.KINDS)
+    def test_fold_metrics_are_one_pass_of_its_final_model(self, kind, epochs):
+        images, labels = make_class_images(90, 3, np.random.default_rng(15), balanced=True)
+        flat, labels = images.reshape(len(images), -1), labels.astype(int)
+        config = training.TrainConfig(batch_size=16, learning_rate=0.05, epochs=epochs, seed=4)
+        result = training.cross_validate(kind, flat, labels, 3, config)
+        splits = training.stratified_kfold(labels, config.folds, config.seed)
+        for fold, (train_idx, val_idx) in zip(result.folds, splits):
+            logits = models.predict_batch(fold.model, pca.transform(fold.pca_model, flat))
+            for rows, expected in ((train_idx, fold.train_metrics), (val_idx, fold.val_metrics)):
+                cm = metrics.confusion_matrix(labels[rows], logits[rows].argmax(axis=1), 3)
+                assert metrics.metric_set(cm) == expected
+            if epochs:
+                last_val = [record for record in fold.curves if record.split == "val"][-1]
+                assert {k: getattr(last_val, k) for k in fold.val_metrics} == fold.val_metrics
+            else:
+                assert fold.curves == []
+
     def test_summary_shape(self):
         rng = np.random.default_rng(14)
         labels = rng.integers(0, 2, 30)
@@ -400,15 +425,17 @@ class TestFoldPca:
         # Every fold's PCA is fitted in one workspace (6.5 MB: one Gram, its
         # block buffers and one Gram panel), which is dropped before the first
         # fold trains; a new Gram for each fold, beside one block's float32
-        # Gram, put the peak at 9.4 MB. A fold then trains on per-row features,
-        # labels, fold indices and predictions, about 150 bytes a row, and
-        # scores its rows a block of at most models.SCORE_ROWS at a time:
-        # scoring a whole fold at once added about 770 bytes for each of a
-        # fold's training rows with DV.
+        # Gram, put the peak at 9.4 MB. train_model then trains on per-row
+        # features, labels and predictions, about 150 bytes a row, and scores
+        # its rows a block of at most models.SCORE_ROWS at a time: scoring a
+        # whole fold at once added about 770 bytes for each of a fold's
+        # training rows with DV. The fold's final pass over the whole split,
+        # after train_model returns, is also scored in blocks and falls under
+        # the bounds of the whole run.
         images, labels = make_class_images(4708, 2, np.random.default_rng(18))
         flat = images.reshape(len(images), -1)
         config = training.TrainConfig(epochs=1, seed=6)
-        train_one_fold = training._train_one_fold
+        train_model = training.train_model
 
         def peaks(copies) -> tuple[int, int]:
             """The traced peak of cross_validate, and that of its folds' training."""
@@ -418,11 +445,11 @@ class TestFoldPca:
                 nonlocal peak, training_peak
                 peak = max(peak, tracemalloc.get_traced_memory()[1])
                 tracemalloc.reset_peak()
-                result = train_one_fold(*args, **kwargs)
+                result = train_model(*args, **kwargs)
                 training_peak = max(training_peak, tracemalloc.get_traced_memory()[1])
                 return result
 
-            monkeypatch.setattr(training, "_train_one_fold", traced)
+            monkeypatch.setattr(training, "train_model", traced)
             split, split_labels = np.concatenate([flat] * copies), np.tile(labels, copies)
             tracemalloc.start()
             try:
@@ -447,7 +474,7 @@ class TestScoringBlocks:
     batch, which can depend on the thread count: CI also runs these tests
     on one BLAS thread."""
 
-    M = 2112  # 192 rows of each of 11 classes: two folds of 1,056 rows, each scored in two blocks of 528
+    M = 2112  # 192 rows of each of 11 classes: two folds of 1,056 rows, so blocks of 528, then 704 of the split
 
     @pytest.mark.parametrize("classes", [2, 11])
     @pytest.mark.parametrize("kind", models.KINDS)
@@ -457,11 +484,11 @@ class TestScoringBlocks:
         config = training.TrainConfig(batch_size=64, learning_rate=0.01, epochs=1, folds=2, seed=classes)
         batches = counted_blocks(monkeypatch)
         blocks = training.cross_validate(kind, flat, labels, classes, config)
-        # per fold: the epoch's validation pass, then the training and validation rows
-        assert batches == [528] * 12
-        monkeypatch.setattr(models, "SCORE_ROWS", self.M)  # one block of all of a fold's rows
+        # per fold: the epoch's validation pass, then one pass of the whole split
+        assert batches == [528, 528, 704, 704, 704] * 2
+        monkeypatch.setattr(models, "SCORE_ROWS", self.M)  # one block of all of the split's rows
         whole = training.cross_validate(kind, flat, labels, classes, config)
-        assert batches[12:] == [1056] * 6
+        assert batches[10:] == [1056, 2112] * 2
         for got, expected in zip(blocks.folds, whole.folds):
             assert got.curves == expected.curves
             assert got.train_metrics == expected.train_metrics
