@@ -344,14 +344,7 @@ def cmd_eval(args, config: dict, out: Path, dataset) -> tuple[list[Path], dict]:
 
     if args.dump_state:
         features = pca.transform(pca_model, dataset.pixels[0].reshape(-1))
-        if model.kind == "cv":
-            dump = {"kind": "cv"} | models.cv_final_state(model, features).to_json_dict()
-        elif model.kind == "dv":
-            amplitudes = models.dv_final_state(model, features)
-            dump = {"kind": "dv", "amplitudes": [[float(a.real), float(a.imag)] for a in amplitudes]}
-        else:
-            logits = models.predict_batch(model, features[None, :])  # 1-row batch
-            dump = {"kind": "classical", "logits": logits[0].tolist()}
+        dump = {"kind": model.kind} | models.final_state(model, features)
         dump_path = Path(args.dump_state)
         try:
             _write_json(dump_path, dump)

@@ -36,12 +36,6 @@ class GaussianState:
     mean: np.ndarray  # shape (2n,), order (x1..xn, p1..pn)
     cov: np.ndarray   # shape (2n, 2n), symmetric
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mean": [float(v) for v in self.mean],
-            "cov": [float(v) for v in self.cov.reshape(-1)],
-        }
-
 
 def symplectic_form(num_modes: int) -> np.ndarray:
     """Omega = [[0, I], [-I, 0]] in the (x.., p..) block layout."""

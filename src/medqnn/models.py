@@ -23,8 +23,8 @@ and two backward closures, to the circuit parameters and to the inputs z;
 blocks; eval's curves and saliency take ``softmax`` of them),
 ``loss_and_grad`` and ``logit_input_jacobian`` all use it. The input-side
 closure works only when called, so training pays nothing for it.
-``cv_final_state`` and ``dv_final_state`` expose one sample's full
-circuit state for dumps.
+``final_state`` gives one sample's full state for dumps: a CV circuit's
+Gaussian moments, a DV circuit's amplitudes, the classical net's logits.
 Neither circuit's variational block depends on the batch, so each is
 compiled once per call and all gradients are exact:
 
@@ -117,11 +117,16 @@ def init_model(
 
 
 def standardize(model: HybridModel, features: np.ndarray) -> np.ndarray:
-    """z-scores under the model's statistics; DataError unless all are finite."""
+    """z-scores under the model's statistics: ValueError unless the last axis
+    holds the 4 features, DataError unless every z-score is finite (a NaN or
+    inf feature never gives one: a model's means are finite, its stds > 0)."""
+    features = np.asarray(features, dtype=float)
+    if features.shape[-1:] != (NUM_MODES,):
+        raise ValueError(f"expected {NUM_MODES} features on the last axis, got shape {features.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        z = (np.asarray(features, dtype=float) - model.feature_mean) / model.feature_std
+        z = (features - model.feature_mean) / model.feature_std
     if not np.all(np.isfinite(z)):
-        raise DataError("a standardized feature is not finite: feature_stats do not fit the features")
+        raise DataError("a standardized feature is not finite: a non-finite feature, or feature_stats that do not fit")
     return z
 
 
@@ -129,20 +134,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
-
-
-def _check_features(features: np.ndarray) -> np.ndarray:
-    features = np.asarray(features, dtype=float)
-    if features.shape[-1] != NUM_MODES:
-        raise ValueError(f"expected {NUM_MODES} features, got {features.shape[-1]}")
-    if not np.all(np.isfinite(features)):
-        raise DataError("non-finite feature values")
-    return features
-
-
-def _require_kind(model: HybridModel, kind: str) -> None:
-    if model.kind != kind:
-        raise ValueError(f"expected a {kind!r} model, got {model.kind!r}")
 
 
 def _head(model: HybridModel, outputs: np.ndarray) -> np.ndarray:
@@ -223,22 +214,6 @@ def _cv_forward(circuit_params: np.ndarray, z: np.ndarray):
     return outputs, backward, input_backward
 
 
-def cv_final_state(model: HybridModel, features: np.ndarray) -> gaussian.GaussianState:
-    """Final Gaussian state for one sample, in closed form from ``_cv_transform``.
-
-    The vacuum covariance is the identity and displacements leave the
-    covariance alone, so the circuit's state is mean = S [sqrt(2) z; 0] + d
-    and cov = S S^T.
-    """
-    from . import gaussian
-
-    _require_kind(model, "cv")
-    z = standardize(model, _check_features(features))
-    s_total, d_total = _cv_transform(model.circuit_params)
-    encoded = np.concatenate([np.sqrt(2.0) * z, np.zeros(NUM_MODES)])
-    return gaussian.GaussianState(NUM_MODES, s_total @ encoded + d_total, s_total @ s_total.T)
-
-
 # --- DV ----------------------------------------------------------------------
 
 def build_dv_circuit() -> statevector.Circuit:
@@ -308,16 +283,6 @@ def _dv_forward(circuit_params: np.ndarray, z: np.ndarray):
     return outputs, backward, input_backward
 
 
-def dv_final_state(model: HybridModel, features: np.ndarray) -> np.ndarray:
-    """The circuit's 16 amplitudes for one sample's features."""
-    from . import statevector
-
-    _require_kind(model, "dv")
-    z = standardize(model, _check_features(features))
-    block = statevector.compile_block(_dv_circuit(), model.circuit_params)
-    return statevector.ry_product_state(dv_encoding(z)[0]) @ block.transfer
-
-
 # --- classical ----------------------------------------------------------------
 
 def _classical_forward(circuit_params: np.ndarray, z: np.ndarray):
@@ -366,7 +331,7 @@ def predict_batch(model: HybridModel, features: np.ndarray) -> np.ndarray:
 
 def _score_block(model: HybridModel, features: np.ndarray) -> np.ndarray:
     """``predict_batch`` of one block; its temporaries go when it returns."""
-    z = standardize(model, _check_features(features))
+    z = standardize(model, features)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         outputs, _, _ = _FORWARD_BY_KIND[model.kind](model.circuit_params, z)
         logits = _head(model, outputs)
@@ -388,19 +353,18 @@ def loss_and_grad(
 
     Gradient layout: circuit params (32), head weights row-major, head bias.
     """
-    features = _check_features(np.atleast_2d(np.asarray(features, dtype=float)))
+    z = standardize(model, np.atleast_2d(features))
     labels = np.asarray(labels, dtype=int)
-    if len(features) == 0:
+    if len(z) == 0:
         raise ValueError("empty batch")
     if labels.min() < 0 or labels.max() >= model.num_classes:
         raise ValueError("label out of range")
-    z = standardize(model, features)
     outputs, backward, _ = _FORWARD_BY_KIND[model.kind](model.circuit_params, z)
     logits = _head(model, outputs)
     probs = softmax(logits)
     loss = batch_loss_from_logits(logits, labels)
 
-    batch = len(features)
+    batch = len(z)
     dlogits = probs.copy()
     dlogits[np.arange(batch), labels] -= 1.0
     dlogits /= batch
@@ -409,6 +373,27 @@ def loss_and_grad(
     d_outputs = dlogits @ model.head_weights  # (m, 4)
     grad = np.concatenate([backward(d_outputs), grad_weights.reshape(-1), grad_bias])
     return loss, grad, logits
+
+
+def final_state(model: HybridModel, features: np.ndarray) -> dict:
+    """One sample's state as JSON values, for ``eval --dump-state``: CV's
+    quadrature moments {"mean", "cov"} (cov flattened), DV's 16 {"amplitudes"}
+    as (re, im) pairs, the classical net's {"logits"}. The CV moments come in
+    closed form from ``_cv_transform``: the vacuum covariance is the identity
+    and displacements leave it alone, so mean = S [sqrt(2) z; 0] + d, cov = S S^T."""
+    if model.kind == "classical":
+        return {"logits": predict_batch(model, np.reshape(features, (1, -1)))[0].tolist()}  # 1-row batch
+    z = standardize(model, features)
+    if model.kind == "cv":
+        s_total, d_total = _cv_transform(model.circuit_params)
+        encoded = np.concatenate([np.sqrt(2.0) * z, np.zeros(NUM_MODES)])
+        mean, cov = s_total @ encoded + d_total, s_total @ s_total.T
+        return {"mean": mean.tolist(), "cov": cov.reshape(-1).tolist()}
+    from . import statevector
+
+    block = statevector.compile_block(_dv_circuit(), model.circuit_params)
+    amplitudes = statevector.ry_product_state(dv_encoding(z)[0]) @ block.transfer
+    return {"amplitudes": np.column_stack([amplitudes.real, amplitudes.imag]).tolist()}
 
 
 # --- input gradients (saliency support) -------------------------------------
@@ -420,7 +405,7 @@ def logit_input_jacobian(model: HybridModel, features: np.ndarray) -> np.ndarray
     input-side closure and the z-scoring; DataError unless every entry is
     finite.
     """
-    z = standardize(model, _check_features(features)).reshape(1, NUM_MODES)
+    z = standardize(model, features).reshape(1, NUM_MODES)
     _, _, input_backward = _FORWARD_BY_KIND[model.kind](model.circuit_params, z)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         jac = input_backward(model.head_weights) / model.feature_std

@@ -213,8 +213,10 @@ def cross_validate(
     and predictions grows with the split.
     The best fold is the highest final validation F1 (ties go to the
     lowest fold index); its model is the one a caller should evaluate on
-    the held-out test split.
+    the held-out test split. DataError for fewer than 2 classes, before any fit.
     """
+    if num_classes < 2:
+        raise DataError(f"the labels hold {num_classes} class: a classifier needs at least 2")
     models.load_simulator(kind)
     images = np.asarray(images)
     labels = np.asarray(labels, dtype=int)

@@ -1062,6 +1062,7 @@ def bad_input_files(tmp_path, archive, trained):
     arrays["train_images"][:] = arrays["train_images"][0]
     files["flat_train"] = str(tmp_path / "flat_train.npz")
     np.savez(files["flat_train"], **arrays)
+    files["single_class"] = str(write_archive(tmp_path / "single_class.npz", num_classes=1))
     files["eleven_class"] = str(write_archive(
         tmp_path / "eleven_class.npz", m_train=22, m_val=11, m_test=11, num_classes=11, balanced=True
     ))
@@ -1173,6 +1174,8 @@ BAD_INPUTS = [  # (case, documented exit code, argv template)
     ("pca-report on equal training images", 2, "pca-report --dataset toyset --archive {flat_train}"),
     ("train on equal training images", 2,
      "train --dataset toyset --archive {flat_train} --model classical --epochs 1"),
+    ("train on a one-class archive", 2,
+     "train --dataset toyset --archive {single_class} --model classical --epochs 1"),
     ("pca-report --k above the pixel count with a missing archive", 3,
      "pca-report --dataset toyset --archive {missing_archive} --k 785"),
     ("missing fold metrics", 2, "stats --classical {nope} --dv {nope} --cv {nope}"),
@@ -1284,6 +1287,8 @@ FAILING_COMMANDS = [  # (case, exit code, argv template); each fails after its a
      "saliency --dataset toyset --archive {archive} --checkpoint {nope} --pca {pca} --indices 0"),
     ("eval with a missing PCA file", 2,
      "eval --dataset toyset --archive {archive} --checkpoint {checkpoint} --pca {nope}"),
+    ("train on a one-class archive", 2,
+     "train --dataset toyset --archive {single_class} --model classical --epochs 1"),
 ]
 
 

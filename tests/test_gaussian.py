@@ -258,9 +258,3 @@ class TestInvariants:
         delta1 = output(0.5) - base
         delta2 = output(1.0) - base
         np.testing.assert_allclose(delta2, 2.0 * delta1, atol=1e-12)
-
-    def test_dump_format(self):
-        state = gaussian.vacuum_state(2)
-        dump = state.to_json_dict()
-        assert len(dump["mean"]) == 4
-        assert len(dump["cov"]) == 16

@@ -41,6 +41,12 @@ def single_logits(model, features):
     return logits[0]
 
 
+def dv_amplitudes(model, features):
+    """The 16 complex amplitudes of ``final_state``'s (re, im) pairs."""
+    pairs = np.array(models.final_state(model, features)["amplitudes"])
+    return pairs[:, 0] + 1j * pairs[:, 1]
+
+
 def gate_by_gate_cv_state(model, features):
     """Oracle: the CV circuit applied one gate at a time to the vacuum."""
     z = models.standardize(model, features)
@@ -132,22 +138,16 @@ class TestForwardCv:
             oracle = gate_by_gate_cv_state(model, features[row])
             expected = model.head_weights @ oracle.mean[:4] + model.head_bias
             np.testing.assert_allclose(logits[row], expected, atol=1e-12)
-            closed_form = models.cv_final_state(model, features[row])
-            np.testing.assert_allclose(closed_form.mean, oracle.mean, atol=1e-12)
-            np.testing.assert_allclose(closed_form.cov, oracle.cov, atol=1e-12)
-
-    def test_wrong_kind_rejected(self):
-        with pytest.raises(ValueError):
-            models.cv_final_state(make_model("dv"), np.zeros(4))
-        with pytest.raises(ValueError):
-            models.dv_final_state(make_model("cv"), np.zeros(4))
+            closed_form = models.final_state(model, features[row])
+            np.testing.assert_allclose(closed_form["mean"], oracle.mean, atol=1e-12)
+            np.testing.assert_allclose(np.reshape(closed_form["cov"], (8, 8)), oracle.cov, atol=1e-12)
 
     def test_non_finite_features_rejected(self):
         bad = np.array([1.0, np.nan, 0.0, 0.0])
         with pytest.raises(DataError):
             models.predict_batch(make_model("cv"), bad[None, :])
         with pytest.raises(DataError):
-            models.cv_final_state(make_model("cv"), bad)
+            models.final_state(make_model("cv"), bad)
 
 
 class TestForwardDv:
@@ -177,7 +177,7 @@ class TestForwardDv:
         # states, which RY(pi)|0> and RY(-pi)|0> would not be (one up to phase).
         model = identity_head(make_model("dv", num_classes=4))
         values = (-40.0, -2.5, -1.0, 1.0, 2.5, 40.0)
-        states = [models.dv_final_state(model, np.array([value, 0, 0, 0])) for value in values]
+        states = [dv_amplitudes(model, np.array([value, 0, 0, 0])) for value in values]
         for a, b in itertools.combinations(range(len(values)), 2):
             assert abs(np.vdot(states[a], states[b])) < 1 - 1e-4, (values[a], values[b])
 
@@ -192,7 +192,7 @@ class TestForwardDv:
         features = np.array([[0.2, -0.5, 0.9, 0.1], [0.6, 0.3, -0.2, -0.8]])
         logits = models.predict_batch(model, features)
         for row in range(2):
-            state = models.dv_final_state(model, features[row])
+            state = dv_amplitudes(model, features[row])
             outputs = np.abs(state) ** 2 @ statevector.z_eigenvalues(4)
             expected = model.head_weights @ outputs + model.head_bias
             np.testing.assert_allclose(logits[row], expected, atol=1e-12)
@@ -521,6 +521,76 @@ class TestPrediction:
         a = single_logits(model, features)
         b = single_logits(model, features)
         np.testing.assert_array_equal(a, b)
+
+
+FINAL_STATE_KEYS = {"cv": {"mean", "cov"}, "dv": {"amplitudes"}, "classical": {"logits"}}
+
+
+class TestFinalState:
+    """``final_state``: one sample's state as JSON values, by the model's kind."""
+
+    @pytest.mark.parametrize("classes", [2, 11])
+    @pytest.mark.parametrize("kind", models.KINDS)
+    def test_keys_are_its_kinds(self, kind, classes):
+        model = random_model(kind, classes, seed=30 + classes)
+        features, _ = random_batch(model, 1, seed=30 + classes)
+        state = models.final_state(model, features[0])
+        assert set(state) == FINAL_STATE_KEYS[kind]
+        json.dumps(state, allow_nan=False)  # JSON values only
+
+    @pytest.mark.parametrize("classes", [2, 11])
+    def test_cv_covariance_is_symmetric_and_pure(self, classes):
+        model = random_model("cv", classes, seed=32 + classes)
+        features, _ = random_batch(model, 1, seed=32 + classes)
+        state = models.final_state(model, features[0])
+        assert len(state["mean"]) == 8
+        cov = np.reshape(state["cov"], (8, 8))
+        np.testing.assert_allclose(cov, cov.T, rtol=0, atol=1e-14 * np.abs(cov).max())
+        np.testing.assert_allclose(gaussian.symplectic_eigenvalues(cov), np.ones(4), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("classes", [2, 11])
+    def test_dv_amplitudes_are_the_circuit_run_gate_by_gate(self, classes):
+        model = random_model("dv", classes, seed=34 + classes)
+        features, _ = random_batch(model, 1, seed=34 + classes)
+        angles = models.dv_encoding(models.standardize(model, features[0]))[0]
+        expected = statevector.run_circuit(models.build_dv_circuit(), model.circuit_params, angles)
+        amplitudes = dv_amplitudes(model, features[0])
+        np.testing.assert_allclose(amplitudes, expected, rtol=0, atol=1e-13)
+        assert np.linalg.norm(amplitudes) == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("classes", [2, 11])
+    def test_classical_logits_are_a_one_row_batch(self, classes):
+        model = random_model("classical", classes, seed=36 + classes)
+        features, _ = random_batch(model, 1, seed=36 + classes)
+        logits = models.final_state(model, features[0])["logits"]
+        assert logits == models.predict_batch(model, features)[0].tolist()  # bit for bit
+
+
+FEATURE_ENTRY_POINTS = {  # each given one sample's features
+    "standardize": models.standardize,
+    "final_state": models.final_state,
+    "predict_batch": lambda model, features: models.predict_batch(model, features[None, :]),
+    "loss_and_grad": lambda model, features: models.loss_and_grad(model, features[None, :], [0]),
+}
+
+
+class TestFeatureCheck:
+    """``standardize`` is the one feature check of every entry point."""
+
+    @pytest.mark.parametrize("width", [3, 5])
+    @pytest.mark.parametrize("entry", FEATURE_ENTRY_POINTS)
+    @pytest.mark.parametrize("kind", models.KINDS)
+    def test_width_other_than_4_rejected(self, kind, entry, width):
+        with pytest.raises(ValueError, match="expected 4 features"):
+            FEATURE_ENTRY_POINTS[entry](make_model(kind), np.zeros(width))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", FEATURE_ENTRY_POINTS)
+    @pytest.mark.parametrize("kind", models.KINDS)
+    def test_non_finite_feature_rejected(self, kind, entry, value):
+        features = np.array([0.5, value, -0.2, 0.1])
+        with pytest.raises(DataError, match="standardized feature is not finite"):
+            FEATURE_ENTRY_POINTS[entry](make_model(kind), features)
 
 
 class TestScoringBlocks:

@@ -243,6 +243,15 @@ class TestCrossValidate:
         assert all(f.val_metrics["f1"] == 1.0 for f in result.folds)
         assert result.summary["val_f1"]["std"] == 0.0
 
+    def test_one_class_rejected_before_any_fit(self, monkeypatch):
+        fits = []
+        monkeypatch.setattr(pca, "moments", lambda *args: fits.append(args))
+        images = np.random.default_rng(16).integers(0, 256, size=(30, 49), dtype=np.uint8)
+        config = training.TrainConfig(batch_size=8, epochs=1, seed=3)
+        with pytest.raises(DataError, match="at least 2"):
+            training.cross_validate("classical", images, np.zeros(30, dtype=int), 1, config)
+        assert fits == []
+
     def test_best_fold_selection(self):
         assert training.select_best_fold([0.7, 0.9, 0.8]) == 1
         assert training.select_best_fold([0.9, 0.9, 0.8]) == 0
