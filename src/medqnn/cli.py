@@ -220,7 +220,7 @@ def _evaluate_model(model, pca_model, dataset) -> tuple[dict, dict[str, metrics.
     cm = metrics.confusion_matrix(dataset.labels, logits.argmax(axis=1), dataset.num_classes)
     probs = models.softmax(logits)
     row = metrics.metric_set(cm) | {
-        "confusion_matrix": cm.counts.tolist(),
+        "confusion_matrix": cm.tolist(),
         "split": dataset.split,
         "model_kind": model.kind,
         "dataset": dataset.name,
@@ -413,10 +413,10 @@ def cmd_noise_sweep(args, config: dict, out: Path, test) -> tuple[list[Path], di
                 else:
                     features = bases[j][block] + sigma * sums[0, :, cols]
                 classes = models.predict_batch(model, features).argmax(axis=1)
-                counts[i, j] += metrics.confusion_matrix(test.labels[block], classes, test.num_classes).counts
+                counts[i, j] += metrics.confusion_matrix(test.labels[block], classes, test.num_classes)
         log(f"rows {block.start}-{block.stop} of {len(pixels)} scored")
     rows = [
-        (sigma, kind, metrics.micro_metrics(metrics.ConfusionMatrix(counts[i, j]))[3])
+        (sigma, kind, metrics.micro_metrics(counts[i, j])[3])
         for i, sigma in enumerate(sigmas)
         for j, (kind, _, _) in enumerate(loaded)
     ]
@@ -498,7 +498,6 @@ def cmd_stats(args, config: dict, out: Path, dataset) -> tuple[list[Path], dict]
     report = {"alpha": args.alpha, "metrics": {}}
     for metric in ("acc", "p", "r", "f1"):
         scores = {label: np.array(sources[kind][metric]) for kind, label in _MODEL_LABELS.items()}
-        comparison = stats.compare_models(scores, alpha=args.alpha)
         entry = {
             "models": {
                 kind: {
@@ -507,21 +506,9 @@ def cmd_stats(args, config: dict, out: Path, dataset) -> tuple[list[Path], dict]
                 }
                 for kind in _MODEL_LABELS
             },
-            "friedman_chi2": comparison.friedman_chi2,
-            "friedman_p": comparison.friedman_p,
-            "friedman_h0_retained": comparison.friedman_p >= args.alpha,
-            "alpha_corrected": comparison.alpha_corrected,
-            "pairwise": {
-                pair.name: {
-                    "W": pair.w_statistic,
-                    "p": pair.p_value,
-                    "h0_retained": pair.p_value >= comparison.alpha_corrected,
-                }
-                for pair in comparison.pairwise
-            },
-        }
+        } | stats.compare_models(scores, alpha=args.alpha)
         report["metrics"][metric] = entry
-        report["alpha_corrected"] = comparison.alpha_corrected
+        report["alpha_corrected"] = entry["alpha_corrected"]
         verdict = "retained" if entry["friedman_h0_retained"] else "rejected"
         log(f"{metric}: Friedman chi2 {entry['friedman_chi2']:.4f}, p {entry['friedman_p']:.4f}, H0 {verdict}")
     report_path = out / "stats.json"

@@ -66,10 +66,8 @@ _READ_ERRORS = (OSError, EOFError, ValueError, TypeError, MemoryError, RuntimeEr
 
 
 def unit_floats(pixels: np.ndarray) -> np.ndarray:
-    """Stored unsigned bytes as floats on [0, 1]; floats are returned as they are."""
-    if pixels.dtype == np.uint8:
-        return pixels.astype(float) / 255.0
-    return np.asarray(pixels, dtype=float)
+    """Stored unsigned bytes as floats on [0, 1]."""
+    return pixels.astype(float) / 255.0
 
 
 @dataclass(frozen=True)

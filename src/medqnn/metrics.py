@@ -1,10 +1,12 @@
 """Confusion-matrix metrics and ROC / precision-recall curves.
 
-Micro averaging pools per-class TP/FP/FN before dividing, which makes
-accuracy, recall and F1 collapse to the same number (correct / total);
-that identity is contractual and is why result tables repeat the value
-across those columns. Precision is reported separately as the macro
-average, the only combination under which it can differ.
+A confusion matrix is its (C, C) int64 counts array, which the metric
+functions take and ``eval.json`` writes as nested lists. Micro averaging
+pools per-class TP/FP/FN before dividing, which makes accuracy, recall
+and F1 collapse to the same number (correct / total); that identity is
+contractual and is why result tables repeat the value across those
+columns. Precision is reported separately as the macro average, the only
+combination under which it can differ.
 
 Curves place one threshold at every distinct score (ties grouped) and
 integrate with trapezoids. Multiclass problems are scored one-vs-rest
@@ -22,28 +24,15 @@ from .errors import UndefinedMetric
 
 
 @dataclass(frozen=True)
-class ConfusionMatrix:
-    counts: np.ndarray  # (C, C) ints, rows = true class, cols = predicted
-
-    @property
-    def num_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-@dataclass(frozen=True)
 class Curve:
-    kind: str  # "roc" | "pr"
     points: np.ndarray      # (N, 2) of (x, y) in [0, 1]^2
     thresholds: np.ndarray  # (N,), +inf for the synthetic anchor point
     area: float
     baseline: float | None = None  # positive prevalence (pr curves only)
 
 
-def confusion_matrix(truth, predicted, num_classes: int) -> ConfusionMatrix:
+def confusion_matrix(truth, predicted, num_classes: int) -> np.ndarray:
+    """Counts with rows the true class and columns the predicted one."""
     truth = np.asarray(truth, dtype=int)
     predicted = np.asarray(predicted, dtype=int)
     if truth.shape != predicted.shape:
@@ -54,32 +43,32 @@ def confusion_matrix(truth, predicted, num_classes: int) -> ConfusionMatrix:
         raise ValueError("predicted label out of range")
     counts = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(counts, (truth, predicted), 1)
-    return ConfusionMatrix(counts)
+    return counts
 
 
-def micro_metrics(cm: ConfusionMatrix) -> tuple[float, float, float, float]:
+def micro_metrics(counts: np.ndarray) -> tuple[float, float, float, float]:
     """(ACC, P, R, F1) with micro pooling; all four equal by construction."""
-    total = cm.total
+    total = int(counts.sum())
     if total == 0:
         raise UndefinedMetric("empty confusion matrix")
-    value = float(np.trace(cm.counts)) / total
+    value = float(np.trace(counts)) / total
     return value, value, value, value
 
 
-def macro_precision(cm: ConfusionMatrix) -> float:
+def macro_precision(counts: np.ndarray) -> float:
     """Unweighted mean of per-class precision; empty predicted columns score 0."""
-    if cm.total == 0:
+    if counts.sum() == 0:
         raise UndefinedMetric("empty confusion matrix")
-    col_sums = cm.counts.sum(axis=0)
-    diag = np.diag(cm.counts)
+    col_sums = counts.sum(axis=0)
+    diag = np.diag(counts)
     per_class = np.where(col_sums > 0, diag / np.maximum(col_sums, 1), 0.0)
     return float(per_class.mean())
 
 
-def metric_set(cm: ConfusionMatrix) -> dict[str, float]:
+def metric_set(counts: np.ndarray) -> dict[str, float]:
     """The reported row: micro ACC, R, F1 and macro precision."""
-    acc, _, recall, f1 = micro_metrics(cm)
-    return {"acc": acc, "precision": macro_precision(cm), "recall": recall, "f1": f1}
+    acc, _, recall, f1 = micro_metrics(counts)
+    return {"acc": acc, "precision": macro_precision(counts), "recall": recall, "f1": f1}
 
 
 def _trapezoid(points: np.ndarray) -> float:
@@ -111,7 +100,7 @@ def roc_curve(scores, truth) -> Curve:
     tpr = np.concatenate([[0.0], cum_tp / pos])
     thr = np.concatenate([[np.inf], thresholds])
     points = np.column_stack([fpr, tpr])
-    return Curve(kind="roc", points=points, thresholds=thr, area=_trapezoid(points))
+    return Curve(points=points, thresholds=thr, area=_trapezoid(points))
 
 
 def pr_curve(scores, truth) -> Curve:
@@ -130,9 +119,7 @@ def pr_curve(scores, truth) -> Curve:
     thr = np.concatenate([[np.inf], thresholds])
     points = np.column_stack([rec, prec])
     prevalence = pos / len(truth)
-    return Curve(
-        kind="pr", points=points, thresholds=thr, area=_trapezoid(points), baseline=prevalence
-    )
+    return Curve(points=points, thresholds=thr, area=_trapezoid(points), baseline=prevalence)
 
 
 def ovr_areas(probabilities: np.ndarray, truth) -> dict:

@@ -42,10 +42,9 @@ compiled once per call and all gradients are exact:
 * Inputs: CV's Jacobian is constant (its outputs are affine in z), DV's
   chains through the product state, the classical net's is backprop.
 
-The simulators load with the first call that runs them, or earlier
-through ``load_simulator``: the CV paths import ``gaussian`` and the DV
-paths ``statevector``, whose circuit is built once, on first use. So a
-command loads only its kind's simulator.
+The simulators load with the first call that runs them: the CV paths
+import ``gaussian`` and the DV paths ``statevector``, whose circuit is
+built once, on first use. So a command loads only its kind's simulator.
 """
 
 from __future__ import annotations
@@ -232,19 +231,6 @@ def build_dv_circuit() -> statevector.Circuit:
 
 
 _dv_circuit = functools.cache(build_dv_circuit)  # built on first DV use
-
-
-def load_simulator(kind: str) -> None:
-    """Load ``kind``'s simulator now, as its first forward would.
-
-    ``training.cross_validate`` calls it before its first fold's PCA:
-    loaded between two folds' PCAs instead, ``statevector`` raised the
-    peak RSS of ``train --model dv`` by about 0.5 MB.
-    """
-    if kind == "cv":
-        from . import gaussian  # noqa: F401
-    elif kind == "dv":
-        _dv_circuit()
 
 
 def dv_encoding(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,30 +7,16 @@ rank sum they produce rather than listed one by one (n is the fold count,
 2 or more). The Friedman chi-square tail uses the closed form that the
 regularized upper gamma function has at integer degrees of freedom: a
 finite Poisson sum for even df, erfc plus a finite sum for odd df.
+``compare_models`` returns one metric's ``stats.json`` entry, each H0
+verdict included, so no caller decides one again.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class PairwiseResult:
-    name: str
-    w_statistic: float
-    p_value: float
-
-
-@dataclass(frozen=True)
-class StatTestReport:
-    friedman_chi2: float
-    friedman_p: float
-    pairwise: tuple[PairwiseResult, ...]
-    alpha_corrected: float
 
 
 def chi2_sf(x: float, df: int) -> float:
@@ -136,25 +122,31 @@ def bonferroni(p_values, alpha: float = 0.05) -> tuple[float, list[bool]]:
     return corrected, [p < corrected for p in p_values]
 
 
-def compare_models(
-    model_scores: dict[str, np.ndarray], alpha: float = 0.05
-) -> StatTestReport:
-    """Friedman over all models plus pairwise Wilcoxon with Bonferroni.
+def compare_models(model_scores: dict[str, np.ndarray], alpha: float = 0.05) -> dict:
+    """Friedman over all models plus pairwise Wilcoxon with Bonferroni, as
+    one metric's ``stats.json`` entry of JSON values: ``friedman_chi2``,
+    ``friedman_p``, ``friedman_h0_retained``, ``alpha_corrected`` and
+    ``pairwise``, which maps each pair to its ``W``, ``p`` and ``h0_retained``.
 
     ``model_scores`` maps model name to its per-fold score vector; pairs
-    are formed in the given key order (e.g. C-DV, C-CV, DV-CV).
+    are formed in the given key order (e.g. C-DV, C-CV, DV-CV). Friedman's
+    H0 is retained when its p >= ``alpha``; a pair's H0 is retained unless
+    ``bonferroni`` rejects it, that is when its p >= ``alpha_corrected``,
+    ``alpha`` over the number of pairs.
     """
     names = list(model_scores)
     matrix = np.vstack([np.asarray(model_scores[name], dtype=float) for name in names])
     chi2, chi2_p = friedman_test(matrix)
-    pairwise = []
-    for i, j in itertools.combinations(range(len(names)), 2):
-        w, p = wilcoxon_signed_rank(matrix[i], matrix[j])
-        pairwise.append(PairwiseResult(f"{names[i]}-{names[j]}", w, p))
-    corrected, _ = bonferroni([r.p_value for r in pairwise], alpha)
-    return StatTestReport(
-        friedman_chi2=chi2,
-        friedman_p=chi2_p,
-        pairwise=tuple(pairwise),
-        alpha_corrected=corrected,
-    )
+    pairs = list(itertools.combinations(range(len(names)), 2))
+    tests = [wilcoxon_signed_rank(matrix[i], matrix[j]) for i, j in pairs]
+    corrected, rejected = bonferroni([p for _, p in tests], alpha)
+    return {
+        "friedman_chi2": chi2,
+        "friedman_p": chi2_p,
+        "friedman_h0_retained": bool(chi2_p >= alpha),
+        "alpha_corrected": corrected,
+        "pairwise": {
+            f"{names[i]}-{names[j]}": {"W": w, "p": p, "h0_retained": not reject}
+            for (i, j), (w, p), reject in zip(pairs, tests, rejected)
+        },
+    }

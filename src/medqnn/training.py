@@ -217,7 +217,6 @@ def cross_validate(
     """
     if num_classes < 2:
         raise DataError(f"the labels hold {num_classes} class: a classifier needs at least 2")
-    models.load_simulator(kind)
     images = np.asarray(images)
     labels = np.asarray(labels, dtype=int)
     splits = stratified_kfold(labels, config.folds, config.seed)

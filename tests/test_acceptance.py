@@ -155,11 +155,11 @@ def test_criterion_5_statistics_retain_h0(dataset_name):
         for label, kind in (("C", "classical"), ("DV", "dv"), ("CV", "cv"))
     }
     comparison = stats.compare_models(scores)
-    assert comparison.alpha_corrected == pytest.approx(0.05 / 3)
-    assert comparison.friedman_p >= 0.05, f"Friedman rejected H0: p={comparison.friedman_p}"
-    for pair in comparison.pairwise:
-        assert pair.p_value >= comparison.alpha_corrected, (
-            f"{pair.name} rejected H0 at corrected alpha: p={pair.p_value}"
+    assert comparison["alpha_corrected"] == pytest.approx(0.05 / 3)
+    assert comparison["friedman_p"] >= 0.05, f"Friedman rejected H0: p={comparison['friedman_p']}"
+    for name, pair in comparison["pairwise"].items():
+        assert pair["p"] >= comparison["alpha_corrected"], (
+            f"{name} rejected H0 at corrected alpha: p={pair['p']}"
         )
     report(f"criterion 5, H0 retained for all tests on {dataset_name}")
 
@@ -306,7 +306,7 @@ class TestCriterion6Properties:
             counts = rng.integers(0, 30, size=(size, size))
             if counts.sum() == 0:
                 continue
-            acc, p, r, f1 = metrics.micro_metrics(metrics.ConfusionMatrix(counts))
+            acc, p, r, f1 = metrics.micro_metrics(counts)
             assert acc == p == r == f1
             checked += 1
         report("criterion 6e, micro ACC=P=R=F1 identity over 1000 matrices")

@@ -893,6 +893,33 @@ class TestStats:
             for pair in metric_entry["pairwise"].values():
                 assert 0.0 <= pair["p"] <= 1.0
 
+    @pytest.mark.parametrize("folds", [8, 6])
+    def test_ordered_scores_reject_friedman_and_pairs_only_past_6_folds(self, tmp_path, folds):
+        """C > DV > CV in every fold, by differences distinct across folds (no
+        rank ties): every pair's exact Wilcoxon p is 2 / 2^n and Friedman's
+        chi2 is 2n with p = e^-n. At 8 folds p = 0.0078 < 0.05 / 3, so every
+        pair is rejected; at 6 folds p = 0.031, so every pair is retained,
+        while Friedman (p = e^-6 = 0.0025) is rejected at both."""
+        paths = {}
+        for kind, step in (("classical", 0.03), ("dv", 0.01), ("cv", 0.0)):
+            rows = [[fold, "val"] + [0.5 + step * (fold + 1)] * 4 for fold in range(folds)]
+            paths[kind] = cli._write_csv(tmp_path / f"{kind}.csv", ["fold", "split", "acc", "p", "r", "f1"], rows)
+        out = tmp_path / "stats"
+        flags = [flag for kind, path in paths.items() for flag in (f"--{kind}", str(path))]
+        assert run_cli("stats", *flags, "--out", str(out)) == 0
+        text = (out / "stats.json").read_text()
+        payload = json.loads(text)
+        assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == text
+        for entry in payload["metrics"].values():
+            assert entry["friedman_chi2"] == pytest.approx(2 * folds)
+            assert entry["friedman_p"] == pytest.approx(math.exp(-folds))
+            assert entry["friedman_h0_retained"] is False
+            assert list(entry["pairwise"]) == ["C-CV", "C-DV", "DV-CV"]  # sorted keys
+            for pair in entry["pairwise"].values():
+                assert pair["W"] == 0.0
+                assert pair["p"] == 2 / 2**folds
+                assert pair["h0_retained"] is (folds == 6)
+
 
 def test_commands_that_fit_nothing_never_resolve_dsyevr(tmp_path, archive, trained):
     """Only train and pca-report fit a PCA; the others never look up LAPACK."""

@@ -207,9 +207,9 @@ class TestCompareModels:
     def test_identical_models_retain_everywhere(self):
         scores = {"C": [0.8, 0.7, 0.9], "DV": [0.8, 0.7, 0.9], "CV": [0.8, 0.7, 0.9]}
         report = stats.compare_models(scores)
-        assert report.friedman_p == pytest.approx(1.0)
-        assert report.alpha_corrected == pytest.approx(0.05 / 3)
-        names = [pair.name for pair in report.pairwise]
+        assert report["friedman_p"] == pytest.approx(1.0)
+        assert report["alpha_corrected"] == pytest.approx(0.05 / 3)
+        names = list(report["pairwise"])
         assert names == ["C-DV", "C-CV", "DV-CV"]
-        for pair in report.pairwise:
-            assert pair.p_value == 1.0
+        for pair in report["pairwise"].values():
+            assert pair["p"] == 1.0
