@@ -9,7 +9,11 @@ Every command writes a manifest.json into its output directory last and
 atomically, naming the effective configuration, the seed (null for the
 commands that draw no random number and so take no --seed), sha256 of
 each input archive, and every artifact it produced, so a run can be
-repeated exactly. Flags win over the optional "key = value" --config
+repeated exactly. The digest is taken after the command's body, just
+before the manifest, so OpenSSL is not mapped while the body runs; with
+--checksums it is taken and verified before the archive is read. An
+archive rewritten or replaced while the command ran exits 2 with no
+manifest. Flags win over the optional "key = value" --config
 file, which wins over built-in defaults and may set only its command's
 flags; eval, saliency and stats have none to set and take no --config.
 Reruns with the same seed and inputs produce byte-identical result files
@@ -30,6 +34,7 @@ import json
 import os
 import shutil
 import sys
+from collections.abc import Callable
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -126,21 +131,50 @@ def _write_csv(path: Path, header: list[str], rows) -> Path:
     return path
 
 
-def _load_verified_archive(args) -> tuple[data.ImageDataset, dict]:
-    """The archive's split ``args.split``, and its sha256 by dataset name
-    (hashed once). Every member is checked; only that split is kept."""
+def _archive_identity(path: Path) -> tuple[int, int, int, int]:
+    """The device, inode, size and modification time that tell whether a
+    file was rewritten or replaced."""
+    st = os.stat(path)
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _load_verified_archive(args) -> tuple[data.ImageDataset, Callable[[], dict]]:
+    """The archive's split ``args.split``, and a function that returns the
+    archive's sha256 by dataset name, for the manifest. Every member is
+    checked; only that split is kept.
+
+    With ``args.checksums`` the digest is taken and verified before the
+    load, so nothing runs on an archive that fails its manifest. Otherwise
+    it is taken when the function is called, after the command's body,
+    so OpenSSL (which ``hashlib`` maps) is not resident while the body
+    runs. Either way the archive is hashed once, and the function raises
+    a DataError if the file's device, inode, size or modification time
+    differ from when it was first opened: the digest must describe the
+    bytes the command read."""
     archive = Path(args.archive)
-    if not archive.exists():
-        raise DataError(f"archive not found: {archive}")
     try:
-        digest = data.sha256_of_file(archive)
+        identity = _archive_identity(archive)
+        digest = data.sha256_of_file(archive) if args.checksums else None
+    except FileNotFoundError as exc:
+        raise DataError(f"archive not found: {archive}") from exc
     except OSError as exc:
         raise DataError(f"cannot read archive {archive}: {exc}") from exc
     if args.checksums:
         data.verify_checksums(args.checksums, {args.dataset: digest})
         log(f"checksum ok for {archive}")
     (dataset,) = data.load_archive(archive, args.dataset, (args.split,))
-    return dataset, {args.dataset: digest}
+
+    def checksums() -> dict:
+        try:  # the identity is compared after the digest, so a change while it reads shows too
+            value = digest or data.sha256_of_file(archive)
+            changed = _archive_identity(archive) != identity
+        except OSError as exc:
+            raise DataError(f"cannot read archive {archive}: {exc}") from exc
+        if changed:
+            raise DataError(f"archive changed while the command ran: {archive}")
+        return {args.dataset: value}
+
+    return dataset, checksums
 
 
 def _run(args, argv: list[str]) -> int:
@@ -150,13 +184,15 @@ def _run(args, argv: list[str]) -> int:
     split of the archive that the command reads, ``args.split`` (None for
     a command without ``--archive``), and returns (artifacts, summary).
     The archive's other splits are checked as they are read, but not
-    kept. A command may also set ``args.check(args, config)``, which
-    validates its flags and the resolved config. Both happen, and the
-    output directory is created, before any input is read, so a bad value
-    exits 3 even when an input is missing. If reading the archive, the
-    body or the manifest fails, the directory is removed again, with each
-    directory above it that the call created and that is still empty;
-    nothing older is removed.
+    kept; its digest is taken after the body, just before the manifest
+    (``_load_verified_archive``). A command may also set
+    ``args.check(args, config)``, which validates its flags and the
+    resolved config. Both happen, and the output directory is created,
+    before any input is read, so a bad value exits 3 even when an input
+    is missing. If reading the archive, the body or the manifest fails,
+    or the archive changed while the command ran, the directory is
+    removed again, with each directory above it that the call created
+    and that is still empty; nothing older is removed.
     """
     config = _resolve_config(args)
     if hasattr(args, "check"):
@@ -169,13 +205,13 @@ def _run(args, argv: list[str]) -> int:
     except OSError as exc:  # --out or a parent is a file
         raise ConfigError(f"cannot create --out {out}: {exc}") from exc
     try:
-        dataset, checksums = _load_verified_archive(args) if hasattr(args, "archive") else (None, {})
+        dataset, checksums = _load_verified_archive(args) if hasattr(args, "archive") else (None, dict)
         artifacts, summary = args.func(args, config, out, dataset)
         manifest = {
             "command": argv,
             "config": config,
             "seed": config.get("seed"),
-            "dataset_checksums": checksums,
+            "dataset_checksums": checksums(),
             "artifacts": sorted(str(p.relative_to(out)) for p in artifacts),
             "started_at": started,
             "finished_at": datetime.now(timezone.utc).isoformat(),

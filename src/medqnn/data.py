@@ -215,7 +215,7 @@ def noise_sweep_grid() -> list[float]:
 
 def sha256_of_file(path: str | Path) -> str:
     """The file's sha256, read ``_READ_BYTES`` at a time into one reused buffer."""
-    import hashlib  # OpenSSL is loaded only where a digest is taken
+    import hashlib  # maps OpenSSL's libcrypto; cli takes the digest after a command's work
 
     digest, buffer = hashlib.sha256(), memoryview(bytearray(_READ_BYTES))
     with open(path, "rb", buffering=0) as handle:
@@ -225,22 +225,26 @@ def sha256_of_file(path: str | Path) -> str:
 
 
 def verify_checksums(manifest_path: str | Path, digests: dict[str, str]) -> None:
-    """Check sha256 digests, by archive name, against a manifest of '<name> <sha256>' lines."""
+    """Check sha256 digests, by archive name, against a manifest of
+    '<name> <sha256>' lines (any whitespace between; digests in either case)."""
     try:
         text = Path(manifest_path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read checksum manifest {manifest_path}: {exc}") from exc
     expected = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
+    for line_no, line in enumerate(text.splitlines(), 1):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        name, _, digest = line.partition(" ")
-        expected[name] = digest.strip()
+        if len(fields) != 2:
+            raise DataError(
+                f"{manifest_path}:{line_no}: expected '<name> <sha256>', got {len(fields)} fields"
+            )
+        expected[fields[0]] = fields[1].lower()
     for name, actual in digests.items():
         if name not in expected:
             raise DataError(f"checksum manifest has no entry for {name}")
-        if actual != expected[name]:
+        if actual.lower() != expected[name]:
             raise DataError(
                 f"{name}: sha256 mismatch (archive {actual}, manifest {expected[name]})"
             )

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import functools
+import hashlib
 import io
 import json
 import math
@@ -752,6 +753,124 @@ def test_stats_and_pca_report_load_no_simulator(tmp_path, archive, trained):
     assert loaded_modules(*report) == [OPENSSL]
 
 
+def openssl_when_bodies_return(*argv) -> list[bool]:
+    """Whether a fresh interpreter has OpenSSL loaded when each ``train`` or
+    ``pca-report`` body that ``cli.main(argv)`` runs returns, and then
+    after ``main`` returns."""
+    code = (
+        "import sys, medqnn.cli as cli\n"
+        "seen = []\n"
+        "def watched(body):\n"
+        "    def run(*args):\n"
+        "        result = body(*args)\n"
+        f"        seen.append({OPENSSL!r} in sys.modules)\n"
+        "        return result\n"
+        "    return run\n"
+        "cli.cmd_train, cli.cmd_pca_report = watched(cli.cmd_train), watched(cli.cmd_pca_report)\n"
+        f"assert cli.main({list(argv)!r}) == 0\n"
+        f"print(*seen, {OPENSSL!r} in sys.modules)"
+    )
+    result = checkout_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    return [word == "True" for word in result.stdout.split()]
+
+
+@pytest.mark.parametrize("checksums", [False, True])
+@pytest.mark.parametrize("command", ["train --model dv --epochs 1", "pca-report"])
+def test_openssl_is_mapped_only_after_the_body_unless_checksums_are_verified(
+    tmp_path, archive, command, checksums
+):
+    """The digest for the manifest is taken after the body, so OpenSSL's
+    libcrypto is not resident while a train or pca-report body fits its
+    PCAs; --checksums verifies the archive before the body runs."""
+    argv = [*command.split(), "--archive", archive, "--dataset", "toyset", "--out", str(tmp_path / "out")]
+    if checksums:
+        manifest = tmp_path / "checksums.txt"
+        manifest.write_text(f"toyset {hashlib.sha256(Path(archive).read_bytes()).hexdigest()}\n")
+        argv += ["--checksums", str(manifest)]
+    assert openssl_when_bodies_return(*argv) == [checksums, True]
+
+
+ARCHIVE_COMMANDS = {  # every command that reads an archive
+    "train": "train --model classical --epochs 1",
+    "eval": "eval --checkpoint {checkpoint} --pca {pca}",
+    "noise-sweep": "noise-sweep " + " ".join(
+        f"--{kind}-checkpoint {{{kind}_checkpoint}} --{kind}-pca {{{kind}_pca}}" for kind in models.KINDS
+    ),
+    "saliency": "saliency --checkpoint {checkpoint} --pca {pca} --indices 0",
+    "pca-report": "pca-report",
+}
+
+
+@pytest.mark.parametrize("checksums", [False, True])
+@pytest.mark.parametrize("command", ARCHIVE_COMMANDS)
+def test_checksums_hash_the_archive_once(tmp_path, archive, trained, monkeypatch, command, checksums):
+    """One digest per command, with or without --checksums, and it is the
+    digest of the archive's bytes that the manifest records."""
+    digest = hashlib.sha256(Path(archive).read_bytes()).hexdigest()
+    files = {"checkpoint": str(trained["classical"] / "model_fold0.json"),
+             "pca": str(trained["classical"] / "pca_fold0.json")}
+    for kind in models.KINDS:
+        files[f"{kind}_checkpoint"] = str(trained[kind] / "model_fold0.json")
+        files[f"{kind}_pca"] = str(trained[kind] / "pca_fold0.json")
+    out = tmp_path / "out"
+    argv = [*ARCHIVE_COMMANDS[command].format(**files).split(),
+            "--archive", archive, "--dataset", "toyset", "--out", str(out)]
+    if checksums:
+        manifest = tmp_path / "checksums.txt"
+        manifest.write_text(f"toyset {digest}\n")
+        argv += ["--checksums", str(manifest)]
+    calls, sha256_of_file = [], data.sha256_of_file
+
+    def counting_sha256(path):
+        calls.append(path)
+        return sha256_of_file(path)
+
+    monkeypatch.setattr(data, "sha256_of_file", counting_sha256)
+    assert run_cli(*argv) == 0
+    assert len(calls) == 1
+    recorded = json.loads((out / "manifest.json").read_text())["dataset_checksums"]
+    assert recorded == {"toyset": digest}
+
+
+@pytest.mark.parametrize("checksums", [False, True])
+@pytest.mark.parametrize("change", ["rewritten in place", "replaced"])
+def test_an_archive_changed_while_the_command_ran_exits_2(
+    tmp_path, capsys, monkeypatch, archive, change, checksums
+):
+    """The manifest's digest must describe the bytes the command read: an
+    archive rewritten (same size, new bytes and mtime) or replaced while
+    the body ran exits 2, with no manifest and no new --out."""
+    path = tmp_path / "toyset.npz"
+    original = Path(archive).read_bytes()
+    path.write_bytes(original)
+    body = cli.cmd_pca_report
+
+    def changing_body(*args):
+        result = body(*args)
+        if change == "replaced":
+            (tmp_path / "new.npz").write_bytes(original)
+            os.replace(tmp_path / "new.npz", path)
+        else:
+            before = path.stat()
+            with open(path, "r+b") as handle:
+                handle.seek(len(original) - 1)
+                handle.write(bytes([original[-1] ^ 1]))
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+            assert path.stat().st_size == before.st_size and path.stat().st_ino == before.st_ino
+        return result
+
+    monkeypatch.setattr(cli, "cmd_pca_report", changing_body)
+    fresh = tmp_path / "fresh"
+    argv = ["pca-report", "--archive", str(path), "--dataset", "toyset", "--out", str(fresh / "out")]
+    if checksums:
+        (tmp_path / "checksums.txt").write_text(f"toyset {hashlib.sha256(original).hexdigest()}\n")
+        argv += ["--checksums", str(tmp_path / "checksums.txt")]
+    assert run_cli(*argv) == 2
+    assert "archive changed while the command ran" in capsys.readouterr().err
+    assert not fresh.exists()
+
+
 def test_train_leaves_numpy_ma_unloaded(tmp_path, archive):
     """numpy.ma costs a train process about 18 ms to import; no step of train needs it."""
     argv = ["train", "--archive", archive, "--dataset", "toyset", "--model", "classical",
@@ -968,26 +1087,6 @@ class TestPcaReport:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 4
 
-    def test_checksums_hash_the_archive_once(self, tmp_path, archive, monkeypatch):
-        digest = data.sha256_of_file(archive)
-        manifest = tmp_path / "checksums.txt"
-        manifest.write_text(f"toyset {digest}\n")
-        calls = []
-
-        def counting_sha256(path):
-            calls.append(path)
-            return digest
-
-        monkeypatch.setattr(data, "sha256_of_file", counting_sha256)
-        out = tmp_path / "pca_report"
-        assert run_cli(
-            "pca-report", "--archive", archive, "--dataset", "toyset",
-            "--checksums", str(manifest), "--out", str(out),
-        ) == 0
-        assert len(calls) == 1
-        recorded = json.loads((out / "manifest.json").read_text())["dataset_checksums"]
-        assert recorded == {"toyset": digest}
-
 
 def bad_input_files(tmp_path, archive, trained):
     """Every file the bad-input table names, keyed by its placeholder."""
@@ -1061,6 +1160,8 @@ def bad_input_files(tmp_path, archive, trained):
     for name, text in configs.items():
         files[name] = str(tmp_path / f"{name}.cfg")
         (tmp_path / f"{name}.cfg").write_text(text)
+    files["three_field_checksums"] = str(tmp_path / "three_field.txt")
+    (tmp_path / "three_field.txt").write_text(f"toyset {data.sha256_of_file(archive)} {archive}\n")
     files["corrupt"] = str(tmp_path / "corrupt.npz")
     (tmp_path / "corrupt.npz").write_bytes(b"PK\x03\x04 this is not a zip archive")
     files["latin1_cfg"] = str(tmp_path / "latin1.cfg")
@@ -1255,6 +1356,8 @@ BAD_INPUTS = [  # (case, documented exit code, argv template)
     ("missing --checksums manifest", 2, f"{TRAIN} --model dv --checksums {{nope}}"),
     ("--checksums naming a directory", 2, f"{TRAIN} --model dv --checksums {{a_dir}}"),
     ("non-UTF-8 --checksums manifest", 2, f"{TRAIN} --model dv --checksums {{latin1_cfg}}"),
+    ("--checksums manifest line with three fields", 2,
+     f"{TRAIN} --model dv --checksums {{three_field_checksums}}"),
 ] + [
     (f"{command} with a {damage} {file}", 2, f"{template} {{{name}}}")
     for command, file, template in (

@@ -414,6 +414,24 @@ class TestChecksums:
         with pytest.raises(DataError, match="no entry"):
             data.verify_checksums(manifest, {"toyset": data.sha256_of_file(path)})
 
+    @pytest.mark.parametrize("line", ["toyset {upper}", "toyset\t{digest}", "  toyset \t {digest}  "])
+    def test_uppercase_digest_and_any_whitespace_pass(self, tmp_path, line):
+        digest = "0123456789abcdef" * 4
+        manifest = tmp_path / "checksums.txt"
+        manifest.write_text(line.format(digest=digest, upper=digest.upper()) + "\n")
+        data.verify_checksums(manifest, {"toyset": digest})
+
+    @pytest.mark.parametrize("line, fields", [
+        ("toyset", 1), ("{digest}", 1), ("toyset {digest} extra", 3), ("{digest}  data/toyset.npz x", 3),
+    ])
+    def test_a_line_without_two_fields_names_its_line(self, tmp_path, line, fields):
+        digest = "0123456789abcdef" * 4
+        manifest = tmp_path / "checksums.txt"
+        manifest.write_text(f"# archives\n\nother {digest}\n{line.format(digest=digest)}\n")
+        expected = f"checksums.txt:4: expected '<name> <sha256>', got {fields} fields"
+        with pytest.raises(DataError, match=expected):
+            data.verify_checksums(manifest, {"toyset": digest})
+
     @pytest.mark.parametrize("size", [
         0, 1, data._READ_BYTES - 1, data._READ_BYTES, data._READ_BYTES + 1, 3 * data._READ_BYTES,
     ])
